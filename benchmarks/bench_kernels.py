@@ -1,4 +1,4 @@
-"""Time the hot kernels: compiled path against the plain-Python path.
+"""Time the numba kernels: compiled path against the plain-Python path.
 
 Run after installing the package:
 
@@ -7,7 +7,8 @@ Run after installing the package:
 With numba available the script times each kernel both compiled and
 through its uncompiled ``py_func``.  Under PCAGEOM_DISABLE_NUMBA=1 the
 decorator is a passthrough, so only the plain path exists and the
-script says so.
+script says so.  The eigensolver is plain NumPy and has its own script,
+``benchmarks/bench_eigensolve.py``.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import time
 import numpy as np
 
 from pcageom import _jit
-from pcageom.kernels import assign_labels, betainc_reg, jacobi_sweeps
+from pcageom.kernels import assign_labels, betainc_reg
 
 
 def timeit(fn, repeat: int) -> float:
@@ -28,20 +29,6 @@ def timeit(fn, repeat: int) -> float:
         fn()
         best = min(best, time.perf_counter() - t0)
     return best
-
-
-def bench_jacobi(fn, n: int, repeat: int) -> float:
-    rng = np.random.default_rng(0)
-    m = rng.standard_normal((n, n))
-    base = 0.5 * (m + m.T)
-    target = 1e-12 * np.linalg.norm(base, "fro")
-
-    def run():
-        a = base.copy()
-        v = np.eye(n)
-        fn(a, v, target, 100)
-
-    return timeit(run, repeat)
 
 
 def bench_betainc(fn, repeat: int) -> float:
@@ -71,11 +58,9 @@ def bench_assign(fn, repeat: int) -> float:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--repeat", type=int, default=5, help="timing repetitions (best kept)")
-    parser.add_argument("--jacobi-n", type=int, default=120, help="matrix size for the eigensolver")
     args = parser.parse_args()
 
     cases = [
-        ("jacobi_sweeps", jacobi_sweeps, lambda f: bench_jacobi(f, args.jacobi_n, args.repeat)),
         ("betainc_reg", betainc_reg, lambda f: bench_betainc(f, args.repeat)),
         ("assign_labels", assign_labels, lambda f: bench_assign(f, args.repeat)),
     ]

@@ -1,11 +1,11 @@
 """Hot numeric kernels, compiled with numba unless disabled.
 
-Three loops dominate the package's runtime and live here so they can be
-jitted: the cyclic Jacobi rotation sweep used by the eigensolver, the
+Two scalar loops live here so they can be jitted: the
 continued-fraction evaluation of the regularized incomplete beta
 function used for correlation significance, and the point-to-centroid
 assignment step of k-means.  Each function is valid nopython numba and
-valid plain Python; :mod:`pcageom._jit` decides which one runs.
+valid plain Python; :mod:`pcageom._jit` decides which one runs.  (The
+Jacobi eigensolver is array code in :mod:`pcageom.eigensolve`.)
 
 Distance codes for the k-means kernels: 0 = city block, 1 = squared
 Euclidean, 2 = Chebyshev, 3 = cosine distance.
@@ -18,8 +18,6 @@ import math
 from ._jit import njit
 
 __all__ = [
-    "jacobi_sweeps",
-    "offdiag_norm",
     "betainc_reg",
     "point_distance",
     "assign_labels",
@@ -33,74 +31,6 @@ DIST_L1 = 0
 DIST_L2 = 1
 DIST_LINF = 2
 DIST_COSINE = 3
-
-
-@njit(cache=True)
-def offdiag_norm(a):
-    """Frobenius norm of the off-diagonal part of a square matrix.
-
-    Accumulated entry by entry rather than as a difference of totals:
-    subtracting the diagonal mass from the full sum of squares cancels
-    catastrophically once the matrix is nearly diagonal, and would put
-    a floor of about sqrt(eps) times the matrix norm under this value.
-    """
-    n = a.shape[0]
-    off_sq = 0.0
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                off_sq += a[i, j] * a[i, j]
-    return math.sqrt(off_sq)
-
-
-@njit(cache=True)
-def jacobi_sweeps(a, v, off_target, max_sweeps):
-    """Run cyclic Jacobi rotation sweeps on the symmetric matrix ``a`` in place.
-
-    Each sweep visits every strict upper-triangle pair (p, q) in row
-    order and applies the plane rotation that zeroes ``a[p, q]``.  The
-    accumulated rotations are multiplied into the column basis ``v``
-    (so ``v`` converges to the eigenvector matrix).  Sweeping stops once
-    the off-diagonal Frobenius norm drops to ``off_target`` or after
-    ``max_sweeps`` full sweeps.
-
-    Returns ``(sweeps_used, final_offdiag_norm)``.
-    """
-    n = a.shape[0]
-    sweeps = 0
-    off = offdiag_norm(a)
-    while off > off_target and sweeps < max_sweeps:
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                theta = 0.5 * (a[p, p] - a[q, q]) / apq
-                if abs(theta) > 1e10:
-                    t = -0.5 / theta
-                else:
-                    t = 1.0 / (abs(theta) + math.sqrt(theta * theta + 1.0))
-                    if theta > 0.0:
-                        t = -t
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                colp = a[:, p].copy()
-                colq = a[:, q].copy()
-                a[:, p] = c * colp - s * colq
-                a[:, q] = s * colp + c * colq
-                rowp = a[p, :].copy()
-                rowq = a[q, :].copy()
-                a[p, :] = c * rowp - s * rowq
-                a[q, :] = s * rowp + c * rowq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-        sweeps += 1
-        off = offdiag_norm(a)
-    return sweeps, off
 
 
 @njit(cache=True)
