@@ -187,40 +187,6 @@ def jacobi_sweeps(a: np.ndarray, v: np.ndarray, off_target: float, max_sweeps: i
         sweeps += 1
         off = offdiag_norm(a)
     return sweeps, off
-    pairs_p, pairs_q = round_robin_schedule(n)
-    rot = np.eye(n)
-    scratch = np.empty_like(a)
-    while off > off_target and sweeps < max_sweeps:
-        for p, q in zip(pairs_p, pairs_q):
-            apq = a[p, q]
-            live = apq != 0.0
-            if not live.any():
-                continue
-            theta = 0.5 * (a[p, p] - a[q, q]) / np.where(live, apq, 1.0)
-            big = np.abs(theta) > 1e10
-            mid = np.where(big, 0.0, theta)
-            t = 1.0 / (np.abs(mid) + np.sqrt(mid * mid + 1.0))
-            t = np.where(mid > 0.0, -t, t)
-            t = np.where(big, -0.5 / np.where(big, theta, 1.0), t)
-            t = np.where(live, t, 0.0)
-            c = 1.0 / np.sqrt(t * t + 1.0)
-            s = t * c
-            rot[p, p] = c
-            rot[q, q] = c
-            rot[p, q] = s
-            rot[q, p] = -s
-            np.matmul(rot.T, a, out=scratch)
-            np.matmul(scratch, rot, out=a)
-            a[p, q] = 0.0
-            a[q, p] = 0.0
-            v[...] = v @ rot
-            rot[p, p] = 1.0
-            rot[q, q] = 1.0
-            rot[p, q] = 0.0
-            rot[q, p] = 0.0
-        sweeps += 1
-        off = offdiag_norm(a)
-    return sweeps, off
 
 
 def jacobi_eigh(a: np.ndarray, max_sweeps: int = MAX_SWEEPS) -> tuple[np.ndarray, np.ndarray, int]:
