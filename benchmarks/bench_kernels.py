@@ -1,14 +1,15 @@
-"""Time the numba kernels: compiled path against the plain-Python path.
+"""Time the numba kernel: compiled path against the plain-Python path.
 
 Run after installing the package:
 
     python benchmarks/bench_kernels.py
 
-With numba available the script times each kernel both compiled and
-through its uncompiled ``py_func``.  Under PCAGEOM_DISABLE_NUMBA=1 the
-decorator is a passthrough, so only the plain path exists and the
-script says so.  The eigensolver is plain NumPy and has its own script,
-``benchmarks/bench_eigensolve.py``.
+With numba available the script times the incomplete beta function
+both compiled and through its uncompiled ``py_func``.  Under
+PCAGEOM_DISABLE_NUMBA=1 the decorator is a passthrough, so only the
+plain path exists and the script says so.  The eigensolver and k-means
+are plain NumPy and have their own scripts,
+``benchmarks/bench_eigensolve.py`` and ``benchmarks/bench_varcluster.py``.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import time
 import numpy as np
 
 from pcageom import _jit
-from pcageom.kernels import assign_labels, betainc_reg
+from pcageom.kernels import betainc_reg
 
 
 def timeit(fn, repeat: int) -> float:
@@ -43,18 +44,6 @@ def bench_betainc(fn, repeat: int) -> float:
     return timeit(run, repeat)
 
 
-def bench_assign(fn, repeat: int) -> float:
-    rng = np.random.default_rng(1)
-    points = rng.random((4000, 8))
-    centroids = points[:6].copy()
-    labels = np.zeros(4000, dtype=np.int64)
-
-    def run():
-        fn(points, centroids, 1, labels)
-
-    return timeit(run, repeat)
-
-
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--repeat", type=int, default=5, help="timing repetitions (best kept)")
@@ -62,7 +51,6 @@ def main() -> None:
 
     cases = [
         ("betainc_reg", betainc_reg, lambda f: bench_betainc(f, args.repeat)),
-        ("assign_labels", assign_labels, lambda f: bench_assign(f, args.repeat)),
     ]
 
     if not _jit.NUMBA_ENABLED:

@@ -6,12 +6,10 @@ import argparse
 import sys
 from pathlib import Path
 
-from .corrstats import correlation_matrix, load_correlation_json
 from .eigensolve import eigen_symmetric
 from .errors import PcageomError
 from .fixtures import fixture_path
-from .ingest import load_csv, parse_column_spec, standardize
-from .report import render_csv, render_markdown, run_analysis, to_json_text
+from .report import load_input, render_csv, render_markdown, run_analysis, to_json_text
 from .svgplot import render_svg_scree, render_svg_similarity
 from .tensorops import build_virtual, verify_relations
 
@@ -127,16 +125,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    input_path = _resolve_input(args.input)
-    if input_path.suffix.lower() == ".json":
-        corr = load_correlation_json(input_path)
-    else:
-        selectors = parse_column_spec(args.columns) if args.columns else None
-        label_sel = None
-        if args.label_column:
-            label_sel = parse_column_spec(args.label_column)[0]
-        data = load_csv(input_path, columns=selectors, label_column=label_sel, header=args.header)
-        corr = correlation_matrix(standardize(data))
+    corr, _, _ = load_input(
+        _resolve_input(args.input), args.columns, args.label_column, args.header
+    )
     eig = eigen_symmetric(corr)
     checks = verify_relations(build_virtual(eig), eig, corr)
     width = max(len(c.relation) for c in checks)

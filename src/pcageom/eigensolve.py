@@ -194,13 +194,15 @@ def jacobi_eigh(a: np.ndarray, max_sweeps: int = MAX_SWEEPS) -> tuple[np.ndarray
 
     Returns ``(w, U, sweeps)`` with eigenvalues descending and the
     output conventions above applied.  Raises ValueError for a matrix
-    that is not square, not symmetric or holds NaN or infinite entries,
-    and ConvergenceError if the off-diagonal norm is still above
+    that is empty, not square, not symmetric or holds NaN or infinite
+    entries, and ConvergenceError if the off-diagonal norm is still above
     threshold after ``max_sweeps``.
     """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"eigensolve: matrix must be square, got {a.shape}")
+    if a.size == 0:
+        raise ValueError("eigensolve: matrix is empty (0x0)")
     if not np.isfinite(a).all():
         raise ValueError("eigensolve: matrix has NaN or infinite entries")
     if np.max(np.abs(a - a.T)) > 1e-12 * max(1.0, float(np.max(np.abs(a)))):

@@ -21,7 +21,14 @@ from .corrstats import (
 )
 from .eigensolve import EigenSystem, eigen_symmetric
 from .errors import DataError
-from .ingest import load_csv, parse_column_spec, standardize, summarize
+from .ingest import (
+    DataMatrix,
+    StandardizedMatrix,
+    load_csv,
+    parse_column_spec,
+    standardize,
+    summarize,
+)
 from .pcacore import (
     CRITERIA,
     explanation_table,
@@ -33,7 +40,7 @@ from .pcacore import (
 from .tensorops import VirtualRepresentation, build_virtual, verify_relations
 from .varcluster import ClusterAssignment, SimilarityProfile, cluster_kmeans, cluster_naive, similarity_profiles
 
-__all__ = ["AnalysisResult", "run_analysis", "render_markdown", "render_csv", "to_json_text"]
+__all__ = ["AnalysisResult", "load_input", "run_analysis", "render_markdown", "render_csv", "to_json_text"]
 
 DEFAULT_THRESHOLDS = {"percentage": 0.95, "per_variable": 0.8}
 
@@ -53,6 +60,35 @@ class AnalysisResult:
 
 def _fmt(x: float) -> str:
     return f"{x:.3f}"
+
+
+def load_input(
+    input_path: str | Path,
+    columns: str | None = None,
+    label_column: str | None = None,
+    header: bool = False,
+    divisor: str = "population",
+) -> tuple[CorrelationMatrix, DataMatrix | None, StandardizedMatrix | None]:
+    """Read a CSV data file or a correlation-matrix JSON.
+
+    Returns ``(corr, data, z)``: the correlation matrix, plus for CSV
+    input the loaded data and its standardized values (both ``None``
+    for JSON input).  ``columns`` and ``label_column`` use the column
+    spec syntax; the label spec must select exactly one column.
+    """
+    input_path = Path(input_path)
+    if input_path.suffix.lower() == ".json":
+        return load_correlation_json(input_path), None, None
+    selectors = parse_column_spec(columns) if columns else None
+    label_sel: int | str | None = None
+    if label_column is not None:
+        parsed = parse_column_spec(label_column)
+        if len(parsed) != 1:
+            raise DataError("report: --label-column must select a single column")
+        label_sel = parsed[0]
+    data = load_csv(input_path, columns=selectors, label_column=label_sel, header=header)
+    z = standardize(data, divisor)
+    return correlation_matrix(z), data, z
 
 
 def run_analysis(
@@ -79,24 +115,9 @@ def run_analysis(
     if criterion not in CRITERIA:
         raise ValueError(f"report: unknown criterion {criterion!r}")
 
-    if input_path.suffix.lower() == ".json":
-        corr = load_correlation_json(input_path)
-        input_kind = "correlation_json"
-        summaries = None
-        z = None
-    else:
-        selectors = parse_column_spec(columns) if columns else None
-        label_sel: int | str | None = None
-        if label_column is not None:
-            parsed = parse_column_spec(label_column)
-            if len(parsed) != 1:
-                raise DataError("report: --label-column must select a single column")
-            label_sel = parsed[0]
-        data = load_csv(input_path, columns=selectors, label_column=label_sel, header=header)
-        summaries = summarize(data, divisor)
-        z = standardize(data, divisor)
-        corr = correlation_matrix(z)
-        input_kind = "csv"
+    corr, data, z = load_input(input_path, columns, label_column, header, divisor)
+    input_kind = "correlation_json" if data is None else "csv"
+    summaries = None if data is None else summarize(data, divisor)
 
     derived = derived_matrices(corr)
     eig = eigen_symmetric(corr)

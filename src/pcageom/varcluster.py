@@ -26,6 +26,12 @@ objective kept (earliest restart wins ties).  The sum of Chebyshev
 distances has no closed-form minimizer, so that metric reuses the mean
 and the iteration simply stops if the objective would rise, keeping the
 descent property.
+
+Distances are array code: ``pairwise_distance`` gives each Lloyd step
+one point-to-centroid matrix, from which labels and cost are read, and
+one point-to-point matrix serves the initialization of every restart.
+It adds coordinates in the order a loop over one pair of vectors would,
+so results are bitwise those of such a loop.
 """
 
 from __future__ import annotations
@@ -34,7 +40,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import DIST_COSINE, DIST_L1, DIST_L2, DIST_LINF, assign_labels, point_distance
 from .pcacore import ExplanationTable
 
 __all__ = [
@@ -48,7 +53,19 @@ __all__ = [
     "cluster_naive",
     "cluster_kmeans",
     "lloyd",
+    "pairwise_distance",
+    "assign_labels",
+    "DIST_L1",
+    "DIST_L2",
+    "DIST_LINF",
+    "DIST_COSINE",
 ]
+
+# distance codes: city block, squared Euclidean, Chebyshev, cosine distance
+DIST_L1 = 0
+DIST_L2 = 1
+DIST_LINF = 2
+DIST_COSINE = 3
 
 METRICS = {"l1": DIST_L1, "l2": DIST_L2, "linf": DIST_LINF, "cosine": DIST_COSINE}
 
@@ -164,34 +181,100 @@ def _centroid(points: np.ndarray, code: int) -> np.ndarray:
     return points.mean(axis=0)
 
 
-def _labeled_cost(points: np.ndarray, centroids: np.ndarray, labels: np.ndarray, code: int) -> float:
-    return float(
-        sum(point_distance(points[i], centroids[labels[i]], code) for i in range(points.shape[0]))
-    )
+def pairwise_distance(points: np.ndarray, centers: np.ndarray, code: int) -> np.ndarray:
+    """Distance from every point to every center, as an (m, kc) matrix.
 
-
-def _fix_empty(
-    points: np.ndarray, centroids: np.ndarray, labels: np.ndarray, kc: int, code: int
-) -> None:
-    # donate the point farthest from its own centroid, from a cluster
-    # that can spare one; lowest cluster id is refilled first
-    for cid in range(kc):
-        if np.any(labels == cid):
+    Under the coded metric: l1 sums absolute coordinate differences, l2
+    sums squared ones (the squared Euclidean distance), linf keeps the
+    largest, and cosine is 1 - dot / (|x| |c|) clamped at 0, or 1 when
+    either vector is zero.  Coordinates are accumulated one axis at a
+    time in index order, so each entry is bitwise what a scalar loop
+    over that pair of vectors returns.
+    """
+    out = np.zeros((points.shape[0], centers.shape[0]))
+    if code == DIST_COSINE:
+        nx = np.zeros((points.shape[0], 1))
+        nc = np.zeros((1, centers.shape[0]))
+    for j in range(points.shape[1]):
+        x = points[:, j, None]
+        c = centers[None, :, j]
+        if code == DIST_COSINE:
+            out += x * c
+            nx += x * x
+            nc += c * c
             continue
-        counts = np.bincount(labels, minlength=kc)
-        best_i = -1
-        best_d = -1.0
-        for i in range(points.shape[0]):
-            if counts[labels[i]] <= 1:
-                continue
-            d = point_distance(points[i], centroids[labels[i]], code)
-            if d > best_d:
-                best_d = d
-                best_i = i
-        if best_i < 0:
-            return
-        labels[best_i] = cid
-        centroids[cid] = points[best_i]
+        diff = x - c
+        if code == DIST_L2:
+            out += diff * diff
+        elif code == DIST_L1:
+            out += np.abs(diff)
+        else:
+            np.maximum(out, np.abs(diff), out=out)
+    if code != DIST_COSINE:
+        return out
+    denom = np.sqrt(nx) * np.sqrt(nc)
+    zero = denom == 0.0
+    np.divide(out, denom, out=out, where=~zero)
+    out = np.maximum(1.0 - out, 0.0)
+    out[zero] = 1.0
+    return out
+
+
+def _labeled_cost(dist: np.ndarray, labels: np.ndarray) -> float:
+    """Sum of every point's distance to its own centroid.
+
+    Added in point order, as a scalar loop would; ``np.sum`` would pair
+    the terms up and round differently.
+    """
+    own = dist[np.arange(labels.shape[0]), labels]
+    return float(np.add.accumulate(own)[-1]) if own.size else 0.0
+
+
+def assign_labels(points: np.ndarray, centroids: np.ndarray, code: int, labels: np.ndarray) -> float:
+    """Label every point with its nearest centroid; return the summed cost.
+
+    Ties go to the lowest centroid index.  For the squared Euclidean
+    code the returned cost is the usual within-cluster sum of squares;
+    for the other metrics it is the plain sum of distances.
+    """
+    dist = pairwise_distance(points, centroids, code)
+    labels[:] = dist.argmin(axis=1)
+    return _labeled_cost(dist, labels)
+
+
+def _fix_empty(points: np.ndarray, centroids: np.ndarray, labels: np.ndarray, code: int) -> bool:
+    """Refill empty clusters in place; return whether any point moved.
+
+    Each empty cluster, lowest id first, takes the point farthest from
+    its own centroid among clusters that can spare one, and that point
+    becomes its centroid.
+    """
+    counts = np.bincount(labels, minlength=centroids.shape[0])
+    if counts.all():
+        return False
+    # a moved point is alone in its new cluster and never moves again,
+    # so the other points' distances to their centroids stay valid
+    own = pairwise_distance(points, centroids, code)[np.arange(labels.shape[0]), labels]
+    moved = False
+    for cid in np.flatnonzero(counts == 0):
+        spare = counts[labels] > 1
+        if not spare.any():
+            break
+        i = int(np.argmax(np.where(spare, own, -1.0)))
+        counts[labels[i]] -= 1
+        counts[cid] = 1
+        labels[i] = cid
+        centroids[cid] = points[i]
+        moved = True
+    return moved
+
+
+def _assign(points: np.ndarray, centroids: np.ndarray, code: int, labels: np.ndarray) -> float:
+    """Nearest-centroid labels with empty clusters refilled; return the cost."""
+    cost = assign_labels(points, centroids, code, labels)
+    if _fix_empty(points, centroids, labels, code):
+        cost = _labeled_cost(pairwise_distance(points, centroids, code), labels)
+    return cost
 
 
 def lloyd(
@@ -210,9 +293,7 @@ def lloyd(
     centroids = np.array(centroids, dtype=np.float64)
     kc = centroids.shape[0]
     labels = np.zeros(points.shape[0], dtype=np.int64)
-    objective = assign_labels(points, centroids, code, labels)
-    _fix_empty(points, centroids, labels, kc, code)
-    objective = _labeled_cost(points, centroids, labels, code)
+    objective = _assign(points, centroids, code, labels)
     history = [objective]
     converged = False
     guard_tripped = False
@@ -224,9 +305,7 @@ def lloyd(
             if members.shape[0]:
                 new_centroids[cid] = _centroid(members, code)
         new_labels = np.zeros_like(labels)
-        new_objective = assign_labels(points, new_centroids, code, new_labels)
-        _fix_empty(points, new_centroids, new_labels, kc, code)
-        new_objective = _labeled_cost(points, new_centroids, new_labels, code)
+        new_objective = _assign(points, new_centroids, code, new_labels)
         if new_objective > objective + _GUARD_TOL:
             guard_tripped = True
             break
@@ -246,19 +325,21 @@ def lloyd(
     )
 
 
-def _farthest_point_init(points: np.ndarray, kc: int, code: int, seed: int) -> np.ndarray:
+def _farthest_point_init(pair_dist: np.ndarray, kc: int, seed: int) -> list[int]:
+    """Indices of kc starting points, from the point-to-point distances.
+
+    The first is drawn with the seed; each next one is the point
+    farthest from its nearest chosen point (lowest index on ties).
+    """
     rng = np.random.default_rng(seed)
-    m = points.shape[0]
-    chosen = [int(rng.integers(m))]
+    chosen = [int(rng.integers(pair_dist.shape[0]))]
+    nearest = pair_dist[:, chosen[0]].copy()
+    nearest[chosen[0]] = -1.0
     while len(chosen) < kc:
-        dist = np.empty(m)
-        for i in range(m):
-            if i in chosen:
-                dist[i] = -1.0
-            else:
-                dist[i] = min(point_distance(points[i], points[c], code) for c in chosen)
-        chosen.append(int(np.argmax(dist)))
-    return points[chosen].copy()
+        chosen.append(int(np.argmax(nearest)))
+        np.minimum(nearest, pair_dist[:, chosen[-1]], out=nearest)
+        nearest[chosen[-1]] = -1.0
+    return chosen
 
 
 def _stirling2(m: int, k: int) -> int:
@@ -374,12 +455,14 @@ def cluster_kmeans(
         candidates = _partitions(points.shape[0], k_clusters)
         labels = candidates[int(np.argmin(_partition_costs(points, candidates, code)))]
         centroids = np.array([_centroid(points[labels == c], code) for c in range(k_clusters)])
-        objective = _labeled_cost(points, centroids, labels, code)
+        objective = _labeled_cost(pairwise_distance(points, centroids, code), labels)
         n_iterations = None
     else:
+        # one point-to-point matrix serves every restart's initialization
+        pair_dist = pairwise_distance(points, points, code)
         best: LloydResult | None = None
         for attempt in range(restarts):
-            init = _farthest_point_init(points, k_clusters, code, seed + attempt)
+            init = points[_farthest_point_init(pair_dist, k_clusters, seed + attempt)]
             result = lloyd(points, init, metric, max_iter)
             if best is None or result.objective < best.objective:
                 best = result

@@ -143,6 +143,15 @@ def test_verify_on_raw_csv(capsys):
     assert "22/22 relations hold" in out
 
 
+def test_both_commands_reject_a_multi_column_label(tmp_path, capsys):
+    args = ("fixtures/iris.csv", "--columns", "1-4", "--header", "--label-column", "5,1")
+    for argv in (("analyze", *args, "--out", str(tmp_path)), ("verify", *args)):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv[0]
+        assert "--label-column must select a single column" in err, argv[0]
+        assert out == "", argv[0]
+
+
 def test_verify_failure_exits_one(capsys, monkeypatch):
     real = cli.verify_relations
 

@@ -179,6 +179,11 @@ def test_jacobi_rejects_non_finite_input(bad, where):
         jacobi_eigh(a)
 
 
+def test_jacobi_rejects_empty_matrix():
+    with pytest.raises(ValueError, match="eigensolve: matrix is empty"):
+        jacobi_eigh(np.zeros((0, 0)))
+
+
 # -- decomposition and conventions ---------------------------------------------
 
 

@@ -1,9 +1,10 @@
-"""Numeric kernels, compiled and plain paths.
+"""Numeric kernels: point distances and the incomplete beta function.
 
-Each hot function is compared against its pure-Python fallback
-(``fn.py_func``) so both code paths stay in lockstep.  The assignment
-kernel must agree bitwise; the continued fraction may differ by a few
-ulps because of fused multiply-adds in compiled code.
+The k-means distances are array code in :mod:`pcageom.varcluster`;
+here they are checked on single pairs of vectors.  The incomplete beta
+function is compared against its pure-Python fallback (``fn.py_func``)
+when numba is available; the two may differ by a few ulps because of
+fused multiply-adds in compiled code.
 """
 
 import math
@@ -15,18 +16,15 @@ import numpy as np
 import pytest
 
 from pcageom._jit import NUMBA_ENABLED
-from pcageom.kernels import (
-    DIST_COSINE,
-    DIST_L1,
-    DIST_L2,
-    DIST_LINF,
-    assign_labels,
-    betainc_reg,
-    point_distance,
-)
+from pcageom.kernels import betainc_reg
+from pcageom.varcluster import DIST_COSINE, DIST_L1, DIST_L2, DIST_LINF, pairwise_distance
 
 
 # -- distances ------------------------------------------------------------
+
+
+def point_distance(x, c, code):
+    return float(pairwise_distance(x[None, :], c[None, :], code)[0, 0])
 
 
 def test_distance_codes_are_distinct():
@@ -52,30 +50,6 @@ def test_cosine_distance_edge_cases():
     # parallel vectors can round 1 - cos slightly negative; it is clamped
     x = np.array([0.1, 0.2, 0.3])
     assert point_distance(x, 7.0 * x, DIST_COSINE) >= 0.0
-
-
-def test_assign_labels_tie_goes_to_lowest_index():
-    points = np.array([[0.5, 0.0]])
-    centroids = np.array([[0.0, 0.0], [1.0, 0.0]])
-    labels = np.zeros(1, dtype=np.int64)
-    total = assign_labels(points, centroids, DIST_L2, labels)
-    assert labels[0] == 0
-    assert total == pytest.approx(0.25, abs=1e-15)
-
-
-def test_assign_labels_matches_bruteforce():
-    rng = np.random.default_rng(14)
-    points = rng.standard_normal((50, 3))
-    centroids = rng.standard_normal((4, 3))
-    for code in (DIST_L1, DIST_L2, DIST_LINF, DIST_COSINE):
-        labels = np.zeros(50, dtype=np.int64)
-        total = assign_labels(points, centroids, code, labels)
-        want = [
-            int(np.argmin([point_distance(p, c, code) for c in centroids])) for p in points
-        ]
-        assert labels.tolist() == want
-        cost = sum(point_distance(points[i], centroids[labels[i]], code) for i in range(50))
-        assert total == pytest.approx(cost, abs=1e-12)
 
 
 # -- regularized incomplete beta -------------------------------------------
@@ -111,20 +85,6 @@ def test_compiled_betainc_matches_fallback():
         got = betainc_reg(74.0, 0.5, float(x))
         ref = betainc_reg.py_func(74.0, 0.5, float(x))
         assert got == pytest.approx(ref, abs=1e-13)
-
-
-@pytest.mark.skipif(not NUMBA_ENABLED, reason="compiled path disabled or unavailable")
-def test_compiled_assign_matches_fallback_bitwise():
-    rng = np.random.default_rng(15)
-    points = rng.standard_normal((100, 4))
-    centroids = rng.standard_normal((5, 4))
-    for code in (DIST_L1, DIST_L2, DIST_LINF, DIST_COSINE):
-        l1 = np.zeros(100, dtype=np.int64)
-        l2 = np.zeros(100, dtype=np.int64)
-        t1 = assign_labels(points, centroids, code, l1)
-        t2 = assign_labels.py_func(points, centroids, code, l2)
-        assert t1 == t2
-        assert np.array_equal(l1, l2)
 
 
 def test_disable_flag_forces_plain_path():

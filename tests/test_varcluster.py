@@ -5,10 +5,17 @@ recomputes centroids and costs with its own formulas.  The enumeration
 covers every metric whose centroid step minimizes the within-cluster
 cost exactly (city-block, squared Euclidean, cosine); the Chebyshev
 centroid is heuristic, so there the oracle only bounds the partition.
+The distance matrix is checked bitwise against a scalar loop over each
+pair of vectors.
 """
+
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from pcageom.corrstats import CorrelationMatrix
 from pcageom.eigensolve import eigen_symmetric
@@ -19,9 +26,11 @@ from pcageom.varcluster import (
     METRICS,
     UNASSIGNED,
     SimilarityProfile,
+    assign_labels,
     cluster_kmeans,
     cluster_naive,
     lloyd,
+    pairwise_distance,
     similarity_profiles,
 )
 from pcageom.varcluster import _partitions, _stirling2
@@ -108,6 +117,87 @@ def test_naive_validation(fixture_profiles):
         cluster_naive(mixed)
 
 
+# -- distances and assignment ---------------------------------------------
+
+
+def scalar_distance(x, c, code):
+    """One pair of vectors, one coordinate at a time, in Python floats."""
+    if code in (0, 1, 2):
+        acc = 0.0
+        for xi, ci in zip(x, c):
+            d = xi - ci
+            if code == 0:
+                acc += abs(d)
+            elif code == 1:
+                acc += d * d
+            elif abs(d) > acc:
+                acc = abs(d)
+        return acc
+    dot = nx = nc = 0.0
+    for xi, ci in zip(x, c):
+        dot += xi * ci
+        nx += xi * xi
+        nc += ci * ci
+    denom = math.sqrt(nx) * math.sqrt(nc)
+    if denom == 0.0:
+        return 1.0
+    return max(1.0 - dot / denom, 0.0)
+
+
+@st.composite
+def point_sets(draw):
+    """Points and centers sharing a dimension, with zero rows and duplicates."""
+    dim = draw(st.integers(0, 6))
+    coords = st.floats(-1e3, 1e3, allow_nan=False, width=64)
+    points = draw(hnp.arrays(np.float64, (draw(st.integers(1, 7)), dim), elements=coords))
+    centers = draw(hnp.arrays(np.float64, (draw(st.integers(1, 5)), dim), elements=coords))
+    for rows in (points, centers):
+        for i in draw(st.lists(st.integers(0, rows.shape[0] - 1), max_size=2)):
+            rows[i] = 0.0
+    for i, j in draw(st.lists(st.tuples(st.integers(0, points.shape[0] - 1),
+                                        st.integers(0, centers.shape[0] - 1)), max_size=2)):
+        centers[j] = points[i]
+    return points, centers
+
+
+@settings(max_examples=200, deadline=None)
+@given(point_sets(), st.sampled_from(sorted(METRICS.values())))
+@example((np.array([[0.0, 0.0], [0.3, 0.4]]), np.array([[0.3, 0.4], [0.0, 0.0]])), METRICS["cosine"])
+@example((np.array([[1e-163]]), np.array([[1e150]])), METRICS["cosine"])  # |x|^2 underflows to 0
+def test_pairwise_distance_matches_scalar_loop_bitwise(sets, code):
+    points, centers = sets
+    got = pairwise_distance(points, centers, code)
+    want = np.array([[scalar_distance(p.tolist(), c.tolist(), code) for c in centers]
+                     for p in points])
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def test_assign_labels_tie_goes_to_lowest_index():
+    points = np.array([[0.5, 0.0]])
+    centroids = np.array([[0.0, 0.0], [1.0, 0.0]])
+    labels = np.zeros(1, dtype=np.int64)
+    total = assign_labels(points, centroids, METRICS["l2"], labels)
+    assert labels[0] == 0
+    assert total == pytest.approx(0.25, abs=1e-15)
+
+
+def test_assign_labels_matches_bruteforce():
+    rng = np.random.default_rng(14)
+    points = rng.standard_normal((50, 3))
+    centroids = rng.standard_normal((4, 3))
+    for code in METRICS.values():
+        labels = np.zeros(50, dtype=np.int64)
+        total = assign_labels(points, centroids, code, labels)
+        dist = [[scalar_distance(p.tolist(), c.tolist(), code) for c in centroids] for p in points]
+        want = [int(np.argmin(row)) for row in dist]
+        assert labels.tolist() == want
+        cost = 0.0
+        for row, j in zip(dist, want):
+            cost += row[j]
+        assert total == cost  # summed in point order, as a scalar loop would
+
+
 # -- k-means on the bundled instance --------------------------------------
 
 
@@ -188,6 +278,59 @@ def test_kmeans_above_budget_keeps_restart_path():
         assert a.to_json()["exact"] is False
         assert a.objective == pytest.approx(objective, rel=1e-12, abs=1e-15), metric
         assert [a.assignments[f"v{i + 1}"] for i in range(12)] == [f"c{c}" for c in clusters]
+
+
+# objective, Lloyd iterations and cluster of v1..v32 recorded from the
+# per-pair scalar implementation, on the 32-variable instance below
+RESTART_32_RESULTS = {
+    "l1": (43.38289040815167, 2, [1, 2, 3, 4, 4, 5, 6, 1, 7, 8, 3, 7, 8, 9, 5, 8,
+                                  5, 3, 10, 11, 12, 3, 7, 4, 11, 11, 1, 4, 1, 2, 2, 5]),
+    "l2": (11.447868651084056, 2, [1, 2, 2, 3, 4, 5, 6, 1, 7, 8, 9, 7, 9, 10, 11, 8,
+                                   2, 9, 3, 4, 12, 9, 7, 1, 4, 4, 4, 5, 1, 2, 4, 11]),
+    "cosine": (1.4718626327619466, 2, [1, 2, 2, 3, 4, 5, 6, 1, 7, 8, 2, 9, 8, 10, 5, 8,
+                                       5, 7, 3, 4, 11, 12, 9, 1, 4, 4, 4, 2, 1, 2, 4, 5]),
+    "linf": (9.811800797491404, 3, [1, 2, 3, 4, 4, 5, 6, 1, 7, 8, 2, 8, 8, 9, 7, 9,
+                                    2, 8, 4, 10, 11, 8, 1, 10, 12, 10, 10, 10, 7, 2, 10, 9]),
+}
+
+
+def test_kmeans_32_variables_matches_scalar_implementation():
+    pts = np.random.default_rng(32).random((32, 12))
+    profs = [SimilarityProfile(f"v{i + 1}", pts[i].copy()) for i in range(32)]
+    for metric, (objective, n_iterations, clusters) in RESTART_32_RESULTS.items():
+        a = cluster_kmeans(profs, 12, metric=metric)
+        assert not a.exact, metric
+        assert a.objective == objective, metric
+        assert a.n_iterations == n_iterations, metric
+        assert [a.assignments[f"v{i + 1}"] for i in range(32)] == [f"c{c}" for c in clusters]
+
+
+# Lloyd from two data points and two centroids no point is near, so the
+# first assignment leaves clusters 2 and 3 empty: labels and objective
+# history recorded from the per-pair scalar implementation
+EMPTY_CLUSTER_RESULTS = {
+    "l1": ([0, 1, 1, 0, 2, 1, 1, 3, 3, 1, 1, 1, 2, 2, 3],
+           [7.1884807215686894, 5.319436212443194, 4.9195378402911185, 4.80349261150988]),
+    "l2": ([0, 1, 0, 0, 3, 1, 1, 1, 2, 1, 0, 1, 3, 3, 2],
+           [2.156100240319218, 1.229872963875745, 1.0923530966201078, 0.9138129372613379,
+            0.8662239801738723]),
+    "linf": ([0, 1, 0, 0, 3, 1, 2, 1, 2, 1, 0, 1, 3, 3, 2],
+             [3.9795064452125253, 3.083791621725109, 2.891304773729902, 2.6890655865201367,
+              2.538272815575371]),
+}
+
+
+def test_lloyd_refills_empty_clusters_as_before():
+    points = np.random.default_rng(3).random((15, 3))
+    init = np.vstack([points[:2], [[50.0, 50.0, 50.0], [60.0, 60.0, 60.0]]])
+    for metric, (labels, history) in EMPTY_CLUSTER_RESULTS.items():
+        first = np.zeros(15, dtype=np.int64)
+        assign_labels(points, init, METRICS[metric], first)
+        assert set(first.tolist()) == {0, 1}  # the far centroids win nothing
+        res = lloyd(points, init, metric)
+        assert res.converged, metric
+        assert res.labels.tolist() == labels, metric
+        assert res.history == history, metric
 
 
 # -- k-means mechanics ----------------------------------------------------
