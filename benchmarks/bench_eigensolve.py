@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from pcageom import _jit, eigensolve
+from pcageom import eigensolve
 
 OUT = Path(__file__).resolve().parent.parent / "BENCH_eigensolve.json"
 SIZES = (4, 20, 80, 160)
@@ -75,7 +75,6 @@ def environment() -> dict:
         "python": sys.version.split()[0],
         "implementation": platform.python_implementation(),
         "numpy": np.__version__,
-        "numba_enabled": bool(_jit.NUMBA_ENABLED),
         "machine": platform.machine(),
         "cpu_count": os.cpu_count(),
         "blas_thread_vars": {

@@ -12,11 +12,13 @@ coefficient: with t = r * sqrt((n - 2) / (1 - r^2)) following a
 Student-t law with df = n - 2 under the null, the two-tailed p-value
 2 * (1 - F(|t|)) collapses algebraically to I_x(df/2, 1/2) evaluated at
 x = 1 - r^2, where I is the regularized incomplete beta function.  The
-module evaluates that closed form directly.
+module evaluates that closed form directly, one coefficient at a time,
+with a modified Lentz continued fraction (``betainc_reg``).
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -26,7 +28,6 @@ import numpy as np
 
 from .errors import DataError
 from .ingest import StandardizedMatrix
-from .kernels import betainc_reg
 
 __all__ = [
     "CorrelationMatrix",
@@ -36,6 +37,7 @@ __all__ = [
     "significance",
     "significance_matrix",
     "student_t_cdf",
+    "betainc_reg",
     "angle_deg",
     "angle_matrix",
     "determination_matrix",
@@ -99,24 +101,83 @@ def correlation(x: np.ndarray, y: np.ndarray) -> float:
 def correlation_matrix(z: StandardizedMatrix) -> CorrelationMatrix:
     """Correlation matrix of a standardized data set.
 
-    Only the strict upper triangle is computed; the lower triangle is
-    mirrored from it so symmetry holds exactly, and the diagonal is
-    exactly 1.
+    The Gram matrix of the centered columns divided by the outer product
+    of their norms, clipped to [-1, 1].  Only its strict upper triangle
+    is kept; the lower triangle is mirrored from it so symmetry holds
+    exactly, and the diagonal is exactly 1.
     """
     zc = z.values - z.values.mean(axis=0)
     norms = np.sqrt(np.sum(zc * zc, axis=0))
     if np.any(norms == 0.0):
         j = int(np.argmin(norms))
         raise DataError(f"corrstats: column {z.column_names[j]!r} has zero variance")
-    n = z.n_cols
-    r = np.eye(n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            rij = float(zc[:, i] @ zc[:, j]) / (norms[i] * norms[j])
-            rij = min(1.0, max(-1.0, rij))
-            r[i, j] = rij
-            r[j, i] = rij
+    r = np.triu(np.clip(zc.T @ zc / np.outer(norms, norms), -1.0, 1.0), 1)
+    r += r.T
+    np.fill_diagonal(r, 1.0)
     return CorrelationMatrix(r=r, n_obs=z.n_rows, names=list(z.column_names))
+
+
+def _betacf(a, b, x, rel_tol, max_iter):
+    """Continued fraction for the incomplete beta, modified Lentz scheme."""
+    tiny = 1e-300
+    qab = a + b
+    qap = a + 1.0
+    qam = a - 1.0
+    c = 1.0
+    d = 1.0 - qab * x / qap
+    if abs(d) < tiny:
+        d = tiny
+    d = 1.0 / d
+    h = d
+    for m in range(1, max_iter + 1):
+        m2 = 2 * m
+        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
+        d = 1.0 + aa * d
+        if abs(d) < tiny:
+            d = tiny
+        c = 1.0 + aa / c
+        if abs(c) < tiny:
+            c = tiny
+        d = 1.0 / d
+        h *= d * c
+        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        d = 1.0 + aa * d
+        if abs(d) < tiny:
+            d = tiny
+        c = 1.0 + aa / c
+        if abs(c) < tiny:
+            c = tiny
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) < rel_tol:
+            return h
+    return h
+
+
+def betainc_reg(a, b, x):
+    """Regularized incomplete beta function I_x(a, b).
+
+    Evaluated through the modified Lentz continued fraction with
+    relative tolerance 1e-12 and an iteration cap of 300, using the
+    symmetry I_x(a, b) = 1 - I_{1-x}(b, a) to keep the fraction in its
+    fast-converging regime.
+    """
+    if x <= 0.0:
+        return 0.0
+    if x >= 1.0:
+        return 1.0
+    ln_front = (
+        math.lgamma(a + b)
+        - math.lgamma(a)
+        - math.lgamma(b)
+        + a * math.log(x)
+        + b * math.log(1.0 - x)
+    )
+    front = math.exp(ln_front)
+    if x < (a + 1.0) / (a + b + 2.0):
+        return front * _betacf(a, b, x, 1e-12, 300) / a
+    return 1.0 - front * _betacf(b, a, 1.0 - x, 1e-12, 300) / b
 
 
 def significance(r: float, n_obs: int) -> float:
@@ -159,24 +220,25 @@ def angle_deg(r: float) -> float:
 
 
 def significance_matrix(c: CorrelationMatrix) -> np.ndarray:
-    """Matrix of two-tailed p-values; the diagonal is 0 by convention."""
-    n = c.n
-    out = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            p = significance(float(c.r[i, j]), c.n_obs)
-            out[i, j] = out[j, i] = p
+    """Matrix of two-tailed p-values; the diagonal is 0 by convention.
+
+    Each upper-triangle coefficient goes through the scalar
+    ``significance``; the lower triangle is mirrored from it.
+    """
+    r = c.r.tolist()
+    out = np.zeros((c.n, c.n))
+    for i, j in itertools.combinations(range(c.n), 2):
+        out[i, j] = out[j, i] = significance(r[i][j], c.n_obs)
     return out
 
 
 def angle_matrix(c: CorrelationMatrix) -> np.ndarray:
-    """Matrix of inter-variable angles in degrees (diagonal 0)."""
-    n = c.n
-    out = np.empty((n, n))
-    for i in range(n):
-        for j in range(n):
-            out[i, j] = angle_deg(float(c.r[i, j]))
-    return out
+    """Matrix of inter-variable angles in degrees (diagonal 0).
+
+    The elementwise arc cosine of the correlations, clipped to [-1, 1]
+    like ``angle_deg``.
+    """
+    return np.degrees(np.arccos(np.clip(c.r, -1.0, 1.0)))
 
 
 def determination_matrix(c: CorrelationMatrix) -> np.ndarray:
@@ -209,8 +271,13 @@ def load_correlation_json(path: str | Path) -> CorrelationMatrix:
             doc = json.load(fh)
     except OSError as exc:
         raise DataError(f"corrstats: cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"corrstats: {path} is not valid UTF-8: {exc.reason}") from None
     except json.JSONDecodeError as exc:
         raise DataError(f"corrstats: {path} is not valid JSON: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        # integers past the conversion digit limit, nesting past the recursion limit
+        raise DataError(f"corrstats: {path} is not usable JSON: {exc}") from None
 
     if not isinstance(doc, dict):
         raise DataError(f"corrstats: {path} must hold a JSON object")
@@ -229,13 +296,13 @@ def load_correlation_json(path: str | Path) -> CorrelationMatrix:
         raise DataError("corrstats: duplicate variable names")
 
     n_obs = doc["n_obs"]
-    if not isinstance(n_obs, int) or isinstance(n_obs, bool) or n_obs < 3:
-        raise DataError("corrstats: 'n_obs' must be an integer >= 3")
+    if not isinstance(n_obs, int) or isinstance(n_obs, bool) or not 3 <= n_obs <= 2**53:
+        raise DataError("corrstats: 'n_obs' must be an integer from 3 to 2**53")
 
     n = len(names)
     try:
         r = np.array(doc["r"], dtype=np.float64)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError, RecursionError):
         raise DataError("corrstats: 'r' must be a numeric matrix") from None
     if r.shape != (n, n):
         raise DataError(f"corrstats: 'r' must be {n}x{n} to match 'names', got {r.shape}")

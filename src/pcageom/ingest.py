@@ -1,9 +1,9 @@
 """CSV loading, per-column summaries, and column standardization.
 
 The loader is deliberately strict: every selected cell must parse as a
-number, missing values are a hard error, and a data set needs at least
-three rows and two columns to be worth analysing.  Downstream stages
-rely on those guarantees instead of re-checking them.
+finite number, missing values are a hard error, and a data set needs
+at least three rows and two columns to be worth analysing.  Downstream
+stages rely on those guarantees instead of re-checking them.
 """
 
 from __future__ import annotations
@@ -30,6 +30,9 @@ __all__ = [
 
 POPULATION = "population"
 SAMPLE = "sample"
+# Largest column index a selection may name: a correlation matrix of
+# that many variables alone would take 80 GB.
+MAX_COLUMNS = 100_000
 
 
 def ddof_for(divisor: str) -> int:
@@ -89,24 +92,38 @@ class StandardizedMatrix:
         return self.values.shape[1]
 
 
+def _index(token: str) -> int | None:
+    """The 1-based index an ASCII-digit token spells, else None."""
+    token = token.strip()
+    if not (token.isascii() and token.isdigit()):
+        return None
+    digits = token.lstrip("0") or "0"
+    if len(digits) > len(str(MAX_COLUMNS)) or int(digits) > MAX_COLUMNS:
+        raise DataError(f"ingest: column index {token!r} exceeds {MAX_COLUMNS}")
+    return int(digits)
+
+
 def parse_column_spec(spec: str) -> list[int | str]:
     """Parse a comma-separated column selection into indices and names.
 
     Tokens are either 1-based column indices (``"2"``), inclusive index
-    ranges (``"1-4"``), or literal column names.  Anything that does not
-    look like an index or a range is treated as a name.
+    ranges (``"1-4"``), or literal column names.  Indices are written in
+    ASCII digits; anything that does not look like an index or a range
+    is treated as a name.  No index may exceed ``MAX_COLUMNS``.
     """
     out: list[int | str] = []
     for token in spec.split(","):
         token = token.strip()
         if not token:
             continue
-        if token.isdigit():
-            out.append(int(token))
+        index = _index(token)
+        if index is not None:
+            out.append(index)
             continue
         lo, dash, hi = token.partition("-")
-        if dash and lo.strip().isdigit() and hi.strip().isdigit():
-            a, b = int(lo), int(hi)
+        a = _index(lo) if dash else None
+        b = _index(hi) if a is not None else None
+        if b is not None:
             if b < a:
                 raise DataError(f"ingest: backwards column range {token!r}")
             out.extend(range(a, b + 1))
@@ -147,9 +164,10 @@ def load_csv(
         delimiter: field separator.
 
     Raises:
-        DataError: unreadable file, unknown column, a non-numeric or
-            missing cell (reported with its row and column), fewer than
-            3 rows, or fewer than 2 numeric columns.
+        DataError: unreadable or non-UTF-8 file, unknown column, a
+            non-numeric, non-finite or missing cell (reported with its
+            row and column), fewer than 3 rows, or fewer than 2 numeric
+            columns.
     """
     path = Path(path)
     try:
@@ -157,6 +175,10 @@ def load_csv(
             rows = [row for row in csv.reader(fh, delimiter=delimiter) if row]
     except OSError as exc:
         raise DataError(f"ingest: cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"ingest: {path} is not valid UTF-8: {exc.reason}") from None
+    except csv.Error as exc:
+        raise DataError(f"ingest: {path} is not valid CSV: {exc}") from None
 
     if not rows:
         raise DataError(f"ingest: {path} is empty")
@@ -216,6 +238,13 @@ def load_csv(
                     f"ingest: non-numeric value {cell!r} at row "
                     f"{first_data_line + r}, column {names[idx]!r}"
                 ) from None
+    finite = np.isfinite(values)
+    if not finite.all():
+        r, c = np.argwhere(~finite)[0]
+        raise DataError(
+            f"ingest: non-finite value {data_rows[r][selected[c]].strip()!r} at row "
+            f"{first_data_line + r}, column {sel_names[c]!r}"
+        )
 
     labels = [row[label_idx].strip() for row in data_rows] if label_idx is not None else None
     return DataMatrix(values=values, column_names=sel_names, labels=labels, label_name=label_name)

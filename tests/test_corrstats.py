@@ -1,7 +1,9 @@
 """Correlation geometry, significance, and the correlation-JSON loader.
 
 The t-distribution CDF is cross-checked against an adaptive-quadrature
-oracle that never touches the incomplete beta function.
+oracle that never touches the incomplete beta function.  The matrix
+builders are checked against NumPy's ``corrcoef`` and, entry by entry,
+against their scalar counterparts.
 """
 
 import json
@@ -9,10 +11,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from pcageom.corrstats import (
+    CorrelationMatrix,
     angle_deg,
     angle_matrix,
+    betainc_reg,
     correlation,
     correlation_matrix,
     determination_matrix,
@@ -22,6 +29,7 @@ from pcageom.corrstats import (
     student_t_cdf,
 )
 from pcageom.errors import DataError
+from pcageom.ingest import StandardizedMatrix
 
 from conftest import REF_ANGLES_3DP, REF_NAMES, REF_P_VALUE_WEAK
 import oracles
@@ -67,6 +75,64 @@ def test_correlation_matrix_structure(iris_standardized):
     assert c.n_obs == 150
 
 
+@st.composite
+def dependent_columns(draw):
+    """Columns with exact copies, sign flips, affine images and sums of others."""
+    rows = draw(st.integers(3, 40))
+    base = draw(hnp.arrays(np.float64, (rows, draw(st.integers(1, 4))),
+                           elements=st.integers(-50, 50).map(float)))
+    cols = list(base.T)
+    for kind, i, j, a in draw(st.lists(st.tuples(st.sampled_from(["affine", "sum"]),
+                                                 st.integers(0, 99), st.integers(0, 99),
+                                                 st.sampled_from([-3.0, -1.0, 0.5, 1.0, 7.0])),
+                                       max_size=4)):
+        x, y = cols[i % len(cols)], cols[j % len(cols)]
+        cols.append(a * x + 2.0 if kind == "affine" else x + a * y)
+    values = np.column_stack(cols)
+    assume(np.ptp(values, axis=0).min() > 0.0)
+    return values
+
+
+@settings(max_examples=200, deadline=None)
+@given(dependent_columns())
+@example(np.column_stack([np.arange(5.0), 3.0 * np.arange(5.0) + 1.0, -np.arange(5.0)]))
+@example(np.array([[1.0, 2.0, 3.0], [2.0, 0.0, 2.0], [4.0, 1.0, 5.0], [0.0, 3.0, 3.0]]))
+def test_correlation_matrix_matches_corrcoef(values):
+    n = values.shape[1]
+    z = StandardizedMatrix(values=values, column_names=[f"v{i}" for i in range(n)], summaries=[])
+    r = correlation_matrix(z).r
+    np.testing.assert_allclose(r, np.corrcoef(values, rowvar=False), rtol=0.0, atol=1e-12)
+    assert np.array_equal(r, r.T)
+    assert np.array_equal(np.diag(r), np.ones(n))
+    assert -1.0 <= r.min() and r.max() <= 1.0
+
+
+def test_correlation_matrix_names_zero_variance_column():
+    values = np.array([[1.0, 5.0], [2.0, 5.0], [3.0, 5.0]])
+    z = StandardizedMatrix(values=values, column_names=["a", "flat"], summaries=[])
+    with pytest.raises(DataError, match="'flat' has zero variance"):
+        correlation_matrix(z)
+
+
+def test_angle_matrix_matches_angle_deg():
+    rng = np.random.default_rng(5)
+    special = [1.0, -1.0, 1.0 + 1e-16, -1.0 - 1e-16, np.nextafter(1.0, 2.0),
+               np.nextafter(-1.0, -2.0), 0.0, -0.0, 0.5, -0.5]
+    r = np.concatenate([special, rng.uniform(-1.0, 1.0, 26)]).reshape(6, 6)
+    got = angle_matrix(CorrelationMatrix(r=r, n_obs=10, names=list("abcdef")))
+    want = np.array([[angle_deg(float(v)) for v in row] for row in r])
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+    assert got[0, 0] == 0.0 and got[0, 1] == 180.0
+
+
+def test_significance_matrix_is_the_scalar_test_mirrored(corr_fixture):
+    p = significance_matrix(corr_fixture)
+    for i in range(corr_fixture.n):
+        for j in range(corr_fixture.n):
+            want = 0.0 if i == j else significance(float(corr_fixture.r[i, j]), 150)
+            assert p[i, j] == want
+
+
 def test_student_t_cdf_basics():
     assert student_t_cdf(0.0, 5.0) == pytest.approx(0.5, abs=1e-15)
     for t in (0.3, 1.7, 6.0):
@@ -109,6 +175,27 @@ def test_significance_matches_t_test_oracle():
 def test_significance_needs_three_observations():
     with pytest.raises(DataError, match="at least 3"):
         significance(0.5, 2)
+
+
+def test_betainc_reg_closed_forms():
+    for x in np.linspace(0.0, 1.0, 21):
+        assert betainc_reg(1.0, 1.0, float(x)) == pytest.approx(x, abs=1e-12)
+        want = 2.0 / math.pi * math.asin(math.sqrt(x))
+        assert betainc_reg(0.5, 0.5, float(x)) == pytest.approx(want, abs=1e-12)
+
+
+def test_betainc_reg_endpoints_and_symmetry():
+    assert betainc_reg(74.0, 0.5, 0.0) == 0.0
+    assert betainc_reg(74.0, 0.5, 1.0) == 1.0
+    for x in (0.001, 0.25, 0.7, 0.999):
+        a, b = 3.5, 0.5
+        assert betainc_reg(a, b, x) == pytest.approx(1.0 - betainc_reg(b, a, 1.0 - x), abs=1e-12)
+
+
+def test_betainc_reg_monotone_in_x():
+    xs = np.linspace(0.0, 1.0, 200)
+    vals = [betainc_reg(74.0, 0.5, float(x)) for x in xs]
+    assert all(u <= v + 1e-15 for u, v in zip(vals, vals[1:]))
 
 
 def test_angle_deg():
@@ -179,3 +266,68 @@ def test_load_correlation_json_rejects_non_json(tmp_path):
         load_correlation_json(p)
     with pytest.raises(DataError, match="cannot read"):
         load_correlation_json(tmp_path / "absent.json")
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ('{"names": ["a", "b"], "n_obs": 10, "r": [[1, 1' + "9" * 400 + '], [0.5, 1]]}',
+         "numeric matrix"),
+        ('{"names": ["a", "b"], "n_obs": 10, "r": ' + "[" * 100000 + "]" * 100000 + "}",
+         "not usable JSON"),
+        ('{"names": ["a", "b"], "n_obs": 1' + "0" * 400 + ', "r": [[1, 0.5], [0.5, 1]]}',
+         "n_obs"),
+        ('{"names": ["a", "b"], "n_obs": 1' + "0" * 5000 + ', "r": [[1, 0.5], [0.5, 1]]}',
+         "not usable JSON"),
+    ],
+    ids=["int-past-float-in-r", "deep-nesting", "int-past-float-n_obs", "int-past-digit-limit"],
+)
+def test_load_correlation_json_rejects_unrepresentable_numbers(tmp_path, text, message):
+    p = tmp_path / "corr.json"
+    p.write_text(text, encoding="utf-8")
+    with pytest.raises(DataError, match=message):
+        load_correlation_json(p)
+
+
+def test_load_correlation_json_rejects_non_utf8(tmp_path):
+    p = tmp_path / "latin1.json"
+    p.write_bytes(b'{"names": ["\xe4", "b"], "n_obs": 10, "r": [[1, 0.5], [0.5, 1]]}')
+    with pytest.raises(DataError, match=r"latin1\.json is not valid UTF-8"):
+        load_correlation_json(p)
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=5), inner,
+                                                                max_size=3),
+    max_leaves=20,
+)
+square = st.integers(1, 3).flatmap(
+    lambda n: st.lists(st.lists(st.floats(-1.5, 1.5) | st.integers(-2, 2), min_size=n,
+                                max_size=n), min_size=n, max_size=n))
+documents = st.fixed_dictionaries(
+    {},
+    optional={
+        "names": st.lists(st.text(max_size=3), max_size=4) | json_values,
+        "n_obs": st.integers(-5, 2**60) | json_values,
+        "r": square | json_values,
+    },
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.binary(max_size=200), st.text(max_size=200),
+                 documents.map(lambda d: json.dumps(d)), json_values.map(json.dumps)))
+@example(b'{"names": ["\xe4"], "n_obs": 3, "r": []}')
+@example('{"names": ["a", "b"], "n_obs": 10, "r": [[1, 1' + "9" * 400 + '], [0.5, 1]]}')
+@example('{"names": ["a", "b"], "n_obs": 10, "r": ' + "[" * 100000 + "]" * 100000 + "}")
+@example('{"names": ["a", "b"], "n_obs": 1' + "0" * 400 + ', "r": [[1, 0.5], [0.5, 1]]}')
+@example(json.dumps(GOOD))
+def test_load_correlation_json_loads_or_raises_data_error(tmp_path_factory, content):
+    p = tmp_path_factory.getbasetemp() / "doc.json"
+    p.write_bytes(content if isinstance(content, bytes) else content.encode("utf-8"))
+    try:
+        c = load_correlation_json(p)
+    except DataError:
+        return
+    assert np.array_equal(c.r, c.r.T) and np.all(np.abs(c.r) <= 1.0)

@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pcageom.errors import DataError
 from pcageom.ingest import (
+    MAX_COLUMNS,
     ddof_for,
     load_csv,
     parse_column_spec,
@@ -41,6 +44,35 @@ def test_parse_column_spec_rejects_garbage():
         parse_column_spec("4-1")
     with pytest.raises(DataError, match="empty"):
         parse_column_spec(",,")
+
+
+def test_parse_column_spec_takes_only_ascii_digits_as_indices():
+    # superscripts and other non-ASCII digits are names, not indices
+    assert parse_column_spec("²") == ["²"]
+    assert parse_column_spec("1-²") == ["1-²"]
+    assert parse_column_spec("\u0663") == ["\u0663"]
+    assert parse_column_spec("007") == [7]
+
+
+def test_parse_column_spec_bounds_indices():
+    assert parse_column_spec(f"{MAX_COLUMNS - 1}-{MAX_COLUMNS}") == [MAX_COLUMNS - 1, MAX_COLUMNS]
+    for spec in (str(MAX_COLUMNS + 1), "1-99999999999", "9" * 5000):
+        with pytest.raises(DataError, match="exceeds"):
+            parse_column_spec(spec)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text())
+@example("²")
+@example("1-²")
+@example("3-1")
+@example("1-99999999999")
+def test_parse_column_spec_parses_or_raises_data_error(spec):
+    try:
+        out = parse_column_spec(spec)
+    except DataError:
+        return
+    assert out and all(isinstance(t, str) or 0 <= t <= MAX_COLUMNS for t in out)
 
 
 def test_ddof_for():
@@ -98,6 +130,47 @@ def test_load_csv_shape_errors(tmp_path):
         load_csv(write_csv(tmp_path, BASIC), columns=[1, 9])
     with pytest.raises(DataError, match="cannot read"):
         load_csv(tmp_path / "absent.csv")
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e400", " NaN ", "-1E999"])
+def test_load_csv_rejects_non_finite_cells(tmp_path, cell):
+    p = write_csv(tmp_path, f"1,2\n3,{cell}\n5,6\n7,8\n")
+    with pytest.raises(DataError, match=rf"non-finite value '{cell.strip()}' at row 2, column 'col2'"):
+        load_csv(p)
+
+
+def test_load_csv_rejects_non_utf8(tmp_path):
+    p = tmp_path / "latin1.csv"
+    p.write_bytes(b"a,b\n1,2\n3,\xe4\n5,6\n")
+    with pytest.raises(DataError, match=r"latin1\.csv is not valid UTF-8"):
+        load_csv(p, header=True)
+
+
+def test_load_csv_rejects_a_field_past_the_csv_limit(tmp_path):
+    p = write_csv(tmp_path, "1,2\n3," + "4" * 200_000 + "\n5,6\n")
+    with pytest.raises(DataError, match="not valid CSV"):
+        load_csv(p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.binary(max_size=200), st.text(max_size=200),
+                 st.lists(st.lists(st.sampled_from(["1", "2.5", "-3", "nan", "inf", "1e400",
+                                                     "", " ", "x", "²", '"4"']),
+                                   min_size=1, max_size=4), max_size=6)
+                 .map(lambda rows: "\n".join(",".join(r) for r in rows))),
+       st.booleans())
+@example(b"a,b\n1,2\n3,\xe4\n5,6\n", True)
+@example("1,2\n3,nan\n5,6\n7,8\n", False)
+@example("1,2\n3,1e400\n5,6\n7,8\n", False)
+@example(BASIC, False)
+def test_load_csv_loads_or_raises_data_error(tmp_path_factory, content, header):
+    p = tmp_path_factory.getbasetemp() / "data.csv"
+    p.write_bytes(content if isinstance(content, bytes) else content.encode("utf-8"))
+    try:
+        data = load_csv(p, header=header)
+    except DataError:
+        return
+    assert data.n_rows >= 3 and data.n_cols >= 2 and np.all(np.isfinite(data.values))
 
 
 def test_summarize_matches_numpy(tmp_path):

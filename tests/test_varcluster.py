@@ -26,6 +26,10 @@ from pcageom.varcluster import (
     METRICS,
     UNASSIGNED,
     SimilarityProfile,
+    DIST_COSINE,
+    DIST_L1,
+    DIST_L2,
+    DIST_LINF,
     assign_labels,
     cluster_kmeans,
     cluster_naive,
@@ -142,6 +146,35 @@ def scalar_distance(x, c, code):
     if denom == 0.0:
         return 1.0
     return max(1.0 - dot / denom, 0.0)
+
+
+def point_distance(x, c, code):
+    return float(pairwise_distance(x[None, :], c[None, :], code)[0, 0])
+
+
+def test_distance_codes_are_distinct():
+    assert sorted({DIST_L1, DIST_L2, DIST_LINF, DIST_COSINE}) == [0, 1, 2, 3]
+
+
+def test_point_distance_semantics():
+    x = np.array([1.0, -2.0, 3.0])
+    c = np.array([0.5, 1.0, -1.0])
+    d = x - c
+    assert point_distance(x, c, DIST_L1) == pytest.approx(np.abs(d).sum(), abs=1e-15)
+    # the l2 code returns the squared distance, not its root
+    assert point_distance(x, c, DIST_L2) == pytest.approx(float(d @ d), abs=1e-15)
+    assert point_distance(x, c, DIST_LINF) == pytest.approx(np.abs(d).max(), abs=1e-15)
+    cos = float(x @ c) / (np.linalg.norm(x) * np.linalg.norm(c))
+    assert point_distance(x, c, DIST_COSINE) == pytest.approx(1.0 - cos, abs=1e-12)
+
+
+def test_cosine_distance_edge_cases():
+    z = np.zeros(2)
+    assert point_distance(z, np.array([1.0, 0.0]), DIST_COSINE) == 1.0
+    assert point_distance(np.array([1.0, 0.0]), z, DIST_COSINE) == 1.0
+    # parallel vectors can round 1 - cos slightly negative; it is clamped
+    x = np.array([0.1, 0.2, 0.3])
+    assert point_distance(x, 7.0 * x, DIST_COSINE) >= 0.0
 
 
 @st.composite
