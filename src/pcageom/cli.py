@@ -102,8 +102,10 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "report.json").write_text(to_json_text(result.report), encoding="utf-8")
-    (out_dir / "report.md").write_text(render_markdown(result.report) + "\n", encoding="utf-8")
+    json_text = to_json_text(result.report)
+    (out_dir / "report.json").write_text(json_text, encoding="utf-8")
+    md_text = render_markdown(result.report)
+    (out_dir / "report.md").write_text(md_text + "\n", encoding="utf-8")
     (out_dir / "scree.svg").write_text(render_svg_scree(result.scree_series), encoding="utf-8")
     if result.k == 2:
         (out_dir / "similarity.svg").write_text(
@@ -116,11 +118,11 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         )
 
     if args.format == "json":
-        sys.stdout.write(to_json_text(result.report))
+        sys.stdout.write(json_text)
     elif args.format == "csv":
         print(render_csv(result.report))
     else:
-        print(render_markdown(result.report))
+        print(md_text)
     return 0
 
 

@@ -95,6 +95,8 @@ def correlation(x: np.ndarray, y: np.ndarray) -> float:
     if nx == 0.0 or ny == 0.0:
         raise DataError("corrstats: correlation undefined for a constant column")
     r = float(xc @ yc) / (nx * ny)
+    if math.isnan(r):
+        raise ValueError("corrstats: correlation is NaN: a column holds NaN or infinity")
     return min(1.0, max(-1.0, r))
 
 
@@ -189,6 +191,8 @@ def significance(r: float, n_obs: int) -> float:
     """
     if n_obs < 3:
         raise DataError("corrstats: significance needs at least 3 observations")
+    if math.isnan(r):
+        raise ValueError("corrstats: significance of a NaN correlation is undefined")
     if abs(r) > 1.0 + 1e-12:
         raise ValueError(f"corrstats: correlation {r} outside [-1, 1]")
     r = min(1.0, max(-1.0, r))
@@ -216,6 +220,8 @@ def angle_deg(r: float) -> float:
     The argument is clamped to [-1, 1] so rounding at the extremes
     cannot push arccos out of its domain.
     """
+    if math.isnan(r):
+        raise ValueError("corrstats: angle of a NaN correlation is undefined")
     return math.degrees(math.acos(min(1.0, max(-1.0, r))))
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ingest import SAMPLE, ColumnSummary, StandardizedMatrix
+from .ingest import SAMPLE, ColumnSummary, DataMatrix, StandardizedMatrix, summarize
 from .tensorops import VirtualRepresentation
 
 __all__ = [
@@ -129,20 +129,7 @@ def project_scores(z: StandardizedMatrix, r: np.ndarray) -> ScoreMatrix:
         )
     scores = z.values @ r.T
     names = [f"pc{i + 1}" for i in range(z.n_cols)]
-    summaries = []
-    for i, name in enumerate(names):
-        col = scores[:, i]
-        var = float(np.var(col, ddof=1))
-        summaries.append(
-            ColumnSummary(
-                name=name,
-                mean=float(np.mean(col)),
-                std=float(np.sqrt(var)),
-                variance=var,
-                n=scores.shape[0],
-                divisor=SAMPLE,
-            )
-        )
+    summaries = summarize(DataMatrix(values=scores, column_names=names), SAMPLE)
     return ScoreMatrix(scores=scores, component_names=names, summaries=summaries)
 
 

@@ -8,7 +8,10 @@ doubles.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -56,10 +59,6 @@ class AnalysisResult:
     eigen: EigenSystem
     virtual: VirtualRepresentation
     k: int
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.3f}"
 
 
 def load_input(
@@ -266,286 +265,195 @@ def to_json_text(report: dict) -> str:
     return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
-def _md_table(headers: list[str], rows: list[list[str]]) -> list[str]:
-    out = ["| " + " | ".join(headers) + " |", "| " + " | ".join("---" for _ in headers) + " |"]
-    out.extend("| " + " | ".join(row) + " |" for row in rows)
-    out.append("")
-    return out
+def _matrix(labels: Iterable[str], matrix: Iterable, scale: float = 1.0) -> Iterator[list[str]]:
+    """Rows of a labelled matrix at 3 decimals, formatted as they are read."""
+    return ([label] + [f"{v * scale:.3f}" for v in row] for label, row in zip(labels, matrix))
 
 
-def _matrix_rows(names: list[str], matrix: list[list[float]], scale: float = 1.0) -> list[list[str]]:
+def _records(records: list[dict], label: str, keys: tuple[str, ...]) -> list[list[str]]:
+    """One row per record: its ``label`` field, then ``keys`` at 3 decimals."""
+    return [[r[label]] + [f"{r[key]:.3f}" for key in keys] for r in records]
+
+
+_STATS = ("mean", "std", "variance")
+
+
+def _sections(report: dict) -> list[tuple]:
+    """The report's tables in print order, shared by both text renderers.
+
+    Each section is ``(markdown title line, CSV title or None, headers,
+    rows)``.  A header or cell that the two formats spell differently is
+    a ``(markdown, csv)`` pair, and ``None`` on one side leaves that cell
+    out of that format.  A CSV title of ``None`` keeps the table out of
+    the CSV; headers of ``None`` make the rows markdown text lines.
+    Matrix rows are generators that format each row as it is read: the
+    CSV never formats the markdown-only eigenvectors, and the sections
+    of one call can be rendered once.
+    """
+    names = report["correlation"]["names"]
+    sections = []
+    if report["column_summaries"]:
+        sections.append((
+            "## Column summaries", "column summaries", ["column", *_STATS],
+            _records(report["column_summaries"], "name", _STATS),
+        ))
+    for md_title, csv_title, matrix, scale in (
+        ("## Correlation matrix", "correlation", report["correlation"]["r"], 1.0),
+        ("## Significance levels (two-tailed p-values)", "significance",
+         report["significance"], 1.0),
+        ("## Angles between variables (degrees)", "angles_deg", report["angles_deg"], 1.0),
+        ("## Determination coefficients (percent)", "determination_percent",
+         report["determination"], 100.0),
+    ):
+        sections.append((md_title, csv_title, [""] + names, _matrix(names, matrix, scale)))
+
+    eig = report["eigen"]
+    pcs = [f"pc{i + 1}" for i in range(len(eig["eigenvalues"]))]
+    sections.append((
+        "## Eigensystem", None, ["component", "eigenvalue"],
+        [[pc, f"{v:.3f}"] for pc, v in zip(pcs, eig["eigenvalues"])],
+    ))
+    sections.append(("Eigenvectors in columns:", None, [""] + pcs, _matrix(names, eig["U"])))
+    sections.append((
+        "## Variance explained", "variance explained",
+        ["component", "eigenvalue", "cumulative", "percent",
+         ("cumulative percent", "cumulative_percent")],
+        _records(report["variance_explained"], "component",
+                 ("eigenvalue", "cumulative_eigenvalue", "percent", "cumulative_percent")),
+    ))
+
+    full = report["loadings_full"]
+    sections.append((
+        "## Loadings (components vs variables)", "loadings", [""] + full["variables"],
+        _matrix(full["pc_labels"], full["loading"]),
+    ))
+    det_rows = [
+        [label] + [f"{v:.3f}" for v in row] + [f"{total:.3f}"]
+        for label, row, total in zip(full["pc_labels"], full["determination"], full["row_sums"])
+    ]
+    det_rows.append(
+        [("column sum", "column_sum")] + [f"{v:.3f}" for v in full["column_sums"]] + [""]
+    )
+    sections.append((
+        "## Determination (components vs variables)", "determination_components",
+        [""] + full["variables"] + [("row sum", "row_sum")], det_rows,
+    ))
+
+    rec = report["reconstruction_at_k"]
+    rec_rows = [
+        [label] + [f"{v:.3f}" for v in row] + [f"{avg * 100.0:.3f}"]
+        for label, row, avg in zip(rec["pc_labels"], rec["determination"], rec["row_averages"])
+    ]
+    rec_rows.append(
+        [("reconstruction %", "reconstruction_percent")]
+        + [f"{v * 100.0:.3f}" for v in rec["column_sums"]]
+        + [""]
+    )
+    sections.append((
+        f"## Reconstruction with the first {rec['k']} component(s)", f"reconstruction_k{rec['k']}",
+        [""] + rec["variables"] + [("row average %", "row_average_percent")], rec_rows,
+    ))
+
+    sel = report["selection"]
+    sel_rows = []
+    for crit in CRITERIA:
+        detail = sel[crit]["detail"]
+        notes = [f"threshold {detail['threshold']}"] if "threshold" in detail else []
+        if detail.get("no_elbow"):
+            notes.append("no elbow")
+        sel_rows.append([crit, str(sel[crit]["k"]), ("; ".join(notes), None)])
+    chosen = sel["chosen_criterion"]
+    sel_rows.append([(f"chosen: {chosen}", f"chosen:{chosen}"), str(sel["k"]), ("", None)])
+    sections.append((
+        "## Component-count selection", "selection", ["criterion", "k", ("notes", None)], sel_rows
+    ))
+
+    prof = report["similarity_profiles"]
+    sections.append((
+        "## Similarity profiles", "similarity_profiles", ["variable"] + prof["components"],
+        _matrix(prof["profiles"].keys(), prof["profiles"].values()),
+    ))
+    sections.append((
+        "## Clusters", "clusters", ["cluster", "members"],
+        [
+            [cid, (", ".join(members) if members else "(empty)", ";".join(members))]
+            for cid, members in report["clusters"]["clusters"].items()
+        ],
+    ))
+
+    scores = report["scores"]
+    if scores["available"]:
+        sections.append((
+            "## Scores", "scores",
+            ["component", "mean", "std", ("variance (sample divisor)", "variance_sample")],
+            _records(scores["summaries"], "component", _STATS),
+        ))
+    else:
+        sections.append(("## Scores", None, None, [scores["reason"]]))
+    sections.append((
+        "## Representation identities", "relations",
+        ["relation", ("max abs deviation", "max_abs_dev"), ("status", "pass")],
+        [
+            [c["relation"], f"{c['max_abs_dev']:.3e}", "pass" if c["pass"] else "FAIL"]
+            for c in report["relations"]
+        ],
+    ))
+    return sections
+
+
+def _side(cells: list, side: int) -> list[str]:
+    """One format's cells of a row: pairs resolved to ``side``, ``None`` dropped."""
+    if tuple not in map(type, cells):  # most rows are plain strings
+        return cells
     return [
-        [name] + [_fmt(v * scale) for v in row]
-        for name, row in zip(names, matrix)
+        c if c.__class__ is str else c[side]
+        for c in cells
+        if c.__class__ is str or c[side] is not None
     ]
 
 
 def render_markdown(report: dict) -> str:
     """Render the analysis report as markdown tables (3-decimal cells)."""
     prov = report["provenance"]
-    names = report["correlation"]["names"]
-    lines: list[str] = []
-    lines.append("# Correlation-geometry PCA report")
-    lines.append("")
-    lines.append(f"- input: `{prov['input']}` ({prov['input_kind']})")
-    lines.append(f"- divisor: {prov['divisor']}; seed: {prov['seed']}")
-    lines.append(
+    lines = [
+        "# Correlation-geometry PCA report",
+        "",
+        f"- input: `{prov['input']}` ({prov['input_kind']})",
+        f"- divisor: {prov['divisor']}; seed: {prov['seed']}",
         f"- criterion: {prov['criterion']}"
         + (f" (threshold {prov['threshold']})" if prov["threshold"] is not None else "")
-        + f"; components kept: {prov['k']}"
-    )
-    lines.append(f"- clustering: {prov['cluster_method']}"
-                 + (f" ({prov['metric']})" if prov["metric"] else ""))
-    lines.append("")
-
-    if report["column_summaries"]:
-        lines.append("## Column summaries")
+        + f"; components kept: {prov['k']}",
+        f"- clustering: {prov['cluster_method']}"
+        + (f" ({prov['metric']})" if prov["metric"] else ""),
+        "",
+    ]
+    for title, _, headers, rows in _sections(report):
+        lines += [title, ""]
+        if headers is None:
+            lines += rows
+        else:
+            headers = _side(headers, 0)
+            lines.append("| " + " | ".join(headers) + " |")
+            lines.append("| " + " | ".join(["---"] * len(headers)) + " |")
+            lines += ["| " + " | ".join(_side(row, 0)) + " |" for row in rows]
         lines.append("")
-        rows = [
-            [s["name"], _fmt(s["mean"]), _fmt(s["std"]), _fmt(s["variance"])]
-            for s in report["column_summaries"]
-        ]
-        lines += _md_table(["column", "mean", "std", "variance"], rows)
-
-    lines.append("## Correlation matrix")
-    lines.append("")
-    lines += _md_table([""] + names, _matrix_rows(names, report["correlation"]["r"]))
-
-    lines.append("## Significance levels (two-tailed p-values)")
-    lines.append("")
-    lines += _md_table([""] + names, _matrix_rows(names, report["significance"]))
-
-    lines.append("## Angles between variables (degrees)")
-    lines.append("")
-    lines += _md_table([""] + names, _matrix_rows(names, report["angles_deg"]))
-
-    lines.append("## Determination coefficients (percent)")
-    lines.append("")
-    lines += _md_table([""] + names, _matrix_rows(names, report["determination"], scale=100.0))
-
-    eig = report["eigen"]
-    lines.append("## Eigensystem")
-    lines.append("")
-    lines += _md_table(
-        ["component", "eigenvalue"],
-        [[f"pc{i + 1}", _fmt(v)] for i, v in enumerate(eig["eigenvalues"])],
-    )
-    lines.append("Eigenvectors in columns:")
-    lines.append("")
-    pc_heads = [f"pc{i + 1}" for i in range(len(eig["eigenvalues"]))]
-    lines += _md_table([""] + pc_heads, _matrix_rows(names, eig["U"]))
-
-    lines.append("## Variance explained")
-    lines.append("")
-    rows = [
-        [
-            row["component"],
-            _fmt(row["eigenvalue"]),
-            _fmt(row["cumulative_eigenvalue"]),
-            _fmt(row["percent"]),
-            _fmt(row["cumulative_percent"]),
-        ]
-        for row in report["variance_explained"]
-    ]
-    lines += _md_table(
-        ["component", "eigenvalue", "cumulative", "percent", "cumulative percent"], rows
-    )
-
-    full = report["loadings_full"]
-    lines.append("## Loadings (components vs variables)")
-    lines.append("")
-    lines += _md_table([""] + full["variables"], _matrix_rows(full["pc_labels"], full["loading"]))
-    lines.append("## Determination (components vs variables)")
-    lines.append("")
-    det_rows = _matrix_rows(full["pc_labels"], full["determination"])
-    for i, row in enumerate(det_rows):
-        row.append(_fmt(full["row_sums"][i]))
-    det_rows.append(["column sum"] + [_fmt(v) for v in full["column_sums"]] + [""])
-    lines += _md_table([""] + full["variables"] + ["row sum"], det_rows)
-
-    rec = report["reconstruction_at_k"]
-    lines.append(f"## Reconstruction with the first {rec['k']} component(s)")
-    lines.append("")
-    rec_rows = _matrix_rows(rec["pc_labels"], rec["determination"])
-    for i, row in enumerate(rec_rows):
-        row.append(_fmt(rec["row_averages"][i] * 100.0))
-    rec_rows.append(
-        ["reconstruction %"] + [_fmt(v * 100.0) for v in rec["column_sums"]] + [""]
-    )
-    lines += _md_table([""] + rec["variables"] + ["row average %"], rec_rows)
-
-    lines.append("## Component-count selection")
-    lines.append("")
-    sel = report["selection"]
-    rows = []
-    for crit in CRITERIA:
-        entry = sel[crit]
-        note = ""
-        detail = entry["detail"]
-        if "threshold" in detail:
-            note = f"threshold {detail['threshold']}"
-        if detail.get("no_elbow"):
-            note = (note + "; " if note else "") + "no elbow"
-        rows.append([crit, str(entry["k"]), note])
-    rows.append(["chosen: " + sel["chosen_criterion"], str(sel["k"]), ""])
-    lines += _md_table(["criterion", "k", "notes"], rows)
-
-    lines.append("## Similarity profiles")
-    lines.append("")
-    prof = report["similarity_profiles"]
-    rows = [
-        [name] + [_fmt(v) for v in values]
-        for name, values in prof["profiles"].items()
-    ]
-    lines += _md_table(["variable"] + prof["components"], rows)
-
-    lines.append("## Clusters")
-    lines.append("")
-    cl = report["clusters"]
-    rows = [[cid, ", ".join(members) if members else "(empty)"] for cid, members in cl["clusters"].items()]
-    lines += _md_table(["cluster", "members"], rows)
-
-    lines.append("## Scores")
-    lines.append("")
-    if report["scores"]["available"]:
-        rows = [
-            [s["component"], _fmt(s["mean"]), _fmt(s["std"]), _fmt(s["variance"])]
-            for s in report["scores"]["summaries"]
-        ]
-        lines += _md_table(["component", "mean", "std", "variance (sample divisor)"], rows)
-    else:
-        lines.append(report["scores"]["reason"])
-        lines.append("")
-
-    lines.append("## Representation identities")
-    lines.append("")
-    rows = [
-        [c["relation"], f"{c['max_abs_dev']:.3e}", "pass" if c["pass"] else "FAIL"]
-        for c in report["relations"]
-    ]
-    lines += _md_table(["relation", "max abs deviation", "status"], rows)
-
     return "\n".join(lines)
 
 
 def render_csv(report: dict) -> str:
-    """Render the report as sectioned CSV with the same 3-decimal cells."""
-    names = report["correlation"]["names"]
-    out: list[str] = []
+    """Render the report as sectioned CSV with the same 3-decimal cells.
 
-    def section(title: str, headers: list[str], rows: list[list[str]]) -> None:
-        out.append(f"# {title}")
-        out.append(",".join(headers))
-        out.extend(",".join(row) for row in rows)
-        out.append("")
-
-    def quoted(cell: str) -> str:
-        return f'"{cell}"' if ("," in cell or '"' in cell) else cell
-
-    if report["column_summaries"]:
-        section(
-            "column summaries",
-            ["column", "mean", "std", "variance"],
-            [
-                [quoted(s["name"]), _fmt(s["mean"]), _fmt(s["std"]), _fmt(s["variance"])]
-                for s in report["column_summaries"]
-            ],
-        )
-    for title, key, scale in (
-        ("correlation", "r", 1.0),
-        ("significance", "significance", 1.0),
-        ("angles_deg", "angles_deg", 1.0),
-        ("determination_percent", "determination", 100.0),
-    ):
-        matrix = report["correlation"]["r"] if key == "r" else report[key]
-        section(
-            title,
-            [""] + [quoted(n) for n in names],
-            [
-                [quoted(name)] + [_fmt(v * scale) for v in row]
-                for name, row in zip(names, matrix)
-            ],
-        )
-    section(
-        "variance explained",
-        ["component", "eigenvalue", "cumulative", "percent", "cumulative_percent"],
-        [
-            [
-                row["component"],
-                _fmt(row["eigenvalue"]),
-                _fmt(row["cumulative_eigenvalue"]),
-                _fmt(row["percent"]),
-                _fmt(row["cumulative_percent"]),
-            ]
-            for row in report["variance_explained"]
-        ],
-    )
-    full = report["loadings_full"]
-    section(
-        "loadings",
-        [""] + [quoted(n) for n in full["variables"]],
-        [
-            [label] + [_fmt(v) for v in row]
-            for label, row in zip(full["pc_labels"], full["loading"])
-        ],
-    )
-    section(
-        "determination_components",
-        [""] + [quoted(n) for n in full["variables"]] + ["row_sum"],
-        [
-            [label] + [_fmt(v) for v in row] + [_fmt(full["row_sums"][i])]
-            for i, (label, row) in enumerate(zip(full["pc_labels"], full["determination"]))
-        ]
-        + [["column_sum"] + [_fmt(v) for v in full["column_sums"]] + [""]],
-    )
-    rec = report["reconstruction_at_k"]
-    section(
-        f"reconstruction_k{rec['k']}",
-        [""] + [quoted(n) for n in rec["variables"]] + ["row_average_percent"],
-        [
-            [label] + [_fmt(v) for v in row] + [_fmt(rec["row_averages"][i] * 100.0)]
-            for i, (label, row) in enumerate(zip(rec["pc_labels"], rec["determination"]))
-        ]
-        + [["reconstruction_percent"] + [_fmt(v * 100.0) for v in rec["column_sums"]] + [""]],
-    )
-    section(
-        "selection",
-        ["criterion", "k"],
-        [[crit, str(report["selection"][crit]["k"])] for crit in CRITERIA]
-        + [["chosen:" + report["selection"]["chosen_criterion"], str(report["selection"]["k"])]],
-    )
-    prof = report["similarity_profiles"]
-    section(
-        "similarity_profiles",
-        ["variable"] + prof["components"],
-        [
-            [quoted(name)] + [_fmt(v) for v in values]
-            for name, values in prof["profiles"].items()
-        ],
-    )
-    section(
-        "clusters",
-        ["cluster", "members"],
-        [
-            [cid, quoted(";".join(members))]
-            for cid, members in report["clusters"]["clusters"].items()
-        ],
-    )
-    if report["scores"]["available"]:
-        section(
-            "scores",
-            ["component", "mean", "std", "variance_sample"],
-            [
-                [s["component"], _fmt(s["mean"]), _fmt(s["std"]), _fmt(s["variance"])]
-                for s in report["scores"]["summaries"]
-            ],
-        )
-    section(
-        "relations",
-        ["relation", "max_abs_dev", "pass"],
-        [
-            [quoted(c["relation"]), f"{c['max_abs_dev']:.3e}", "pass" if c["pass"] else "FAIL"]
-            for c in report["relations"]
-        ],
-    )
-    return "\n".join(out)
+    Each table is a ``# title`` line, a header row and its rows, quoted
+    per RFC 4180; a blank line separates tables.  The eigensystem and
+    the selection notes are markdown only.
+    """
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    for _, title, headers, rows in _sections(report):
+        if title is None:
+            continue
+        buf.write(f"# {title}\n")
+        writer.writerow(_side(headers, 1))
+        writer.writerows(_side(row, 1) for row in rows)
+        buf.write("\n")
+    return buf.getvalue()[:-1]

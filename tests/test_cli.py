@@ -87,6 +87,33 @@ def test_analyze_format_json_and_csv(tmp_path, capsys):
     assert out.startswith("# correlation")
 
 
+@pytest.mark.parametrize("fmt", ["md", "csv", "json"])
+def test_analyze_renders_each_text_once(tmp_path, capsys, monkeypatch, fmt):
+    calls = {"render_markdown": 0, "to_json_text": 0}
+
+    def counted(name):
+        real = getattr(cli, name)
+
+        def wrapper(report):
+            calls[name] += 1
+            return real(report)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(cli, name, counted(name))
+    code, out, _ = run(
+        capsys, "analyze", "fixtures/iris_corr.json", "--format", fmt, "--out", str(tmp_path)
+    )
+    assert code == 0
+    assert calls == {"render_markdown": 1, "to_json_text": 1}
+    # the echo is the text written to disk
+    if fmt == "md":
+        assert out == (tmp_path / "report.md").read_text(encoding="utf-8")
+    elif fmt == "json":
+        assert out == (tmp_path / "report.json").read_text(encoding="utf-8")
+
+
 def test_analyze_is_byte_identical(tmp_path, capsys):
     for d in ("a", "b"):
         code, _, _ = run(

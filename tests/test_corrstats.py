@@ -65,6 +65,12 @@ def test_correlation_input_errors():
         correlation(np.full(5, 2.0), np.arange(5.0))
 
 
+def test_correlation_rejects_nan():
+    y = np.array([1.0, 3.0, np.nan, 2.0, 5.0])
+    with pytest.raises(ValueError, match="NaN"):
+        correlation(np.arange(5.0), y)
+
+
 def test_correlation_matrix_structure(iris_standardized):
     c = correlation_matrix(iris_standardized)
     r = c.r
@@ -177,6 +183,11 @@ def test_significance_needs_three_observations():
         significance(0.5, 2)
 
 
+def test_significance_rejects_nan():
+    with pytest.raises(ValueError, match="NaN"):
+        significance(math.nan, 10)
+
+
 def test_betainc_reg_closed_forms():
     for x in np.linspace(0.0, 1.0, 21):
         assert betainc_reg(1.0, 1.0, float(x)) == pytest.approx(x, abs=1e-12)
@@ -205,6 +216,11 @@ def test_angle_deg():
     assert math.isfinite(angle_deg(1.0 + 1e-16))
     for r in np.linspace(-1.0, 1.0, 101):
         assert angle_deg(float(r)) == pytest.approx(math.degrees(math.acos(r)), abs=1e-12)
+
+
+def test_angle_deg_rejects_nan():
+    with pytest.raises(ValueError, match="NaN"):
+        angle_deg(math.nan)
 
 
 def test_angles_of_quoted_pairs():

@@ -162,3 +162,18 @@ def test_csv_is_parseable_and_sectioned(corr_result):
     assert any(row and row[0].startswith("#") for row in rows)
     flat = {cell for row in rows for cell in row}
     assert "pc1" in flat
+
+
+def test_csv_quotes_names_per_rfc_4180(tmp_path):
+    names = ["a,b", 'q"x', "line\nbreak", "plain"]
+    data = tmp_path / "names.csv"
+    header = ",".join('"' + n.replace('"', '""') + '"' for n in names)
+    rows = ["1,2,3,4", "2,1,4,3", "3,5,2,1", "4,3,1,2", "5,4,5,5"]
+    data.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+    report = run_analysis(data, header=True).report
+    assert report["correlation"]["names"] == names
+    rows = list(csv.reader(io.StringIO(render_csv(report))))
+    i = rows.index(["# correlation"])
+    assert rows[i + 1] == [""] + names
+    assert [row[0] for row in rows[i + 2 : i + 2 + len(names)]] == names
+    assert all(len(row) == len(names) + 1 for row in rows[i + 1 : i + 2 + len(names)])
