@@ -55,7 +55,7 @@ def measure(n: int) -> dict:
 
     work = 0.5 * (c + c.T)
     target = eigensolve.OFF_TOL_FACTOR * float(np.linalg.norm(work, "fro"))
-    sweeps, off = eigensolve.jacobi_sweeps(work, np.eye(n), target, eigensolve.MAX_SWEEPS)
+    sweeps, off = eigensolve.jacobi_sweeps(work, np.eye(n), target)
 
     ref = np.linalg.eigvalsh(c)[::-1]
     return {

@@ -12,6 +12,7 @@ from .fixtures import fixture_path
 from .report import load_input, render_csv, render_markdown, run_analysis, to_json_text
 from .svgplot import render_svg_scree, render_svg_similarity
 from .tensorops import build_virtual, verify_relations
+from .varcluster import METRICS
 
 __all__ = ["main"]
 
@@ -61,7 +62,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     pa.add_argument("--threshold", type=float, help="threshold for percentage/per-variable")
     pa.add_argument("--clusters", choices=["naive", "kmeans"], default="naive")
-    pa.add_argument("--metric", choices=["l1", "l2", "linf", "cosine"], default="l2")
+    pa.add_argument("--metric", choices=METRICS, default="l2")
     pa.add_argument("--seed", type=int, default=0)
     pa.add_argument("--naive-threshold", type=float, default=0.5)
     pa.add_argument("--k", default="auto", help="components to keep: an integer or 'auto'")

@@ -119,7 +119,7 @@ def correlation_matrix(z: StandardizedMatrix) -> CorrelationMatrix:
     return CorrelationMatrix(r=r, n_obs=z.n_rows, names=list(z.column_names))
 
 
-def _betacf(a, b, x, rel_tol, max_iter):
+def _betacf(a, b, x):
     """Continued fraction for the incomplete beta, modified Lentz scheme."""
     tiny = 1e-300
     qab = a + b
@@ -131,7 +131,7 @@ def _betacf(a, b, x, rel_tol, max_iter):
         d = tiny
     d = 1.0 / d
     h = d
-    for m in range(1, max_iter + 1):
+    for m in range(1, 301):
         m2 = 2 * m
         aa = m * (b - m) * x / ((qam + m2) * (a + m2))
         d = 1.0 + aa * d
@@ -152,7 +152,7 @@ def _betacf(a, b, x, rel_tol, max_iter):
         d = 1.0 / d
         delta = d * c
         h *= delta
-        if abs(delta - 1.0) < rel_tol:
+        if abs(delta - 1.0) < 1e-12:
             return h
     return h
 
@@ -178,8 +178,8 @@ def betainc_reg(a, b, x):
     )
     front = math.exp(ln_front)
     if x < (a + 1.0) / (a + b + 2.0):
-        return front * _betacf(a, b, x, 1e-12, 300) / a
-    return 1.0 - front * _betacf(b, a, 1.0 - x, 1e-12, 300) / b
+        return front * _betacf(a, b, x) / a
+    return 1.0 - front * _betacf(b, a, 1.0 - x) / b
 
 
 def significance(r: float, n_obs: int) -> float:

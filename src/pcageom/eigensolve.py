@@ -135,7 +135,7 @@ def offdiag_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(a - np.diag(np.diag(a))))
 
 
-def jacobi_sweeps(a: np.ndarray, v: np.ndarray, off_target: float, max_sweeps: int) -> tuple[int, float]:
+def jacobi_sweeps(a: np.ndarray, v: np.ndarray, off_target: float) -> tuple[int, float]:
     """Run round-robin Jacobi sweeps on the symmetric matrix ``a`` in place.
 
     Each round of :func:`round_robin_schedule` computes the plane
@@ -144,7 +144,7 @@ def jacobi_sweeps(a: np.ndarray, v: np.ndarray, off_target: float, max_sweeps: i
     one rotation matrix J and applies ``a <- J^T a J``.  The rotations
     are multiplied into the column basis ``v`` (so ``v`` converges to
     the eigenvector matrix).  Sweeping stops once the off-diagonal
-    Frobenius norm drops to ``off_target`` or after ``max_sweeps`` full
+    Frobenius norm drops to ``off_target`` or after ``MAX_SWEEPS`` full
     sweeps.
 
     Returns ``(sweeps_used, final_offdiag_norm)``.
@@ -163,7 +163,7 @@ def jacobi_sweeps(a: np.ndarray, v: np.ndarray, off_target: float, max_sweeps: i
     unit = np.concatenate([np.ones(2 * h), np.zeros(2 * h)])
     rot = np.eye(n)
     scratch = np.empty_like(a)
-    while off > off_target and sweeps < max_sweeps:
+    while off > off_target and sweeps < MAX_SWEEPS:
         for round_pick, round_place in zip(pick, place):
             apq, app, aqq = a.take(round_pick).reshape(3, h)
             live = apq != 0.0
@@ -189,14 +189,14 @@ def jacobi_sweeps(a: np.ndarray, v: np.ndarray, off_target: float, max_sweeps: i
     return sweeps, off
 
 
-def jacobi_eigh(a: np.ndarray, max_sweeps: int = MAX_SWEEPS) -> tuple[np.ndarray, np.ndarray, int]:
+def jacobi_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     """Eigendecomposition of a real symmetric matrix by round-robin Jacobi.
 
     Returns ``(w, U, sweeps)`` with eigenvalues descending and the
     output conventions above applied.  Raises ValueError for a matrix
     that is empty, not square, not symmetric or holds NaN or infinite
     entries, and ConvergenceError if the off-diagonal norm is still above
-    threshold after ``max_sweeps``.
+    threshold after ``MAX_SWEEPS``.
     """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -211,10 +211,10 @@ def jacobi_eigh(a: np.ndarray, max_sweeps: int = MAX_SWEEPS) -> tuple[np.ndarray
     work = 0.5 * (a + a.T)
     target = OFF_TOL_FACTOR * float(np.linalg.norm(work, "fro"))
     v = np.eye(a.shape[0])
-    sweeps, off = jacobi_sweeps(work, v, target, max_sweeps)
+    sweeps, off = jacobi_sweeps(work, v, target)
     if off > target:
         raise ConvergenceError(
-            f"eigensolve: Jacobi did not converge in {max_sweeps} sweeps "
+            f"eigensolve: Jacobi did not converge in {MAX_SWEEPS} sweeps "
             f"(off-diagonal norm {off:.3e}, target {target:.3e})"
         )
     w, u = _apply_conventions(np.diag(work).copy(), v)

@@ -150,9 +150,8 @@ def load_csv(
     columns: list[int | str] | None = None,
     label_column: int | str | None = None,
     header: bool = False,
-    delimiter: str = ",",
 ) -> DataMatrix:
-    """Load a delimited text file into a numeric DataMatrix.
+    """Load a comma-separated file into a numeric DataMatrix.
 
     Args:
         path: file to read.
@@ -161,7 +160,6 @@ def load_csv(
             except the label column.
         label_column: optional column of row labels (kept as strings).
         header: whether the first row holds column names.
-        delimiter: field separator.
 
     Raises:
         DataError: unreadable or non-UTF-8 file, unknown column, a
@@ -172,7 +170,7 @@ def load_csv(
     path = Path(path)
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            rows = [row for row in csv.reader(fh, delimiter=delimiter) if row]
+            rows = [row for row in csv.reader(fh) if row]
     except OSError as exc:
         raise DataError(f"ingest: cannot read {path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:

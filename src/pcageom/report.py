@@ -14,6 +14,7 @@ import json
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 
 from . import __version__
 from .corrstats import (
@@ -78,7 +79,7 @@ def load_input(
     input_path = Path(input_path)
     if input_path.suffix.lower() == ".json":
         return load_correlation_json(input_path), None, None
-    selectors = parse_column_spec(columns) if columns else None
+    selectors = parse_column_spec(columns) if columns is not None else None
     label_sel: int | str | None = None
     if label_column is not None:
         parsed = parse_column_spec(label_column)
@@ -448,7 +449,10 @@ def render_csv(report: dict) -> str:
     the selection notes are markdown only.
     """
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    # a "\r" in the terminator makes the writer quote cells holding one;
+    # each row still ends in "\n"
+    rows_out = SimpleNamespace(write=lambda line: buf.write(line[:-2] + "\n"))
+    writer = csv.writer(rows_out, lineterminator="\r\n")
     for _, title, headers, rows in _sections(report):
         if title is None:
             continue

@@ -20,12 +20,12 @@ budget keeps that batch to a few milliseconds; it covers every k for up
 to 7 variables, k = 2 up to 10 variables, and k = m - 1 up to 45.
 
 Above the budget, and always for the Chebyshev metric, the result is
-heuristic: farthest-point initialization from a seed-chosen start,
-Lloyd iterations to an assignment fixpoint, 10 restarts with the best
-objective kept (earliest restart wins ties).  The sum of Chebyshev
-distances has no closed-form minimizer, so that metric reuses the mean
-and the iteration simply stops if the objective would rise, keeping the
-descent property.
+heuristic: ``RESTARTS`` (10) runs of farthest-point initialization
+from a seed-chosen start and at most ``MAX_ITER`` (100) Lloyd
+iterations to an assignment fixpoint, best objective kept (earliest
+restart wins ties).  The sum of Chebyshev distances has no closed-form
+minimizer, so that metric reuses the mean and the iteration simply
+stops if the objective would rise, keeping the descent property.
 
 Distances are array code: ``pairwise_distance`` gives each Lloyd step
 one point-to-centroid matrix, from which labels and cost are read, and
@@ -44,7 +44,9 @@ from .pcacore import ExplanationTable
 
 __all__ = [
     "EXACT_BUDGET",
+    "MAX_ITER",
     "METRICS",
+    "RESTARTS",
     "UNASSIGNED",
     "SimilarityProfile",
     "ClusterAssignment",
@@ -55,19 +57,10 @@ __all__ = [
     "lloyd",
     "pairwise_distance",
     "assign_labels",
-    "DIST_L1",
-    "DIST_L2",
-    "DIST_LINF",
-    "DIST_COSINE",
 ]
 
-# distance codes: city block, squared Euclidean, Chebyshev, cosine distance
-DIST_L1 = 0
-DIST_L2 = 1
-DIST_LINF = 2
-DIST_COSINE = 3
-
-METRICS = {"l1": DIST_L1, "l2": DIST_L2, "linf": DIST_LINF, "cosine": DIST_COSINE}
+# city block, squared Euclidean, Chebyshev, cosine distance
+METRICS = ("l1", "l2", "linf", "cosine")
 
 UNASSIGNED = "unassigned"
 
@@ -75,6 +68,10 @@ _GUARD_TOL = 1e-12
 
 # most partitions cluster_kmeans scores exhaustively; see the module docstring
 EXACT_BUDGET = 1000
+
+# heuristic path: Lloyd descents per clustering, iterations per descent
+RESTARTS = 10
+MAX_ITER = 100
 
 
 @dataclass(eq=False)
@@ -168,10 +165,10 @@ def cluster_naive(profiles: list[SimilarityProfile], threshold: float = 0.5) -> 
     )
 
 
-def _centroid(points: np.ndarray, code: int) -> np.ndarray:
-    if code == DIST_L1:
+def _centroid(points: np.ndarray, metric: str) -> np.ndarray:
+    if metric == "l1":
         return np.median(points, axis=0)
-    if code == DIST_COSINE:
+    if metric == "cosine":
         norms = np.linalg.norm(points, axis=1, keepdims=True)
         direction = np.sum(points / norms, axis=0)
         total = np.linalg.norm(direction)
@@ -181,36 +178,42 @@ def _centroid(points: np.ndarray, code: int) -> np.ndarray:
     return points.mean(axis=0)
 
 
-def pairwise_distance(points: np.ndarray, centers: np.ndarray, code: int) -> np.ndarray:
+def _check_metric(metric: str) -> None:
+    if metric not in METRICS:
+        raise ValueError(f"varcluster: unknown metric {metric!r}, expected one of {sorted(METRICS)}")
+
+
+def pairwise_distance(points: np.ndarray, centers: np.ndarray, metric: str) -> np.ndarray:
     """Distance from every point to every center, as an (m, kc) matrix.
 
-    Under the coded metric: l1 sums absolute coordinate differences, l2
+    Under the named metric: l1 sums absolute coordinate differences, l2
     sums squared ones (the squared Euclidean distance), linf keeps the
     largest, and cosine is 1 - dot / (|x| |c|) clamped at 0, or 1 when
     either vector is zero.  Coordinates are accumulated one axis at a
     time in index order, so each entry is bitwise what a scalar loop
     over that pair of vectors returns.
     """
+    _check_metric(metric)
     out = np.zeros((points.shape[0], centers.shape[0]))
-    if code == DIST_COSINE:
+    if metric == "cosine":
         nx = np.zeros((points.shape[0], 1))
         nc = np.zeros((1, centers.shape[0]))
     for j in range(points.shape[1]):
         x = points[:, j, None]
         c = centers[None, :, j]
-        if code == DIST_COSINE:
+        if metric == "cosine":
             out += x * c
             nx += x * x
             nc += c * c
             continue
         diff = x - c
-        if code == DIST_L2:
+        if metric == "l2":
             out += diff * diff
-        elif code == DIST_L1:
+        elif metric == "l1":
             out += np.abs(diff)
         else:
             np.maximum(out, np.abs(diff), out=out)
-    if code != DIST_COSINE:
+    if metric != "cosine":
         return out
     denom = np.sqrt(nx) * np.sqrt(nc)
     zero = denom == 0.0
@@ -230,19 +233,19 @@ def _labeled_cost(dist: np.ndarray, labels: np.ndarray) -> float:
     return float(np.add.accumulate(own)[-1]) if own.size else 0.0
 
 
-def assign_labels(points: np.ndarray, centroids: np.ndarray, code: int, labels: np.ndarray) -> float:
-    """Label every point with its nearest centroid; return the summed cost.
+def assign_labels(points: np.ndarray, centroids: np.ndarray, metric: str) -> tuple[np.ndarray, float]:
+    """Label every point with its nearest centroid; return ``(labels, cost)``.
 
     Ties go to the lowest centroid index.  For the squared Euclidean
-    code the returned cost is the usual within-cluster sum of squares;
-    for the other metrics it is the plain sum of distances.
+    metric the cost is the usual within-cluster sum of squares; for the
+    other metrics it is the plain sum of distances.
     """
-    dist = pairwise_distance(points, centroids, code)
-    labels[:] = dist.argmin(axis=1)
-    return _labeled_cost(dist, labels)
+    dist = pairwise_distance(points, centroids, metric)
+    labels = dist.argmin(axis=1)
+    return labels, _labeled_cost(dist, labels)
 
 
-def _fix_empty(points: np.ndarray, centroids: np.ndarray, labels: np.ndarray, code: int) -> bool:
+def _fix_empty(points: np.ndarray, centroids: np.ndarray, labels: np.ndarray, metric: str) -> bool:
     """Refill empty clusters in place; return whether any point moved.
 
     Each empty cluster, lowest id first, takes the point farthest from
@@ -254,7 +257,7 @@ def _fix_empty(points: np.ndarray, centroids: np.ndarray, labels: np.ndarray, co
         return False
     # a moved point is alone in its new cluster and never moves again,
     # so the other points' distances to their centroids stay valid
-    own = pairwise_distance(points, centroids, code)[np.arange(labels.shape[0]), labels]
+    own = pairwise_distance(points, centroids, metric)[np.arange(labels.shape[0]), labels]
     moved = False
     for cid in np.flatnonzero(counts == 0):
         spare = counts[labels] > 1
@@ -269,43 +272,38 @@ def _fix_empty(points: np.ndarray, centroids: np.ndarray, labels: np.ndarray, co
     return moved
 
 
-def _assign(points: np.ndarray, centroids: np.ndarray, code: int, labels: np.ndarray) -> float:
-    """Nearest-centroid labels with empty clusters refilled; return the cost."""
-    cost = assign_labels(points, centroids, code, labels)
-    if _fix_empty(points, centroids, labels, code):
-        cost = _labeled_cost(pairwise_distance(points, centroids, code), labels)
-    return cost
+def _assign(points: np.ndarray, centroids: np.ndarray, metric: str) -> tuple[np.ndarray, float]:
+    """Nearest-centroid labels with empty clusters refilled, and their cost."""
+    labels, cost = assign_labels(points, centroids, metric)
+    if _fix_empty(points, centroids, labels, metric):
+        cost = _labeled_cost(pairwise_distance(points, centroids, metric), labels)
+    return labels, cost
 
 
-def lloyd(
-    points: np.ndarray, centroids: np.ndarray, metric: str = "l2", max_iter: int = 100
-) -> LloydResult:
+def lloyd(points: np.ndarray, centroids: np.ndarray, metric: str = "l2") -> LloydResult:
     """Run Lloyd iterations from the given centroids until a fixpoint.
 
-    Stops at an assignment fixpoint, after ``max_iter`` iterations, or
+    Stops at an assignment fixpoint, after ``MAX_ITER`` iterations, or
     as soon as an update would increase the objective (possible only
     for the Chebyshev metric, whose centroid rule is heuristic).  The
     returned history is the objective after each accepted iteration and
     is nonincreasing by construction.
     """
-    code = METRICS[metric]
     points = np.asarray(points, dtype=np.float64)
     centroids = np.array(centroids, dtype=np.float64)
     kc = centroids.shape[0]
-    labels = np.zeros(points.shape[0], dtype=np.int64)
-    objective = _assign(points, centroids, code, labels)
+    labels, objective = _assign(points, centroids, metric)
     history = [objective]
     converged = False
     guard_tripped = False
 
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         new_centroids = centroids.copy()
         for cid in range(kc):
             members = points[labels == cid]
             if members.shape[0]:
-                new_centroids[cid] = _centroid(members, code)
-        new_labels = np.zeros_like(labels)
-        new_objective = _assign(points, new_centroids, code, new_labels)
+                new_centroids[cid] = _centroid(members, metric)
+        new_labels, new_objective = _assign(points, new_centroids, metric)
         if new_objective > objective + _GUARD_TOL:
             guard_tripped = True
             break
@@ -371,7 +369,7 @@ def _partitions(m: int, k: int) -> np.ndarray:
     return labels
 
 
-def _partition_costs(points: np.ndarray, labels: np.ndarray, code: int) -> np.ndarray:
+def _partition_costs(points: np.ndarray, labels: np.ndarray, metric: str) -> np.ndarray:
     """Cost of every partition row, each block costed at its ``_centroid``.
 
     Closed forms of the block cost at the exact centroid: squared
@@ -381,14 +379,14 @@ def _partition_costs(points: np.ndarray, labels: np.ndarray, code: int) -> np.nd
     """
     total = np.zeros(labels.shape[0])
     sq = np.einsum("ij,ij->i", points, points)
-    unit = points / np.linalg.norm(points, axis=1, keepdims=True) if code == DIST_COSINE else None
+    unit = points / np.linalg.norm(points, axis=1, keepdims=True) if metric == "cosine" else None
     for block in range(int(labels.max()) + 1):
         member = labels == block
         count = member.sum(axis=1)
-        if code == DIST_L2:
+        if metric == "l2":
             sums = member @ points
             total += member @ sq - np.einsum("ij,ij->i", sums, sums) / count
-        elif code == DIST_COSINE:
+        elif metric == "cosine":
             total += count - np.linalg.norm(member @ unit, axis=1)
         else:
             values = np.where(member[:, :, None], points[None, :, :], np.inf)
@@ -406,8 +404,6 @@ def cluster_kmeans(
     k_clusters: int,
     metric: str = "l2",
     seed: int = 0,
-    restarts: int = 10,
-    max_iter: int = 100,
 ) -> ClusterAssignment:
     """Cluster similarity profiles with k-means, exactly when feasible.
 
@@ -416,10 +412,10 @@ def cluster_kmeans(
     ``EXACT_BUDGET``, every partition is scored and the cheapest is
     returned with ``exact=True`` and ``n_iterations=None``; ties keep the
     lexicographically first labelling.  Otherwise, and always for linf,
-    runs ``restarts`` independent Lloyd descents (seeds seed, seed+1,
-    ...) and keeps the best objective; ties keep the earliest seed, so
-    results are deterministic.  ``seed``, ``restarts`` and ``max_iter``
-    matter only on this heuristic path.  Either way ``objective`` is the
+    runs ``RESTARTS`` Lloyd descents of at most ``MAX_ITER`` iterations
+    (seeds seed, seed+1, ...) and keeps the best objective; ties keep the
+    earliest seed, so results are deterministic.  ``seed`` (non-negative)
+    matters only on this heuristic path.  Either way ``objective`` is the
     sum of each variable's distance to its block's centroid.
 
     Cluster ids are canonical: clusters are
@@ -436,8 +432,9 @@ def cluster_kmeans(
 
     excluded: list[str] = []
     active = np.arange(len(profiles))
-    if metric not in METRICS:
-        raise ValueError(f"varcluster: unknown metric {metric!r}, expected one of {sorted(METRICS)}")
+    _check_metric(metric)
+    if seed < 0:
+        raise ValueError(f"varcluster: seed must be non-negative, got {seed}")
     if metric == "cosine":
         norms = np.linalg.norm(matrix, axis=1)
         zero = norms == 0.0
@@ -449,21 +446,20 @@ def cluster_kmeans(
         )
 
     points = matrix[active]
-    code = METRICS[metric]
-    exact = code != DIST_LINF and _stirling2(points.shape[0], k_clusters) <= EXACT_BUDGET
+    exact = metric != "linf" and _stirling2(points.shape[0], k_clusters) <= EXACT_BUDGET
     if exact:
         candidates = _partitions(points.shape[0], k_clusters)
-        labels = candidates[int(np.argmin(_partition_costs(points, candidates, code)))]
-        centroids = np.array([_centroid(points[labels == c], code) for c in range(k_clusters)])
-        objective = _labeled_cost(pairwise_distance(points, centroids, code), labels)
+        labels = candidates[int(np.argmin(_partition_costs(points, candidates, metric)))]
+        centroids = np.array([_centroid(points[labels == c], metric) for c in range(k_clusters)])
+        objective = _labeled_cost(pairwise_distance(points, centroids, metric), labels)
         n_iterations = None
     else:
         # one point-to-point matrix serves every restart's initialization
-        pair_dist = pairwise_distance(points, points, code)
+        pair_dist = pairwise_distance(points, points, metric)
         best: LloydResult | None = None
-        for attempt in range(restarts):
+        for attempt in range(RESTARTS):
             init = points[_farthest_point_init(pair_dist, k_clusters, seed + attempt)]
-            result = lloyd(points, init, metric, max_iter)
+            result = lloyd(points, init, metric)
             if best is None or result.objective < best.objective:
                 best = result
         labels, objective, n_iterations = best.labels, best.objective, len(best.history) - 1

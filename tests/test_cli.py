@@ -179,6 +179,23 @@ def test_both_commands_reject_a_multi_column_label(tmp_path, capsys):
         assert out == "", argv[0]
 
 
+def test_both_commands_reject_an_empty_column_selection(tmp_path, capsys):
+    args = ("fixtures/iris.csv", "--header", "--columns", "")
+    for argv in (("analyze", *args, "--out", str(tmp_path)), ("verify", *args)):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv[0]
+        assert "empty column selection" in err, argv[0]
+        assert out == "", argv[0]
+
+
+def test_negative_seed_is_an_input_error(tmp_path, capsys):
+    code, out, err = run(capsys, "analyze", "fixtures/iris.csv", "--header", "--columns", "1-4",
+                         "--clusters", "kmeans", "--seed", "-1", "--out", str(tmp_path))
+    assert code == 2
+    assert "seed must be non-negative" in err
+    assert out == ""
+
+
 def test_verify_failure_exits_one(capsys, monkeypatch):
     real = cli.verify_relations
 

@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from pcageom import eigensolve
 from pcageom.corrstats import CorrelationMatrix
 from pcageom.eigensolve import (
     MAX_SWEEPS,
@@ -22,7 +23,7 @@ from pcageom.eigensolve import (
     rotation_from_eigenvectors,
     round_robin_schedule,
 )
-from pcageom.errors import DataError
+from pcageom.errors import ConvergenceError, DataError
 
 from conftest import (
     REF_EIGENVALUES,
@@ -93,7 +94,7 @@ def _sweep_pair_by_pair(a, v, pairs):
         v[:, [p, q]] = v[:, [p, q]] @ np.array([[c, s], [-s, c]])
 
 
-def test_round_rotations_match_scalar_reference():
+def test_round_rotations_match_scalar_reference(monkeypatch):
     rng = np.random.default_rng(8)
     m = rng.standard_normal((7, 7))
     dense = 0.5 * (m + m.T)
@@ -102,9 +103,10 @@ def test_round_rotations_match_scalar_reference():
     tiny = np.diag(np.arange(1.0, 8.0)) + 1e-12 * dense
     p, q = round_robin_schedule(7)
     pairs = list(zip(p.ravel().tolist(), q.ravel().tolist()))
+    monkeypatch.setattr(eigensolve, "MAX_SWEEPS", 1)
     for a in (dense, tiny):
         got_a, got_v = a.copy(), np.eye(7)
-        assert jacobi_sweeps(got_a, got_v, 0.0, 1)[0] == 1
+        assert jacobi_sweeps(got_a, got_v, 0.0)[0] == 1
         want_a, want_v = a.copy(), np.eye(7)
         _sweep_pair_by_pair(want_a, want_v, pairs)
         np.testing.assert_allclose(got_a, want_a, rtol=0, atol=1e-14 * np.abs(a).max())
@@ -118,8 +120,8 @@ def test_jacobi_sweeps_decomposes():
     work = a.copy()
     v = np.eye(6)
     target = 1e-12 * np.linalg.norm(a, "fro")
-    sweeps, off = jacobi_sweeps(work, v, target, 100)
-    assert 0 < sweeps <= 100
+    sweeps, off = jacobi_sweeps(work, v, target)
+    assert 0 < sweeps <= MAX_SWEEPS
     assert off <= target
     assert offdiag_norm(work) <= target
     w = np.diag(work)
@@ -129,7 +131,7 @@ def test_jacobi_sweeps_decomposes():
 def test_jacobi_sweeps_noop_on_diagonal():
     work = np.diag([3.0, 1.0, 2.0])
     v = np.eye(3)
-    assert jacobi_sweeps(work, v, 1e-12, 100) == (0, 0.0)
+    assert jacobi_sweeps(work, v, 1e-12) == (0, 0.0)
     np.testing.assert_array_equal(v, np.eye(3))
 
 
@@ -182,6 +184,16 @@ def test_jacobi_rejects_non_finite_input(bad, where):
 def test_jacobi_rejects_empty_matrix():
     with pytest.raises(ValueError, match="eigensolve: matrix is empty"):
         jacobi_eigh(np.zeros((0, 0)))
+
+
+def test_jacobi_reports_non_convergence(monkeypatch):
+    m = np.random.default_rng(6).standard_normal((6, 6))
+    a = 0.5 * (m + m.T)
+    target = 1e-12 * np.linalg.norm(a, "fro")
+    monkeypatch.setattr(eigensolve, "MAX_SWEEPS", 1)
+    with pytest.raises(ConvergenceError, match="did not converge in 1 sweeps") as exc:
+        jacobi_eigh(a)
+    assert f"target {target:.3e}" in str(exc.value)
 
 
 # -- decomposition and conventions ---------------------------------------------

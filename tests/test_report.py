@@ -165,10 +165,10 @@ def test_csv_is_parseable_and_sectioned(corr_result):
 
 
 def test_csv_quotes_names_per_rfc_4180(tmp_path):
-    names = ["a,b", 'q"x', "line\nbreak", "plain"]
+    names = ["a,b", 'q"x', "line\nbreak", "car\rreturn", "plain"]
     data = tmp_path / "names.csv"
     header = ",".join('"' + n.replace('"', '""') + '"' for n in names)
-    rows = ["1,2,3,4", "2,1,4,3", "3,5,2,1", "4,3,1,2", "5,4,5,5"]
+    rows = ["1,2,3,4,2", "2,1,4,3,5", "3,5,2,1,1", "4,3,1,2,4", "5,4,5,5,3", "6,2,2,4,1"]
     data.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
     report = run_analysis(data, header=True).report
     assert report["correlation"]["names"] == names

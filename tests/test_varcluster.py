@@ -23,13 +23,10 @@ from pcageom.pcacore import explanation_table
 from pcageom.tensorops import build_virtual
 from pcageom.varcluster import (
     EXACT_BUDGET,
+    MAX_ITER,
     METRICS,
     UNASSIGNED,
     SimilarityProfile,
-    DIST_COSINE,
-    DIST_L1,
-    DIST_L2,
-    DIST_LINF,
     assign_labels,
     cluster_kmeans,
     cluster_naive,
@@ -124,15 +121,15 @@ def test_naive_validation(fixture_profiles):
 # -- distances and assignment ---------------------------------------------
 
 
-def scalar_distance(x, c, code):
+def scalar_distance(x, c, metric):
     """One pair of vectors, one coordinate at a time, in Python floats."""
-    if code in (0, 1, 2):
+    if metric != "cosine":
         acc = 0.0
         for xi, ci in zip(x, c):
             d = xi - ci
-            if code == 0:
+            if metric == "l1":
                 acc += abs(d)
-            elif code == 1:
+            elif metric == "l2":
                 acc += d * d
             elif abs(d) > acc:
                 acc = abs(d)
@@ -148,33 +145,29 @@ def scalar_distance(x, c, code):
     return max(1.0 - dot / denom, 0.0)
 
 
-def point_distance(x, c, code):
-    return float(pairwise_distance(x[None, :], c[None, :], code)[0, 0])
-
-
-def test_distance_codes_are_distinct():
-    assert sorted({DIST_L1, DIST_L2, DIST_LINF, DIST_COSINE}) == [0, 1, 2, 3]
+def point_distance(x, c, metric):
+    return float(pairwise_distance(x[None, :], c[None, :], metric)[0, 0])
 
 
 def test_point_distance_semantics():
     x = np.array([1.0, -2.0, 3.0])
     c = np.array([0.5, 1.0, -1.0])
     d = x - c
-    assert point_distance(x, c, DIST_L1) == pytest.approx(np.abs(d).sum(), abs=1e-15)
-    # the l2 code returns the squared distance, not its root
-    assert point_distance(x, c, DIST_L2) == pytest.approx(float(d @ d), abs=1e-15)
-    assert point_distance(x, c, DIST_LINF) == pytest.approx(np.abs(d).max(), abs=1e-15)
+    assert point_distance(x, c, "l1") == pytest.approx(np.abs(d).sum(), abs=1e-15)
+    # the l2 metric returns the squared distance, not its root
+    assert point_distance(x, c, "l2") == pytest.approx(float(d @ d), abs=1e-15)
+    assert point_distance(x, c, "linf") == pytest.approx(np.abs(d).max(), abs=1e-15)
     cos = float(x @ c) / (np.linalg.norm(x) * np.linalg.norm(c))
-    assert point_distance(x, c, DIST_COSINE) == pytest.approx(1.0 - cos, abs=1e-12)
+    assert point_distance(x, c, "cosine") == pytest.approx(1.0 - cos, abs=1e-12)
 
 
 def test_cosine_distance_edge_cases():
     z = np.zeros(2)
-    assert point_distance(z, np.array([1.0, 0.0]), DIST_COSINE) == 1.0
-    assert point_distance(np.array([1.0, 0.0]), z, DIST_COSINE) == 1.0
+    assert point_distance(z, np.array([1.0, 0.0]), "cosine") == 1.0
+    assert point_distance(np.array([1.0, 0.0]), z, "cosine") == 1.0
     # parallel vectors can round 1 - cos slightly negative; it is clamped
     x = np.array([0.1, 0.2, 0.3])
-    assert point_distance(x, 7.0 * x, DIST_COSINE) >= 0.0
+    assert point_distance(x, 7.0 * x, "cosine") >= 0.0
 
 
 @st.composite
@@ -194,13 +187,13 @@ def point_sets(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(point_sets(), st.sampled_from(sorted(METRICS.values())))
-@example((np.array([[0.0, 0.0], [0.3, 0.4]]), np.array([[0.3, 0.4], [0.0, 0.0]])), METRICS["cosine"])
-@example((np.array([[1e-163]]), np.array([[1e150]])), METRICS["cosine"])  # |x|^2 underflows to 0
-def test_pairwise_distance_matches_scalar_loop_bitwise(sets, code):
+@given(point_sets(), st.sampled_from(METRICS))
+@example((np.array([[0.0, 0.0], [0.3, 0.4]]), np.array([[0.3, 0.4], [0.0, 0.0]])), "cosine")
+@example((np.array([[1e-163]]), np.array([[1e150]])), "cosine")  # |x|^2 underflows to 0
+def test_pairwise_distance_matches_scalar_loop_bitwise(sets, metric):
     points, centers = sets
-    got = pairwise_distance(points, centers, code)
-    want = np.array([[scalar_distance(p.tolist(), c.tolist(), code) for c in centers]
+    got = pairwise_distance(points, centers, metric)
+    want = np.array([[scalar_distance(p.tolist(), c.tolist(), metric) for c in centers]
                      for p in points])
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
@@ -209,9 +202,8 @@ def test_pairwise_distance_matches_scalar_loop_bitwise(sets, code):
 def test_assign_labels_tie_goes_to_lowest_index():
     points = np.array([[0.5, 0.0]])
     centroids = np.array([[0.0, 0.0], [1.0, 0.0]])
-    labels = np.zeros(1, dtype=np.int64)
-    total = assign_labels(points, centroids, METRICS["l2"], labels)
-    assert labels[0] == 0
+    labels, total = assign_labels(points, centroids, "l2")
+    assert labels.tolist() == [0]
     assert total == pytest.approx(0.25, abs=1e-15)
 
 
@@ -219,10 +211,9 @@ def test_assign_labels_matches_bruteforce():
     rng = np.random.default_rng(14)
     points = rng.standard_normal((50, 3))
     centroids = rng.standard_normal((4, 3))
-    for code in METRICS.values():
-        labels = np.zeros(50, dtype=np.int64)
-        total = assign_labels(points, centroids, code, labels)
-        dist = [[scalar_distance(p.tolist(), c.tolist(), code) for c in centroids] for p in points]
+    for metric in METRICS:
+        labels, total = assign_labels(points, centroids, metric)
+        dist = [[scalar_distance(p.tolist(), c.tolist(), metric) for c in centroids] for p in points]
         want = [int(np.argmin(row)) for row in dist]
         assert labels.tolist() == want
         cost = 0.0
@@ -280,6 +271,19 @@ def test_kmeans_validation(fixture_profiles):
         cluster_kmeans(fixture_profiles, 2, metric="mahalanobis")
     with pytest.raises(ValueError, match="no profiles"):
         cluster_kmeans([], 1)
+    with pytest.raises(ValueError, match="unknown metric"):
+        lloyd(np.eye(2), np.eye(2), "mahalanobis")
+    with pytest.raises(ValueError, match="unknown metric"):
+        pairwise_distance(np.eye(2), np.eye(2), "mahalanobis")
+
+
+def test_kmeans_rejects_negative_seed_on_both_paths(fixture_profiles):
+    # S(4, 2) = 7: l2 enumerates the partitions, linf always restarts
+    assert cluster_kmeans(fixture_profiles, 2, metric="l2").exact
+    assert not cluster_kmeans(fixture_profiles, 2, metric="linf").exact
+    for metric in ("l2", "linf"):
+        with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+            cluster_kmeans(fixture_profiles, 2, metric=metric, seed=-1)
 
 
 def test_kmeans_assignment_json(fixture_profiles):
@@ -357,8 +361,7 @@ def test_lloyd_refills_empty_clusters_as_before():
     points = np.random.default_rng(3).random((15, 3))
     init = np.vstack([points[:2], [[50.0, 50.0, 50.0], [60.0, 60.0, 60.0]]])
     for metric, (labels, history) in EMPTY_CLUSTER_RESULTS.items():
-        first = np.zeros(15, dtype=np.int64)
-        assign_labels(points, init, METRICS[metric], first)
+        first, _ = assign_labels(points, init, metric)
         assert set(first.tolist()) == {0, 1}  # the far centroids win nothing
         res = lloyd(points, init, metric)
         assert res.converged, metric
@@ -404,7 +407,7 @@ def test_lloyd_history_is_nonincreasing():
             init = points[rng.choice(n, size=kc, replace=False)]
             res = lloyd(points, init, metric)
             assert all(a >= b - 1e-12 for a, b in zip(res.history, res.history[1:])), metric
-            assert res.converged or res.guard_tripped or len(res.history) == 101
+            assert res.converged or res.guard_tripped or len(res.history) == MAX_ITER + 1
 
 
 def test_guard_trips_only_for_chebyshev():
