@@ -37,12 +37,15 @@ REPEAT = 5  # timed solves per size, best kept ...
 BUDGET_S = 10.0  # ... but no more once a size's solves took this long
 
 
-def factor_correlation(n: int, rows: int, seed: int) -> np.ndarray:
+def factor_data(n: int, rows: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng([seed, n])
     factors = rng.standard_normal((rows, 3))
     loadings = rng.standard_normal((3, n))
-    x = factors @ loadings + rng.standard_normal((rows, n))
-    return np.corrcoef(x, rowvar=False)
+    return factors @ loadings + rng.standard_normal((rows, n))
+
+
+def factor_correlation(n: int, rows: int, seed: int) -> np.ndarray:
+    return np.corrcoef(factor_data(n, rows, seed), rowvar=False)
 
 
 def measure(n: int) -> dict:

@@ -268,13 +268,13 @@ def load_correlation_json(path: str | Path) -> CorrelationMatrix:
 
     Expected shape: ``{"names": [...], "n_obs": N, "r": [[...], ...]}``
     with a square, symmetric matrix, unit diagonal, and entries in
-    [-1, 1].  Symmetry and the diagonal are checked to 1e-12 and then
-    snapped exact, so downstream code can rely on them.
+    [-1, 1].  The file is UTF-8, with or without a byte-order mark.
+    Symmetry and the diagonal are checked to 1e-12 and then snapped
+    exact, so downstream code can rely on them.
     """
     path = Path(path)
     try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+        doc = json.loads(path.read_bytes().decode("utf-8-sig"))
     except OSError as exc:
         raise DataError(f"corrstats: cannot read {path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:

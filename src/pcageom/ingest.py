@@ -4,11 +4,24 @@ The loader is deliberately strict: every selected cell must parse as a
 finite number, missing values are a hard error, and a data set needs
 at least three rows and two columns to be worth analysing.  Downstream
 stages rely on those guarantees instead of re-checking them.
+
+Files are UTF-8; a leading byte-order mark, as spreadsheet exports
+write, is skipped.  One ``np.loadtxt`` call reads every value, so a
+data cell follows NumPy's grammar: after surrounding whitespace, an
+ASCII decimal number (sign, digits, point, exponent) or ``inf``,
+``infinity`` or ``nan`` in any case, the last three rejected as
+non-finite.  ``float`` also reads ``1_0`` and non-ASCII digits; the
+loader does not.  The csv module reads only the first row (the header,
+or the field count) and the label cells.  When NumPy's parser refuses
+a file, the csv module reads it again only to name the row and column
+at fault.
 """
 
 from __future__ import annotations
 
 import csv
+import io
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -145,6 +158,148 @@ def _resolve_column(sel: int | str, names: list[str], n_cols: int) -> int:
         raise DataError(f"ingest: no column named {sel!r}") from None
 
 
+def _names(first_row: list[str], header: bool) -> list[str]:
+    if header:
+        return [cell.strip() for cell in first_row]
+    return [f"col{i + 1}" for i in range(len(first_row))]
+
+
+def _select(
+    names: list[str], columns: list[int | str] | None, label_column: int | str | None
+) -> tuple[int | None, list[int]]:
+    """The label column's index and the data columns' indices."""
+    n_cols = len(names)
+    label_idx = None if label_column is None else _resolve_column(label_column, names, n_cols)
+    if columns is None:
+        selected = [i for i in range(n_cols) if i != label_idx]
+    else:
+        selected = [_resolve_column(sel, names, n_cols) for sel in columns]
+        if label_idx in selected:
+            raise DataError(f"ingest: column {names[label_idx]!r} is both data and label")
+    if len(set(selected)) != len(selected):
+        raise DataError("ingest: a column was selected twice")
+    if len({names[i] for i in selected}) != len(selected):
+        raise DataError("ingest: duplicate column names in selection")
+    return label_idx, selected
+
+
+def _number(cell: str) -> float | None:
+    """``float(cell)`` for the cells ``np.loadtxt`` reads too, else None."""
+    if cell.isascii() and "_" not in cell:
+        try:
+            return float(cell)
+        except ValueError:
+            pass
+    return None
+
+
+def _read(
+    path: Path, columns: list[int | str] | None, label_column: int | str | None, header: bool
+) -> DataMatrix | None:
+    """The data of a well-formed file, or None when ``_fault`` must name a fault.
+
+    The csv module reads the first row and, for a label column, every
+    row; then one ``np.loadtxt`` call reads the values from the start of
+    the same file.  Columns that are not data get a converter that
+    ignores the cell, so NumPy still checks that every row has the same
+    number of fields (``usecols`` would drop that check).
+    """
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        rows = filter(None, reader)
+        first = next(rows, None)
+        if first is None:
+            return None
+        names = _names(first, header)
+        n_cols = len(names)
+        skiprows = reader.line_num if header else 0
+        label_idx, selected = _select(names, columns, label_column)
+        if len(selected) < 2:
+            return None
+        # loadtxt warns on a file without data rows
+        if label_idx is None:
+            label_rows = None
+            if header and not any(line.strip("\r\n") for line in fh):
+                return None
+        else:
+            label_rows = ([] if header else [first]) + list(rows)
+            if not label_rows or any(len(row) != n_cols for row in label_rows):
+                return None
+        fh.seek(0)
+        values = np.loadtxt(
+            fh, delimiter=",", comments=None, quotechar='"', ndmin=2, skiprows=skiprows,
+            converters=dict.fromkeys(set(range(n_cols)) - set(selected), lambda _cell: 0.0),
+        )
+    if len(values) < 3 or values.shape[1] != n_cols:
+        return None
+    if label_rows is not None and len(label_rows) != len(values):
+        return None
+    if selected != list(range(n_cols)):
+        values = values.take(selected, axis=1)
+    if not np.isfinite(values).all():
+        return None
+    return DataMatrix(
+        values=values,
+        column_names=[names[i] for i in selected],
+        labels=None if label_rows is None else [row[label_idx].strip() for row in label_rows],
+        label_name=None if label_idx is None else names[label_idx],
+    )
+
+
+def _fault(
+    path: Path, columns: list[int | str] | None, label_column: int | str | None, header: bool
+) -> DataError:
+    """The error naming the first fault of a file ``_read`` did not load.
+
+    Reads every row with the csv module and checks, in this order: the
+    file, the field count of each row, the column selection, the row
+    and column counts, then each selected cell row by row for a
+    missing or non-numeric value, and last for a non-finite one.
+    """
+    try:
+        # decoded in one piece: a file reader decoding utf-8-sig reads
+        # a file of only b"\xef" or b"\xef\xbb" as empty, not as invalid
+        text = path.read_bytes().decode("utf-8-sig")
+        rows = [row for row in csv.reader(io.StringIO(text, newline="")) if row]
+    except OSError as exc:
+        return DataError(f"ingest: cannot read {path}: {exc.strerror or exc}")
+    except UnicodeDecodeError as exc:
+        return DataError(f"ingest: {path} is not valid UTF-8: {exc.reason}")
+    except csv.Error as exc:
+        return DataError(f"ingest: {path} is not valid CSV: {exc}")
+    if not rows:
+        return DataError(f"ingest: {path} is empty")
+
+    names = _names(rows[0], header)
+    first_line = 2 if header else 1
+    data_rows = rows[first_line - 1:]
+    for line, row in enumerate(data_rows, first_line):
+        if len(row) != len(names):
+            return DataError(f"ingest: row {line} has {len(row)} fields, expected {len(names)}")
+    try:
+        _, selected = _select(names, columns, label_column)
+    except DataError as exc:
+        return exc
+    if len(data_rows) < 3:
+        return DataError(f"ingest: need at least 3 data rows, found {len(data_rows)}")
+    if len(selected) < 2:
+        return DataError(f"ingest: need at least 2 numeric columns, found {len(selected)}")
+
+    non_finite = None
+    for line, row in enumerate(data_rows, first_line):
+        for idx in selected:
+            cell = row[idx].strip()
+            where = f"at row {line}, column {names[idx]!r}"
+            if not cell:
+                return DataError(f"ingest: missing value {where}")
+            value = _number(cell)
+            if value is None:
+                return DataError(f"ingest: non-numeric value {cell!r} {where}")
+            if non_finite is None and not math.isfinite(value):
+                non_finite = DataError(f"ingest: non-finite value {cell!r} {where}")
+    return non_finite or DataError(f"ingest: {path} could not be read as a numeric table")
+
+
 def load_csv(
     path: str | Path,
     columns: list[int | str] | None = None,
@@ -152,6 +307,15 @@ def load_csv(
     header: bool = False,
 ) -> DataMatrix:
     """Load a comma-separated file into a numeric DataMatrix.
+
+    The file is UTF-8, with or without a byte-order mark.  Blank lines
+    are skipped, fields may be quoted with ``"``, and ``#`` is an
+    ordinary character.  A data cell is a number in the grammar the
+    module docstring gives.  Cells of columns that are neither data nor
+    label are not parsed, but every row must have as many fields as the
+    first.  The csv module's 131,072-character field limit applies only
+    to the rows it reads: the first row, and every row when a label
+    column is given.
 
     Args:
         path: file to read.
@@ -162,90 +326,19 @@ def load_csv(
         header: whether the first row holds column names.
 
     Raises:
-        DataError: unreadable or non-UTF-8 file, unknown column, a
-            non-numeric, non-finite or missing cell (reported with its
-            row and column), fewer than 3 rows, or fewer than 2 numeric
-            columns.
+        DataError: unreadable or non-UTF-8 file, a row with a different
+            number of fields, unknown column, a non-numeric, non-finite
+            or missing cell (reported with its row and column), fewer
+            than 3 rows, or fewer than 2 numeric columns.
     """
     path = Path(path)
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            rows = [row for row in csv.reader(fh) if row]
-    except OSError as exc:
-        raise DataError(f"ingest: cannot read {path}: {exc.strerror or exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise DataError(f"ingest: {path} is not valid UTF-8: {exc.reason}") from None
-    except csv.Error as exc:
-        raise DataError(f"ingest: {path} is not valid CSV: {exc}") from None
-
-    if not rows:
-        raise DataError(f"ingest: {path} is empty")
-
-    if header:
-        names = [cell.strip() for cell in rows[0]]
-        data_rows = rows[1:]
-        first_data_line = 2
-    else:
-        names = [f"col{i + 1}" for i in range(len(rows[0]))]
-        data_rows = rows
-        first_data_line = 1
-
-    n_cols = len(names)
-    for offset, row in enumerate(data_rows):
-        if len(row) != n_cols:
-            raise DataError(
-                f"ingest: row {first_data_line + offset} has {len(row)} fields, expected {n_cols}"
-            )
-
-    label_idx: int | None = None
-    label_name: str | None = None
-    if label_column is not None:
-        label_idx = _resolve_column(label_column, names, n_cols)
-        label_name = names[label_idx]
-
-    if columns is None:
-        selected = [i for i in range(n_cols) if i != label_idx]
-    else:
-        selected = [_resolve_column(sel, names, n_cols) for sel in columns]
-        if label_idx in selected:
-            raise DataError(f"ingest: column {names[label_idx]!r} is both data and label")
-
-    if len(set(selected)) != len(selected):
-        raise DataError("ingest: a column was selected twice")
-    sel_names = [names[i] for i in selected]
-    if len(set(sel_names)) != len(sel_names):
-        raise DataError("ingest: duplicate column names in selection")
-
-    if len(data_rows) < 3:
-        raise DataError(f"ingest: need at least 3 data rows, found {len(data_rows)}")
-    if len(selected) < 2:
-        raise DataError(f"ingest: need at least 2 numeric columns, found {len(selected)}")
-
-    values = np.empty((len(data_rows), len(selected)), dtype=np.float64)
-    for r, row in enumerate(data_rows):
-        for c, idx in enumerate(selected):
-            cell = row[idx].strip()
-            if not cell:
-                raise DataError(
-                    f"ingest: missing value at row {first_data_line + r}, column {names[idx]!r}"
-                )
-            try:
-                values[r, c] = float(cell)
-            except ValueError:
-                raise DataError(
-                    f"ingest: non-numeric value {cell!r} at row "
-                    f"{first_data_line + r}, column {names[idx]!r}"
-                ) from None
-    finite = np.isfinite(values)
-    if not finite.all():
-        r, c = np.argwhere(~finite)[0]
-        raise DataError(
-            f"ingest: non-finite value {data_rows[r][selected[c]].strip()!r} at row "
-            f"{first_data_line + r}, column {sel_names[c]!r}"
-        )
-
-    labels = [row[label_idx].strip() for row in data_rows] if label_idx is not None else None
-    return DataMatrix(values=values, column_names=sel_names, labels=labels, label_name=label_name)
+        data = _read(path, columns, label_column, header)
+    except (DataError, OSError, ValueError, csv.Error):
+        data = None  # _fault reads the file again to name what failed
+    if data is None:
+        raise _fault(path, columns, label_column, header)
+    return data
 
 
 def summarize(data: DataMatrix, divisor: str = POPULATION) -> list[ColumnSummary]:

@@ -5,15 +5,21 @@ the t distribution is integrated by adaptive Simpson quadrature instead
 of a continued fraction, eigenvalues come from sign-change bisection on
 the characteristic polynomial instead of Jacobi rotations, and the
 clustering optimum is found by enumerating every partition instead of
-Lloyd descent.  Agreement between the two routes is the evidence the
-tests rely on.
+Lloyd descent, and CSV files are read cell by cell with the csv module
+and ``float`` instead of NumPy's parser.  Agreement between the two
+routes is the evidence the tests rely on.
 """
 
 from __future__ import annotations
 
+import csv
 import math
+from pathlib import Path
 
 import numpy as np
+
+from pcageom.errors import DataError
+from pcageom.ingest import DataMatrix
 
 
 def t_pdf(x: float, df: float) -> float:
@@ -189,3 +195,110 @@ def best_partition(points: np.ndarray, k: int, metric: str):
             best_cost = cost
             best_blocks = {frozenset(b) for b in blocks}
     return best_cost, best_blocks
+
+
+def _reference_column(sel: int | str, names: list[str], n_cols: int) -> int:
+    if isinstance(sel, int):
+        if not 1 <= sel <= n_cols:
+            raise DataError(f"ingest: column index {sel} out of range 1..{n_cols}")
+        return sel - 1
+    try:
+        return names.index(sel)
+    except ValueError:
+        raise DataError(f"ingest: no column named {sel!r}") from None
+
+
+def reference_load_csv(
+    path: str | Path,
+    columns: list[int | str] | None = None,
+    label_column: int | str | None = None,
+    header: bool = False,
+) -> DataMatrix:
+    """``ingest.load_csv`` as it was before NumPy's parser read the values.
+
+    Every row goes through the csv module and every selected cell
+    through ``float``, in a Python double loop.  Kept unchanged as the
+    reference for the differential tests; its known differences from
+    the package are a UTF-8 byte-order mark, which it keeps as part of
+    the first cell, and ``float``'s wider grammar (``1_0``, non-ASCII
+    digits).
+    """
+    path = Path(path)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = [row for row in csv.reader(fh) if row]
+    except OSError as exc:
+        raise DataError(f"ingest: cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"ingest: {path} is not valid UTF-8: {exc.reason}") from None
+    except csv.Error as exc:
+        raise DataError(f"ingest: {path} is not valid CSV: {exc}") from None
+
+    if not rows:
+        raise DataError(f"ingest: {path} is empty")
+
+    if header:
+        names = [cell.strip() for cell in rows[0]]
+        data_rows = rows[1:]
+        first_data_line = 2
+    else:
+        names = [f"col{i + 1}" for i in range(len(rows[0]))]
+        data_rows = rows
+        first_data_line = 1
+
+    n_cols = len(names)
+    for offset, row in enumerate(data_rows):
+        if len(row) != n_cols:
+            raise DataError(
+                f"ingest: row {first_data_line + offset} has {len(row)} fields, expected {n_cols}"
+            )
+
+    label_idx: int | None = None
+    label_name: str | None = None
+    if label_column is not None:
+        label_idx = _reference_column(label_column, names, n_cols)
+        label_name = names[label_idx]
+
+    if columns is None:
+        selected = [i for i in range(n_cols) if i != label_idx]
+    else:
+        selected = [_reference_column(sel, names, n_cols) for sel in columns]
+        if label_idx in selected:
+            raise DataError(f"ingest: column {names[label_idx]!r} is both data and label")
+
+    if len(set(selected)) != len(selected):
+        raise DataError("ingest: a column was selected twice")
+    sel_names = [names[i] for i in selected]
+    if len(set(sel_names)) != len(sel_names):
+        raise DataError("ingest: duplicate column names in selection")
+
+    if len(data_rows) < 3:
+        raise DataError(f"ingest: need at least 3 data rows, found {len(data_rows)}")
+    if len(selected) < 2:
+        raise DataError(f"ingest: need at least 2 numeric columns, found {len(selected)}")
+
+    values = np.empty((len(data_rows), len(selected)), dtype=np.float64)
+    for r, row in enumerate(data_rows):
+        for c, idx in enumerate(selected):
+            cell = row[idx].strip()
+            if not cell:
+                raise DataError(
+                    f"ingest: missing value at row {first_data_line + r}, column {names[idx]!r}"
+                )
+            try:
+                values[r, c] = float(cell)
+            except ValueError:
+                raise DataError(
+                    f"ingest: non-numeric value {cell!r} at row "
+                    f"{first_data_line + r}, column {names[idx]!r}"
+                ) from None
+    finite = np.isfinite(values)
+    if not finite.all():
+        r, c = np.argwhere(~finite)[0]
+        raise DataError(
+            f"ingest: non-finite value {data_rows[r][selected[c]].strip()!r} at row "
+            f"{first_data_line + r}, column {sel_names[c]!r}"
+        )
+
+    labels = [row[label_idx].strip() for row in data_rows] if label_idx is not None else None
+    return DataMatrix(values=values, column_names=sel_names, labels=labels, label_name=label_name)

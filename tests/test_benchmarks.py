@@ -34,3 +34,11 @@ def test_bench_varcluster_measures(monkeypatch, tmp_path):
     assert row["path"] == "exact" and row["n_iterations"] is None
     assert row["timed_calls"] == bench.REPEAT
     assert not bench.OUT.exists()
+
+
+def test_bench_ingest_measures(monkeypatch, tmp_path):
+    bench = load_bench(monkeypatch, tmp_path, "bench_ingest")
+    row = bench.measure(4)
+    assert (row["n"], row["rows"], row["cells"]) == (4, bench.ROWS, 4 * bench.ROWS)
+    assert row["bitwise_float"] and row["timed_loads"] == bench.REPEAT
+    assert not bench.OUT.exists()

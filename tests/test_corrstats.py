@@ -305,10 +305,20 @@ def test_load_correlation_json_rejects_unrepresentable_numbers(tmp_path, text, m
         load_correlation_json(p)
 
 
+def test_load_correlation_json_skips_a_utf8_byte_order_mark(tmp_path):
+    p = tmp_path / "excel.json"
+    p.write_bytes(b"\xef\xbb\xbf" + json.dumps(GOOD).encode("utf-8"))
+    corr = load_correlation_json(p)
+    assert corr.names == ["a", "b"] and corr.r[0, 1] == 0.5
+
+
 def test_load_correlation_json_rejects_non_utf8(tmp_path):
     p = tmp_path / "latin1.json"
     p.write_bytes(b'{"names": ["\xe4", "b"], "n_obs": 10, "r": [[1, 0.5], [0.5, 1]]}')
     with pytest.raises(DataError, match=r"latin1\.json is not valid UTF-8"):
+        load_correlation_json(p)
+    p.write_bytes(b"\xef")  # the first byte of a byte-order mark, and nothing else
+    with pytest.raises(DataError, match="not valid UTF-8: unexpected end of data"):
         load_correlation_json(p)
 
 

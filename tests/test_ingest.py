@@ -1,5 +1,8 @@
 """CSV loading, column selection, summaries, and standardization."""
 
+import ast
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -16,6 +19,7 @@ from pcageom.ingest import (
 )
 
 from conftest import REF_IRIS_MEANS
+from oracles import reference_load_csv
 
 
 def write_csv(tmp_path, text, name="data.csv"):
@@ -144,11 +148,42 @@ def test_load_csv_rejects_non_utf8(tmp_path):
     p.write_bytes(b"a,b\n1,2\n3,\xe4\n5,6\n")
     with pytest.raises(DataError, match=r"latin1\.csv is not valid UTF-8"):
         load_csv(p, header=True)
+    p.write_bytes(b"\xef")  # the first byte of a byte-order mark, and nothing else
+    with pytest.raises(DataError, match="not valid UTF-8: unexpected end of data"):
+        load_csv(p)
 
 
 def test_load_csv_rejects_a_field_past_the_csv_limit(tmp_path):
     p = write_csv(tmp_path, "1,2\n3," + "4" * 200_000 + "\n5,6\n")
     with pytest.raises(DataError, match="not valid CSV"):
+        load_csv(p)
+
+
+def test_load_csv_reads_a_finite_number_past_the_csv_limit(tmp_path):
+    # NumPy's parser has no field limit; the csv module's 131,072 still
+    # applies to the rows it reads, all of them when labels are read
+    long = "0." + "0" * 200_000 + "1"
+    p = write_csv(tmp_path, f"id,a,b\nr1,1,2\nr2,3,{long}\nr3,5,7\n")
+    data = load_csv(p, columns=["a", "b"], header=True)
+    assert data.values[1, 1] == float(long) == 0.0
+    with pytest.raises(DataError, match="not valid CSV: field larger than field limit"):
+        load_csv(p, label_column="id", header=True)
+
+
+def test_load_csv_skips_a_utf8_byte_order_mark(tmp_path):
+    p = tmp_path / "excel.csv"
+    p.write_bytes(b"\xef\xbb\xbfa,b\n1,2\n3,4\n5,7\n")
+    data = load_csv(p, columns=["a", "b"], header=True)
+    assert data.column_names == ["a", "b"]
+    p.write_bytes(b"\xef\xbb\xbf1,2\n3,4\n5,7\n")
+    np.testing.assert_array_equal(load_csv(p).values[:, 0], [1.0, 3.0, 5.0])
+
+
+@pytest.mark.parametrize("cell", ["1_0", "\u0661", "\u0661.5"])
+def test_load_csv_rejects_what_only_float_reads(tmp_path, cell):
+    p = write_csv(tmp_path, f"1,2\n3,{cell}\n5,7\n")
+    assert reference_load_csv(p).values[1, 1] == float(cell)
+    with pytest.raises(DataError, match=rf"non-numeric value '{cell}' at row 2, column 'col2'"):
         load_csv(p)
 
 
@@ -171,6 +206,88 @@ def test_load_csv_loads_or_raises_data_error(tmp_path_factory, content, header):
     except DataError:
         return
     assert data.n_rows >= 3 and data.n_cols >= 2 and np.all(np.isfinite(data.values))
+
+
+BOM = "\ufeff".encode("utf-8")
+NUMBERS = ["1", "2.5", "-3", " 4 ", "1e5", ".5", "7.", '"8"', "+9", "\u00a07"]
+ODD = ["nan", "inf", "1e400", "", " ", "x", "#", "#1", '"1,5"', '"a""b"', "1_0", "\u0661",
+       "\u0661.5"]
+NAMES = ["a", "b", " c ", '"a"', "col1", ""]
+
+
+@st.composite
+def csv_files(draw):
+    """Mostly rectangular files of numbers, with odd cells, ragged and
+    blank lines, an optional name row and a byte-order mark mixed in."""
+    width = draw(st.integers(1, 4))
+    cell = st.sampled_from(NUMBERS * 8 + ODD)
+    row = st.lists(cell, min_size=width, max_size=width)
+    if draw(st.integers(0, 3)):
+        rows = draw(st.lists(row, min_size=3, max_size=7))
+    else:
+        rows = draw(st.lists(row | st.lists(cell, max_size=5), max_size=7))
+    if draw(st.booleans()):
+        rows.insert(0, draw(st.lists(st.sampled_from(NAMES), min_size=width, max_size=width)))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = end.join(",".join(row) for row in rows) + draw(st.sampled_from(["", end]))
+    return (BOM if draw(st.booleans()) else b"") + text.encode("utf-8")
+
+
+def _outcome(load, path, **kwargs):
+    try:
+        return load(path, **kwargs)
+    except DataError as exc:
+        return str(exc)
+
+
+def _only_float_reads(new, ref):
+    """Whether ``new`` rejects a cell that ``float`` reads but NumPy does
+    not, while ``ref`` loaded or also stopped at a cell."""
+    m = re.fullmatch(r"ingest: non-numeric value ('.*') at row \d+, column '.*'", new, re.S)
+    if m is None or isinstance(ref, str) and not re.search(r" value.* at row \d+, column ", ref):
+        return False
+    cell = ast.literal_eval(m[1])
+    float(cell)  # raises unless float reads the cell
+    return not cell.isascii() or "_" in cell
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.binary(max_size=120), st.text(max_size=120).map(str.encode), csv_files()),
+       st.booleans(),
+       st.none() | st.lists(st.sampled_from([1, 2, 3, 5, "a", "b", "col1", "col2"]),
+                            min_size=1, max_size=3),
+       st.none() | st.sampled_from([1, 3, "a", "col3"]))
+@example(b"1,2\n3,4\n5,6,7\n8,9\n", False, [1, 2], None)
+@example(b"a,b\n1,2\n\n3,4\n5,6\n", True, None, None)
+@example(b"a,b\n1,2\n \n3,4\n5,6\n", True, None, None)
+@example(b"1,2\n3,#\n5,6\n", False, None, None)
+@example(b'1,"2"\n3,"4"\n5,"6"\n', False, None, None)
+@example(b"a,b\r\n1,2\r\n3,4\r\n5,6\r\n", True, None, None)
+@example(b"id,x,y\nr1,1,2\nr2,3,4\nr3,5,7\n", True, None, "id")
+@example(BOM + b"a,b\n1,2\n3,4\n5,7\n", True, ["a"], None)
+@example(b'\n"a\nb",c\n1,2\n3,4\n5,7\n', True, None, None)
+@example(b"a,b\n\n", True, None, None)
+@example(b"\xef", False, None, None)
+@pytest.mark.filterwarnings("error::UserWarning")
+def test_load_csv_matches_the_float_loop(tmp_path_factory, content, header, columns, label):
+    """NumPy's parser gives the values, names, labels and errors of the
+    cell-by-cell loop it replaced, except for the documented cases: a
+    byte-order mark is not part of the first cell, and cells only
+    ``float`` reads (``1_0``, non-ASCII digits) are non-numeric."""
+    p = tmp_path_factory.getbasetemp() / "diff.csv"
+    kwargs = dict(columns=columns, label_column=label, header=header)
+    p.write_bytes(content.removeprefix(BOM))
+    ref = _outcome(reference_load_csv, p, **kwargs)
+    p.write_bytes(content)
+    new = _outcome(load_csv, p, **kwargs)
+    if isinstance(new, str):
+        assert new == ref or _only_float_reads(new, ref), (new, ref)
+        return
+    assert not isinstance(ref, str), ref
+    assert new.values.dtype == ref.values.dtype and new.values.shape == ref.values.shape
+    assert new.values.tobytes() == ref.values.tobytes()
+    assert (new.column_names, new.labels, new.label_name) == (
+        ref.column_names, ref.labels, ref.label_name)
 
 
 def test_summarize_matches_numpy(tmp_path):
