@@ -113,6 +113,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             render_svg_similarity(result.profiles, result.assignment), encoding="utf-8"
         )
     else:
+        # a map left by an earlier k = 2 run in this directory would sit
+        # beside a report it does not belong to
+        (out_dir / "similarity.svg").unlink(missing_ok=True)
         print(
             f"pcageom: similarity.svg skipped: the map is defined for k = 2, have k = {result.k}",
             file=sys.stderr,

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import csv
 import io
-import json
+import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -263,7 +264,56 @@ def run_analysis(
 
 
 def to_json_text(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    """The report as JSON text: ``json.dumps(report, indent=2,
+    sort_keys=True) + "\\n"``, byte for byte.
+
+    ``json.dumps`` runs its pure-Python encoder whenever it indents; this
+    writer does the same job with one join per list of plain floats.
+    """
+    return _json(report, "") + "\n"
+
+
+def _json(o, indent: str) -> str:
+    """``o`` as indented JSON whose first line starts at ``indent``.
+
+    A value of another type, or a key that is not a ``str``, raises a
+    ``TypeError`` naming its type (the key's from the sort or the quote).
+    """
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        inner = indent + "  "
+        sep = ",\n" + inner
+        # a NaN or an infinity makes the sum non-finite, so only a row of
+        # finite floats takes the one join
+        if {*map(type, o)} == {float} and math.isfinite(sum(o)):
+            body = sep.join(map(float.__repr__, o))
+        else:
+            body = sep.join([_json(v, inner) for v in o])
+        return "[\n" + inner + body + "\n" + indent + "]"
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        inner = indent + "  "
+        body = (",\n" + inner).join([_quote(key) + ": " + _json(o[key], inner) for key in sorted(o)])
+        return "{\n" + inner + body + "\n" + indent + "}"
+    if isinstance(o, str):
+        return _quote(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        if o != o:
+            return "NaN"
+        if math.isinf(o):
+            return "Infinity" if o > 0 else "-Infinity"
+        return float.__repr__(o)
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
 def _matrix(labels: Iterable[str], matrix: Iterable, scale: float = 1.0) -> Iterator[list[str]]:

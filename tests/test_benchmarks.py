@@ -42,3 +42,12 @@ def test_bench_ingest_measures(monkeypatch, tmp_path):
     assert (row["n"], row["rows"], row["cells"]) == (4, bench.ROWS, 4 * bench.ROWS)
     assert row["bitwise_float"] and row["timed_loads"] == bench.REPEAT
     assert not bench.OUT.exists()
+
+
+def test_bench_output_measures(monkeypatch, tmp_path):
+    bench = load_bench(monkeypatch, tmp_path, "bench_output")
+    row = bench.measure(4)
+    assert (row["n"], row["rows"]) == (4, bench.ROWS)
+    assert row["bytes_equal_dumps"] and row["json_bytes"] > 0
+    assert row["timed_calls"] == bench.REPEAT
+    assert not bench.OUT.exists()

@@ -29,6 +29,9 @@ def test_analyze_writes_report_files(tmp_path, capsys):
 
 
 def test_analyze_skips_similarity_map_off_k2(tmp_path, capsys):
+    # a map from an earlier k = 2 run in the same directory is removed
+    code, _, _ = run(capsys, "analyze", "fixtures/iris_corr.json", "--out", str(tmp_path))
+    assert code == 0 and (tmp_path / "similarity.svg").exists()
     code, _, err = run(
         capsys,
         "analyze",

@@ -3,8 +3,12 @@
 import csv
 import io
 import json
+import math
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pcageom.fixtures import fixture_path
 from pcageom.report import render_csv, render_markdown, run_analysis, to_json_text
@@ -117,6 +121,66 @@ def test_json_text_is_deterministic():
     assert a == b
     assert a.endswith("\n")
     assert json.loads(a)  # stays parseable
+
+
+def dumps_text(tree) -> str:
+    """The reference ``to_json_text`` is pinned to."""
+    return json.dumps(tree, indent=2, sort_keys=True) + "\n"
+
+
+def seeded_csv(path, n: int, rows: int = 300):
+    rng = np.random.default_rng([20, n])
+    x = rng.standard_normal((rows, 3)) @ rng.standard_normal((3, n)) + rng.standard_normal((rows, n))
+    np.savetxt(path, x, fmt="%.6f", delimiter=",", comments="",
+               header=",".join(f"v{j + 1}" for j in range(n)))
+    return path
+
+
+def test_json_text_matches_json_dumps_on_full_reports(tmp_path, corr_result):
+    reports = [
+        corr_result.report,
+        run_analysis(IRIS, columns="1-4", header=True, cluster_method="kmeans").report,
+        run_analysis(seeded_csv(tmp_path / "v20.csv", 20), header=True).report,
+    ]
+    for report in reports:
+        assert to_json_text(report) == dumps_text(report)
+
+
+JSON_FLOATS = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e308, 5e-324])
+JSON_SCALARS = (
+    st.none() | st.booleans() | st.integers() | st.text()
+    | JSON_FLOATS | JSON_FLOATS.map(np.float64)
+)
+JSON_TREES = st.recursive(
+    JSON_SCALARS | st.lists(JSON_FLOATS),  # flat float rows take the one-join path
+    lambda kids: st.lists(kids, max_size=5) | st.dictionaries(st.text(), kids, max_size=5),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_TREES)
+@example({"": {}, "b": [], "\u00e9\x00\n\"": [[], {}], "a": {"z": None, "y": [True, False, 0]}})
+@example({"overflow": [1e308, 1e308], "cancel": [1e308, -1e308, 1.5], "mixed": [1, 2.5, -0.0],
+          "tuples": ((0.5, 1.5), (), (math.nan,))})
+@example([[math.nan, 1.0], [math.inf], [-math.inf, -0.0], [0.1, 1e-300, -2.5e100]])
+@example({"np": [np.float64(0.1), np.float64(math.nan), np.float64(-0.0)], "x": np.float64(2.0)})
+@example(["\x1f\u2028\U0001f600\ud800", "\\/\t", 10**30, -(10**30)])
+def test_json_text_matches_json_dumps(tree):
+    assert to_json_text(tree) == dumps_text(tree)
+
+
+@pytest.mark.parametrize(("tree", "names"), [
+    ({1: 0.5}, "int"),
+    ({"a": 0, 1: 0}, "int"),
+    ({"a": {None: 0.5}}, "NoneType"),
+    ({"a": [{(1, 2): 0}]}, "tuple"),
+    ({"a": np.int64(3)}, "int64"),
+    ([{1, 2}], "set"),
+])
+def test_json_text_rejects_what_the_report_never_holds(tree, names):
+    with pytest.raises(TypeError, match=names):
+        to_json_text(tree)
 
 
 def test_markdown_sections(corr_result):
