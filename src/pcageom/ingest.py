@@ -12,9 +12,9 @@ ASCII decimal number (sign, digits, point, exponent) or ``inf``,
 ``infinity`` or ``nan`` in any case, the last three rejected as
 non-finite.  ``float`` also reads ``1_0`` and non-ASCII digits; the
 loader does not.  The csv module reads only the first row (the header,
-or the field count) and the label cells.  When NumPy's parser refuses
-a file, the csv module reads it again only to name the row and column
-at fault.
+or the field count); NumPy's parser reads the label cells too.  When it
+refuses a file, the csv module reads it again only to name the row and
+column at fault.
 """
 
 from __future__ import annotations
@@ -198,16 +198,15 @@ def _read(
 ) -> DataMatrix | None:
     """The data of a well-formed file, or None when ``_fault`` must name a fault.
 
-    The csv module reads the first row and, for a label column, every
-    row; then one ``np.loadtxt`` call reads the values from the start of
-    the same file.  Columns that are not data get a converter that
-    ignores the cell, so NumPy still checks that every row has the same
-    number of fields (``usecols`` would drop that check).
+    The csv module reads the first row; then one ``np.loadtxt`` call
+    reads the values from the start of the same file.  Columns that are
+    not data get a converter that returns 0.0, so NumPy still checks
+    that every row has the same number of fields (``usecols`` would drop
+    that check); the label column's converter also keeps the cell.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
-        rows = filter(None, reader)
-        first = next(rows, None)
+        first = next(filter(None, reader), None)
         if first is None:
             return None
         names = _names(first, header)
@@ -217,22 +216,18 @@ def _read(
         if len(selected) < 2:
             return None
         # loadtxt warns on a file without data rows
-        if label_idx is None:
-            label_rows = None
-            if header and not any(line.strip("\r\n") for line in fh):
-                return None
-        else:
-            label_rows = ([] if header else [first]) + list(rows)
-            if not label_rows or any(len(row) != n_cols for row in label_rows):
-                return None
+        if header and not any(line.strip("\r\n") for line in fh):
+            return None
+        converters = dict.fromkeys(set(range(n_cols)) - set(selected), lambda _cell: 0.0)
+        labels: list[str] = []
+        if label_idx is not None:  # NumPy calls it once per data row, in file order
+            converters[label_idx] = lambda cell: labels.append(cell.strip()) or 0.0
         fh.seek(0)
         values = np.loadtxt(
             fh, delimiter=",", comments=None, quotechar='"', ndmin=2, skiprows=skiprows,
-            converters=dict.fromkeys(set(range(n_cols)) - set(selected), lambda _cell: 0.0),
+            converters=converters,
         )
     if len(values) < 3 or values.shape[1] != n_cols:
-        return None
-    if label_rows is not None and len(label_rows) != len(values):
         return None
     if selected != list(range(n_cols)):
         values = values.take(selected, axis=1)
@@ -241,7 +236,7 @@ def _read(
     return DataMatrix(
         values=values,
         column_names=[names[i] for i in selected],
-        labels=None if label_rows is None else [row[label_idx].strip() for row in label_rows],
+        labels=None if label_idx is None else labels,
         label_name=None if label_idx is None else names[label_idx],
     )
 
@@ -313,9 +308,8 @@ def load_csv(
     ordinary character.  A data cell is a number in the grammar the
     module docstring gives.  Cells of columns that are neither data nor
     label are not parsed, but every row must have as many fields as the
-    first.  The csv module's 131,072-character field limit applies only
-    to the rows it reads: the first row, and every row when a label
-    column is given.
+    first.  The csv module reads only the first row, so its
+    131,072-character field limit applies to that row only.
 
     Args:
         path: file to read.

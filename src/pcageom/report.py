@@ -75,10 +75,17 @@ def load_input(
     Returns ``(corr, data, z)``: the correlation matrix, plus for CSV
     input the loaded data and its standardized values (both ``None``
     for JSON input).  ``columns`` and ``label_column`` use the column
-    spec syntax; the label spec must select exactly one column.
+    spec syntax; the label spec must select exactly one column.  They
+    and ``header`` apply to CSV input only; JSON input rejects them.
     """
     input_path = Path(input_path)
     if input_path.suffix.lower() == ".json":
+        flags = {"--columns": columns is not None, "--label-column": label_column is not None,
+                 "--header": header}
+        given = [flag for flag, on in flags.items() if on]
+        if given:
+            raise DataError(f"report: {', '.join(given)} given with JSON input {input_path.name}; "
+                            "--columns, --label-column and --header apply to CSV input only")
         return load_correlation_json(input_path), None, None
     selectors = parse_column_spec(columns) if columns is not None else None
     label_sel: int | str | None = None

@@ -41,6 +41,10 @@ def test_bench_ingest_measures(monkeypatch, tmp_path):
     row = bench.measure(4)
     assert (row["n"], row["rows"], row["cells"]) == (4, bench.ROWS, 4 * bench.ROWS)
     assert row["bitwise_float"] and row["timed_loads"] == bench.REPEAT
+    row = bench.measure(4, label_column="v1")
+    assert (row["label_column"], row["cells"]) == ("v1", 3 * bench.ROWS)
+    assert row["bitwise_float"] and row["timed_loads"] == bench.REPEAT
+    assert (24, 10_000, "v1") in bench.CASES
     assert not bench.OUT.exists()
 
 

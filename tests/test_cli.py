@@ -191,6 +191,20 @@ def test_both_commands_reject_an_empty_column_selection(tmp_path, capsys):
         assert out == "", argv[0]
 
 
+@pytest.mark.parametrize("flags", [("--columns", "1-2"), ("--label-column", "3"), ("--header",),
+                                   ("--columns", "1-2", "--label-column", "3")])
+def test_both_commands_reject_csv_flags_with_json_input(tmp_path, capsys, flags):
+    args = ("fixtures/iris_corr.json", *flags)
+    given = ", ".join(f for f in flags if f.startswith("--"))
+    for argv in (("analyze", *args, "--out", str(tmp_path)), ("verify", *args)):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv[0]
+        assert f"{given} given with JSON input iris_corr.json" in err, argv[0]
+        assert "apply to CSV input only" in err, argv[0]
+        assert out == "", argv[0]
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_negative_seed_is_an_input_error(tmp_path, capsys):
     code, out, err = run(capsys, "analyze", "fixtures/iris.csv", "--header", "--columns", "1-4",
                          "--clusters", "kmeans", "--seed", "-1", "--out", str(tmp_path))

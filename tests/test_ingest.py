@@ -160,14 +160,19 @@ def test_load_csv_rejects_a_field_past_the_csv_limit(tmp_path):
 
 
 def test_load_csv_reads_a_finite_number_past_the_csv_limit(tmp_path):
-    # NumPy's parser has no field limit; the csv module's 131,072 still
-    # applies to the rows it reads, all of them when labels are read
+    # NumPy's parser has no field limit; the csv module's 131,072 applies
+    # only to the first row, the one row it reads, labels or not
     long = "0." + "0" * 200_000 + "1"
     p = write_csv(tmp_path, f"id,a,b\nr1,1,2\nr2,3,{long}\nr3,5,7\n")
     data = load_csv(p, columns=["a", "b"], header=True)
     assert data.values[1, 1] == float(long) == 0.0
-    with pytest.raises(DataError, match="not valid CSV: field larger than field limit"):
-        load_csv(p, label_column="id", header=True)
+    data = load_csv(p, label_column="id", header=True)
+    assert data.values[1, 1] == 0.0 and data.labels == ["r1", "r2", "r3"]
+    label = "r" * 200_000
+    p = write_csv(tmp_path, f"id,a,b\nr1,1,2\n{label},3,4\nr3,5,7\n", name="label.csv")
+    data = load_csv(p, label_column="id", header=True)
+    assert data.labels == ["r1", label, "r3"]
+    np.testing.assert_array_equal(data.values, [[1.0, 2.0], [3.0, 4.0], [5.0, 7.0]])
 
 
 def test_load_csv_skips_a_utf8_byte_order_mark(tmp_path):
@@ -264,11 +269,14 @@ def _only_float_reads(new, ref):
 @example(b'1,"2"\n3,"4"\n5,"6"\n', False, None, None)
 @example(b"a,b\r\n1,2\r\n3,4\r\n5,6\r\n", True, None, None)
 @example(b"id,x,y\nr1,1,2\nr2,3,4\nr3,5,7\n", True, None, "id")
+@example(b'id,x,y\n"r,1",1,2\nr2,3,4\nr3,5,7\n', True, None, "id")
+@example(b'x,id,y\n1,"a""b",2\n3,r2,4\n5,r3,7\n', True, None, "id")
+@example(b'1,2,"r\n1"\n3,4,r2\n5,7,r3\n', False, None, 3)
+@example(b"1,r1,2\n3, r2 ,4\n5,r3,7\n", False, [1, 3], 2)
 @example(BOM + b"a,b\n1,2\n3,4\n5,7\n", True, ["a"], None)
 @example(b'\n"a\nb",c\n1,2\n3,4\n5,7\n', True, None, None)
 @example(b"a,b\n\n", True, None, None)
 @example(b"\xef", False, None, None)
-@pytest.mark.filterwarnings("error::UserWarning")
 def test_load_csv_matches_the_float_loop(tmp_path_factory, content, header, columns, label):
     """NumPy's parser gives the values, names, labels and errors of the
     cell-by-cell loop it replaced, except for the documented cases: a
