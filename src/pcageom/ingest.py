@@ -223,11 +223,14 @@ def _read(
         if label_idx is not None:  # NumPy calls it once per data row, in file order
             converters[label_idx] = lambda cell: labels.append(cell.strip()) or 0.0
         fh.seek(0)
+        # encoding=None: NumPy < 2.0 defaults to "bytes" and would pass bytes to converters
         values = np.loadtxt(
             fh, delimiter=",", comments=None, quotechar='"', ndmin=2, skiprows=skiprows,
-            converters=converters,
+            converters=converters, encoding=None,
         )
     if len(values) < 3 or values.shape[1] != n_cols:
+        return None
+    if label_idx is not None and len(labels) != len(values):
         return None
     if selected != list(range(n_cols)):
         values = values.take(selected, axis=1)

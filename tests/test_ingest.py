@@ -110,6 +110,30 @@ def test_load_csv_label_column(tmp_path):
         load_csv(p, columns=["id", "x"], label_column="id", header=True)
 
 
+def test_load_csv_labels_are_str_under_the_numpy_1_default(tmp_path, monkeypatch):
+    # NumPy < 2.0 defaults np.loadtxt to encoding="bytes", which hands
+    # converters latin1-encoded bytes; load_csv must not depend on it
+    loadtxt = np.loadtxt
+    monkeypatch.setattr(np, "loadtxt", lambda *a, **kw: loadtxt(*a, **{"encoding": "bytes", **kw}))
+    p = write_csv(tmp_path, "id,x,y\nr1,1,2\n行二,3,4\n r3 ,5,6\n")
+    assert load_csv(p, label_column="id", header=True).labels == ["r1", "行二", "r3"]
+
+
+def test_load_csv_rejects_labels_misaligned_with_rows(tmp_path, monkeypatch):
+    # a converter called other than once per data row would shift the labels
+    loadtxt = np.loadtxt
+
+    def probing_loadtxt(*args, converters, **kwargs):
+        for convert in converters.values():
+            convert("probe")
+        return loadtxt(*args, converters=converters, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", probing_loadtxt)
+    p = write_csv(tmp_path, "id,x,y\nr1,1,2\nr2,3,4\nr3,5,6\n")
+    with pytest.raises(DataError, match="could not be read as a numeric table"):
+        load_csv(p, label_column="id", header=True)
+
+
 def test_load_csv_errors_carry_row_and_column(tmp_path):
     p = write_csv(tmp_path, "a,b\n1,2\n3,oops\n5,6\n")
     with pytest.raises(DataError, match=r"row 3, column 'b'"):
