@@ -27,17 +27,20 @@ _CRITERION_FLAGS = {
 def _resolve_input(raw: str) -> Path:
     """Use the path as given, falling back to the bundled fixtures.
 
-    A nonexistent path like ``fixtures/iris.csv`` (or a bare fixture
-    name) resolves to the packaged copy, so documented commands work
-    from any directory.
+    A nonexistent bare fixture name (``iris.csv``) or relative
+    ``fixtures/iris.csv`` resolves to the packaged copy, so documented
+    commands work from any directory.  Any other missing path is an
+    error, not a fixture that happens to share its base name.
     """
     path = Path(raw)
     if path.exists():
         return path
-    try:
-        return fixture_path(path.name)
-    except FileNotFoundError:
-        raise PcageomError(f"cli: cannot read input {raw!r}: no such file") from None
+    if path.parts in ((path.name,), ("fixtures", path.name)):
+        try:
+            return fixture_path(path.name)
+        except FileNotFoundError:
+            pass
+    raise PcageomError(f"cli: cannot read input {raw!r}: no such file")
 
 
 def _build_parser() -> argparse.ArgumentParser:

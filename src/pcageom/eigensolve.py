@@ -11,9 +11,12 @@ off-diagonal Frobenius norm falls below 1e-12 times the Frobenius norm
 of the input (at most 100 sweeps).  Jacobi is chosen over faster
 tridiagonalization methods because every step is an explicit rotation,
 which keeps the accumulated eigenvector basis orthogonal to machine
-precision, computes small eigenvalues to high relative accuracy
-(Demmel & Veselic, SIAM J. Matrix Anal. Appl. 13(4), 1992), and makes
-the run fully reproducible.
+precision and computes small eigenvalues to high relative accuracy
+(Demmel & Veselic, SIAM J. Matrix Anal. Appl. 13(4), 1992).  The output
+bytes are reproducible for a fixed BLAS thread count: the n x n
+products of a round run in BLAS.  At n = 300 the eigensystem's bytes
+differed between ``OPENBLAS_NUM_THREADS`` 1 and 2; up to n = 160 they
+matched.
 
 Raw eigensolvers leave eigenvalue order and eigenvector signs
 arbitrary.  Three conventions pin them down here:

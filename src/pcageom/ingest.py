@@ -344,23 +344,20 @@ def summarize(data: DataMatrix, divisor: str = POPULATION) -> list[ColumnSummary
     The population divisor (n) is the default throughout the package;
     pass ``divisor="sample"`` for the n-1 convention.
     """
-    ddof = ddof_for(divisor)
-    n = data.n_rows
-    out = []
-    for j, name in enumerate(data.column_names):
-        col = data.values[:, j]
-        var = float(np.var(col, ddof=ddof))
-        out.append(
-            ColumnSummary(
-                name=name,
-                mean=float(np.mean(col)),
-                std=float(np.sqrt(var)),
-                variance=var,
-                n=n,
-                divisor=divisor,
-            )
+    # The steps of np.mean and np.var, bit for bit: axis-1 sums over one
+    # contiguous copy add each column in the order a 1-D reduction would
+    # (axis 0 of the row-major array does not), and squaring that copy in
+    # place spares np.var's second array of the data's size.
+    columns = np.array(data.values.T, dtype=np.float64, order="C")
+    means = columns.mean(axis=1)
+    columns -= means[:, None]
+    variances = np.square(columns, out=columns).sum(axis=1) / (data.n_rows - ddof_for(divisor))
+    return [
+        ColumnSummary(name=name, mean=mean, std=std, variance=var, n=data.n_rows, divisor=divisor)
+        for name, mean, std, var in zip(
+            data.column_names, means.tolist(), np.sqrt(variances).tolist(), variances.tolist()
         )
-    return out
+    ]
 
 
 def standardize(data: DataMatrix, divisor: str = POPULATION) -> StandardizedMatrix:
@@ -371,11 +368,10 @@ def standardize(data: DataMatrix, divisor: str = POPULATION) -> StandardizedMatr
             and carries no correlation information.
     """
     summaries = summarize(data, divisor)
-    z = np.empty_like(data.values)
-    for j, s in enumerate(summaries):
+    for s in summaries:
         if s.std == 0.0:
             raise DataError(f"ingest: column {s.name!r} has zero variance")
-        z[:, j] = (data.values[:, j] - s.mean) / s.std
+    z = (data.values - [s.mean for s in summaries]) / [s.std for s in summaries]
     return StandardizedMatrix(
         values=z, column_names=list(data.column_names), summaries=summaries, divisor=divisor
     )

@@ -485,17 +485,27 @@ def render_markdown(report: dict) -> str:
         + (f" ({prov['metric']})" if prov["metric"] else ""),
         "",
     ]
+    # every text cell that is not a fixed label holds a variable name, so
+    # only a name can put a "|" in a cell; the tables then write it "\|"
+    escape = any("|" in name for name in report["correlation"]["names"])
     for title, _, headers, rows in _sections(report):
         lines += [title, ""]
         if headers is None:
             lines += rows
         else:
             headers = _side(headers, 0)
+            if escape:
+                headers = _escape_pipes(headers)
+                rows = [_escape_pipes(_side(row, 0)) for row in rows]
             lines.append("| " + " | ".join(headers) + " |")
             lines.append("| " + " | ".join(["---"] * len(headers)) + " |")
             lines += ["| " + " | ".join(_side(row, 0)) + " |" for row in rows]
         lines.append("")
     return "\n".join(lines)
+
+
+def _escape_pipes(cells: list[str]) -> list[str]:
+    return [c.replace("|", "\\|") for c in cells]
 
 
 def render_csv(report: dict) -> str:

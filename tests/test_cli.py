@@ -145,6 +145,15 @@ def test_missing_input_is_an_input_error(tmp_path, capsys):
     assert err.startswith("pcageom: error:")
 
 
+def test_missing_path_is_not_replaced_by_a_fixture(tmp_path, capsys):
+    for raw in (str(tmp_path / "nowhere" / "iris.csv"), "elsewhere/fixtures/iris.csv"):
+        code, out, err = run(capsys, "analyze", raw, "--columns", "1-4", "--header",
+                             "--out", str(tmp_path / "o"))
+        assert code == 2 and out == ""
+        assert f"cannot read input {raw!r}: no such file" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_bad_k_is_an_input_error(capsys):
     code, _, err = run(capsys, "analyze", "fixtures/iris_corr.json", "--k", "many")
     assert code == 2

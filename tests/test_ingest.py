@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from pcageom.errors import DataError
 from pcageom.ingest import (
     MAX_COLUMNS,
+    DataMatrix,
     ddof_for,
     load_csv,
     parse_column_spec,
@@ -323,14 +324,21 @@ def test_load_csv_matches_the_float_loop(tmp_path_factory, content, header, colu
 
 
 def test_summarize_matches_numpy(tmp_path):
-    data = load_csv(write_csv(tmp_path, BASIC))
-    for divisor, ddof in (("population", 0), ("sample", 1)):
-        for j, s in enumerate(summarize(data, divisor)):
-            col = data.values[:, j]
-            assert s.mean == pytest.approx(col.mean(), abs=1e-15)
-            assert s.variance == pytest.approx(col.var(ddof=ddof), abs=1e-15)
-            assert s.std == pytest.approx(col.std(ddof=ddof), abs=1e-15)
-            assert s.n == 4 and s.divisor == divisor
+    # a per-column loop of 1-D reductions is the reference, bit for bit
+    rng = np.random.default_rng(11)
+    tall = rng.standard_normal((10_000, 24)) * rng.uniform(0.1, 100.0, 24) + rng.uniform(-50.0, 50.0, 24)
+    for data in (
+        load_csv(write_csv(tmp_path, BASIC)),
+        DataMatrix(values=tall, column_names=[f"v{j}" for j in range(24)]),
+    ):
+        for divisor, ddof in (("population", 0), ("sample", 1)):
+            z = standardize(data, divisor).values
+            for j, s in enumerate(summarize(data, divisor)):
+                col = data.values[:, j]
+                var = float(np.var(col, ddof=ddof))
+                assert (s.mean, s.variance, s.std) == (float(np.mean(col)), var, float(np.sqrt(var)))
+                assert s.n == data.n_rows and s.divisor == divisor
+                assert z[:, j].tobytes() == ((col - s.mean) / s.std).tobytes()
 
 
 def test_standardize_centers_and_scales(iris_standardized):
@@ -348,6 +356,9 @@ def test_standardize_rejects_constant_column(tmp_path):
     p = write_csv(tmp_path, "1,5\n2,5\n3,5\n")
     with pytest.raises(DataError, match="zero variance"):
         standardize(load_csv(p))
+    p = write_csv(tmp_path, "a,b,c,d\n1,5,7,9\n2,5,7,8\n3,5,7,7\n", "two.csv")
+    with pytest.raises(DataError, match="column 'b' has zero variance"):
+        standardize(load_csv(p, header=True))
 
 
 def test_loading_is_deterministic(tmp_path):

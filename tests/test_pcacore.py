@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pcageom.corrstats import CorrelationMatrix, correlation_matrix
 from pcageom.eigensolve import eigen_symmetric
@@ -187,6 +189,18 @@ def test_per_variable_dominates_percentage():
             k_pct = select_components(eig.eigenvalues, expl, "percentage", tau).k
             k_pv = select_components(eig.eigenvalues, expl, "per_variable", tau).k
             assert k_pv >= k_pct
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 12), tau=st.floats(0.05, 1.0))
+def test_full_table_invariants_on_random_correlations(seed, n, tau):
+    corr = corr_of(oracles.random_correlation(np.random.default_rng(seed), n), n_obs=100)
+    eig = eigen_symmetric(corr)
+    expl = explanation_table(build_virtual(eig))
+    assert np.abs(expl.column_sums - 1.0).max() <= 1e-10
+    assert np.abs(expl.row_sums - eig.eigenvalues).max() <= 1e-12
+    k_pct = select_components(eig.eigenvalues, expl, "percentage", tau).k
+    assert select_components(eig.eigenvalues, expl, "per_variable", tau).k >= k_pct
 
 
 def test_selection_is_monotone_in_threshold():

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -241,3 +242,20 @@ def test_csv_quotes_names_per_rfc_4180(tmp_path):
     assert rows[i + 1] == [""] + names
     assert [row[0] for row in rows[i + 2 : i + 2 + len(names)]] == names
     assert all(len(row) == len(names) + 1 for row in rows[i + 1 : i + 2 + len(names)])
+
+
+def test_markdown_escapes_pipes_in_names(tmp_path):
+    names = ["a|b", "c", "d||", "plain"]
+    data = tmp_path / "pipes.csv"
+    rows = ["1,2,3,4", "2,1,4,3", "3,5,2,1", "4,3,1,2", "5,4,5,5", "6,2,2,4"]
+    data.write_text("\n".join([",".join(names), *rows]) + "\n", encoding="utf-8")
+    report = run_analysis(data, header=True).report
+    md = render_markdown(report)
+    assert "| a\\|b |" in md
+    table = []
+    for line in md.split("\n") + [""]:
+        if line.startswith("|"):
+            table.append(len(re.findall(r"(?<!\\)\|", line)))
+        elif table:
+            assert table == [table[0]] * len(table)
+            table = []
