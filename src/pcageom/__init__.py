@@ -2,7 +2,7 @@
 
 The package reads a numeric data set (or a ready-made correlation
 matrix), standardizes it, and walks the full chain: correlation,
-significance, angle, and determination matrices; a deterministic Jacobi
+significance, angle, and determination matrices; a deterministic, certified
 eigendecomposition; the rotation-tensor algebra of the four
 representation matrices A, A', P, P'; principal-component scores;
 variance-explained and reconstruction tables; four component-count
@@ -28,7 +28,7 @@ from .corrstats import (
     significance_matrix,
     student_t_cdf,
 )
-from .eigensolve import EigenSystem, eigen_symmetric, jacobi_eigh, rotation_from_eigenvectors
+from .eigensolve import EigenSystem, eigen_symmetric, rotation_from_eigenvectors, symmetric_eigh
 from .errors import ConvergenceError, DataError, PcageomError
 from .fixtures import fixture_path, list_fixtures
 from .ingest import (
@@ -97,7 +97,7 @@ __all__ = [
     "derived_matrices",
     "load_correlation_json",
     "EigenSystem",
-    "jacobi_eigh",
+    "symmetric_eigh",
     "eigen_symmetric",
     "rotation_from_eigenvectors",
     "VirtualRepresentation",

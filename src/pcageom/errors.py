@@ -14,4 +14,4 @@ class DataError(PcageomError):
 
 
 class ConvergenceError(PcageomError):
-    """An iterative routine exhausted its iteration budget before converging."""
+    """A numerical result missed its convergence target."""

@@ -3,11 +3,12 @@
 Everything here deliberately takes a different route than the package:
 the t distribution is integrated by adaptive Simpson quadrature instead
 of a continued fraction, eigenvalues come from sign-change bisection on
-the characteristic polynomial instead of Jacobi rotations, and the
-clustering optimum is found by enumerating every partition instead of
-Lloyd descent, and CSV files are read cell by cell with the csv module
-and ``float`` instead of NumPy's parser.  Agreement between the two
-routes is the evidence the tests rely on.
+the characteristic polynomial instead of LAPACK, correlation matrices
+are built around a prescribed spectrum so their eigenvalues are known
+before any solver runs, the clustering optimum is found by enumerating
+every partition instead of Lloyd descent, and CSV files are read cell
+by cell with the csv module and ``float`` instead of NumPy's parser.
+Agreement between the two routes is the evidence the tests rely on.
 """
 
 from __future__ import annotations
@@ -119,6 +120,47 @@ def random_correlation(rng: np.random.Generator, n: int) -> np.ndarray:
     c = 0.5 * (c + c.T)
     np.fill_diagonal(c, 1.0)
     return np.clip(c, -1.0, 1.0)
+
+
+def correlation_with_spectrum(rng: np.random.Generator, eigenvalues) -> np.ndarray:
+    """Correlation matrix with a prescribed spectrum (Davies & Higham,
+    BIT 40(4), 2000).
+
+    ``eigenvalues`` are scaled to sum to n, placed in a random orthogonal
+    basis, and Givens rotations in (i, j) planes with a_ii < 1 < a_jj
+    set one diagonal entry to 1 at a time; the rotations keep the
+    spectrum.  An entry within ``tol`` of 1 counts as done on both
+    sides, so one that rounding left just off 1 is not picked again.
+    """
+    lam = np.asarray(eigenvalues, dtype=np.float64)
+    n = lam.size
+    lam = lam * (n / lam.sum())
+    q, r = np.linalg.qr(rng.standard_normal((n, n)))
+    q = q * np.sign(np.diag(r))
+    a = (q * lam) @ q.T
+    a = 0.5 * (a + a.T)
+    tol = 1e-13
+    while True:
+        d = np.diag(a)
+        low = np.nonzero(d < 1.0 - tol)[0]
+        high = np.nonzero(d > 1.0 + tol)[0]
+        if not low.size or not high.size:
+            break
+        i, j = int(low[0]), int(high[0])
+        aii, ajj, aij = a[i, i] - 1.0, a[j, j] - 1.0, a[i, j]
+        # the smaller root of ajj t^2 - 2 aij t + aii = 0, free of cancellation
+        t = aii / (aij + math.copysign(math.sqrt(aij * aij - aii * ajj), aij))
+        c = 1.0 / math.sqrt(1.0 + t * t)
+        s = c * t
+        g = np.array([[c, s], [-s, c]])
+        a[:, [i, j]] = a[:, [i, j]] @ g
+        a[[i, j], :] = g.T @ a[[i, j], :]
+        a[i, i] = 1.0
+    if np.abs(np.diag(a) - 1.0).max() > tol:
+        raise ArithmeticError("correlation_with_spectrum: diagonal not reduced to 1")
+    a = 0.5 * (a + a.T)
+    np.fill_diagonal(a, 1.0)
+    return a
 
 
 def random_symmetric_unit_diag(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -32,7 +32,7 @@ def load_bench(monkeypatch, tmp_path, name):
 def test_bench_eigensolve_measures(monkeypatch, tmp_path, harness):
     bench = load_bench(monkeypatch, tmp_path, "bench_eigensolve")
     row = bench.measure(4)
-    assert row["n"] == 4 and row["sweeps"] >= 1
+    assert row["n"] == 4
     assert row["offdiag_norm"] <= row["offdiag_target"]
     assert row["max_eigenvalue_err"] < 1e-10 and row["orthogonality_err"] < 1e-12
     assert row["timed_solves"] == harness.REPEAT
