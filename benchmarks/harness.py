@@ -1,10 +1,9 @@
-"""What the stage benchmarks in this directory share.
+"""Seeded data, timer and result writer of ``bench_pipeline.py``.
 
-Each ``bench_*.py`` script times one stage of the pipeline on the same
-seeded synthetic data: a 3-factor model plus unit noise, ``ROWS`` rows,
-at n = ``SIZES`` variables.  Every timing is the best of ``best_of``'s
-calls under one stopping rule, and ``main`` merges a script's rows into
-its ``BENCH_*.json`` under ``--label``, so runs of two versions of the
+The data is a 3-factor model plus unit noise, ``ROWS`` rows, at
+n = ``SIZES`` variables.  Every timing is the best of ``best_of``'s
+calls under one stopping rule, and ``main`` merges the rows into a
+``BENCH_*.json`` under ``--label``, so runs of two versions of the
 package (point PYTHONPATH at the other checkout's ``src``) sit side by
 side.
 """
@@ -41,10 +40,6 @@ def factor_data(n: int, rows: int = ROWS) -> np.ndarray:
     return factors @ loadings + rng.standard_normal((rows, n))
 
 
-def factor_correlation(n: int) -> np.ndarray:
-    return np.corrcoef(factor_data(n), rowvar=False)
-
-
 def write_factor_csv(path: Path, n: int, rows: int = ROWS) -> None:
     """``factor_data`` as CSV: a ``v1,…,vn`` header row and ``%.6f`` cells."""
     np.savetxt(path, factor_data(n, rows), fmt="%.6f", delimiter=",",
@@ -63,11 +58,23 @@ def best_of(fn, *args, **kwargs) -> tuple[float, int, object]:
     return min(times), len(times), result
 
 
+def linear_algebra() -> dict:
+    """Name and version of the BLAS and LAPACK NumPy was built with; empty
+    before NumPy 1.26, whose ``show_config`` takes no ``mode``."""
+    try:
+        deps = np.show_config(mode="dicts")["Build Dependencies"]
+    except TypeError:
+        return {}
+    return {lib: {key: deps[lib].get(key) for key in ("name", "version")}
+            for lib in ("blas", "lapack") if lib in deps}
+
+
 def environment() -> dict:
     return {
         "python": sys.version.split()[0],
         "implementation": platform.python_implementation(),
         "numpy": np.__version__,
+        "linear_algebra": linear_algebra(),
         "machine": platform.machine(),
         "cpu_count": os.cpu_count(),
         "blas_thread_vars": {

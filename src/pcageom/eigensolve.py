@@ -26,9 +26,11 @@ Raw eigensolvers leave eigenvalue order and eigenvector signs
 arbitrary.  Three conventions pin them down here:
 
 * eigenvalues are sorted in descending order;
-* within a tie group (eigenvalues within 1e-10 of the group's first
-  member) vectors are ordered by the index of their largest-magnitude
-  component, ascending, so an identity input yields the identity basis;
+* within a tie group (eigenvalues within 1e-10 times the magnitude of
+  the group's first member; relative, so distinct eigenvalues far below
+  1e-10 are not grouped out of order) vectors are ordered by the index
+  of their largest-magnitude component, ascending, so an identity input
+  yields the identity basis;
 * each eigenvector is scaled so its first component larger than 1e-9
   in magnitude is positive.
 """
@@ -84,7 +86,7 @@ def _apply_conventions(w: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.nda
     i = 0
     while i < n:
         j = i + 1
-        while j < n and w[i] - w[j] <= TIE_TOL:
+        while j < n and w[i] - w[j] <= TIE_TOL * abs(w[i]):
             j += 1
         if j - i > 1:
             keys = [int(np.argmax(np.abs(u[:, k]))) for k in range(i, j)]

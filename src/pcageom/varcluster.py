@@ -147,17 +147,17 @@ def cluster_naive(profiles: list[SimilarityProfile], threshold: float = 0.5) -> 
     if not 0.0 < threshold <= 1.0:
         raise ValueError(f"varcluster: threshold must be in (0, 1], got {threshold}")
     k = profiles[0].k
+    if any(prof.k != k for prof in profiles):
+        raise ValueError("varcluster: profiles have mixed lengths")
+    values = np.array([prof.values for prof in profiles], dtype=np.float64)
+    clears = values >= threshold
+    # argmax returns the first of equal maxima: the lowest component index
+    best = np.where(clears, values, -np.inf).argmax(axis=1)
     assignments: dict[str, str] = {}
     clusters: dict[str, list[str]] = {f"pc{i + 1}": [] for i in range(k)}
     clusters[UNASSIGNED] = []
-    for prof in profiles:
-        if prof.k != k:
-            raise ValueError("varcluster: profiles have mixed lengths")
-        best = None
-        for i, v in enumerate(prof.values):
-            if v >= threshold and (best is None or v > prof.values[best]):
-                best = i
-        cid = UNASSIGNED if best is None else f"pc{best + 1}"
+    for prof, cleared, i in zip(profiles, clears.any(axis=1), best):
+        cid = f"pc{i + 1}" if cleared else UNASSIGNED
         assignments[prof.variable] = cid
         clusters[cid].append(prof.variable)
     return ClusterAssignment(

@@ -1,8 +1,10 @@
-"""Smoke tests: the benchmark scripts still run against the package API.
+"""Smoke tests: the pipeline benchmark still runs against the package API.
 
-Each script's ``measure`` runs once at n = 4 with ``harness.MIN_S`` at
-zero, so each timing takes exactly ``harness.REPEAT`` calls; ``main``,
-which writes the ``BENCH_*.json`` files, runs only on a temporary file.
+One ``bench_pipeline`` row runs at n = 4 with ``harness.MIN_S`` at zero,
+so each timing takes exactly ``harness.REPEAT`` calls; ``main``, which
+writes the ``BENCH_*.json`` files, runs only on a temporary file.  The
+benchmark loads ``perfbench/spans.py`` by file path, so ``perfbench/``
+stays off ``sys.path`` for the other tests.
 """
 
 import importlib
@@ -23,50 +25,22 @@ def harness(monkeypatch):
     return module
 
 
-def load_bench(monkeypatch, tmp_path, name):
-    bench = importlib.import_module(name)
-    monkeypatch.setattr(bench, "OUT", tmp_path / f"{name}.json")
-    return bench
-
-
-def test_bench_eigensolve_measures(monkeypatch, tmp_path, harness):
-    bench = load_bench(monkeypatch, tmp_path, "bench_eigensolve")
-    row = bench.measure(4)
-    assert row["n"] == 4
-    assert row["offdiag_norm"] <= row["offdiag_target"]
-    assert row["max_eigenvalue_err"] < 1e-10 and row["orthogonality_err"] < 1e-12
-    assert row["timed_solves"] == harness.REPEAT
-    assert not bench.OUT.exists()
-
-
-def test_bench_varcluster_measures(monkeypatch, tmp_path, harness):
-    bench = load_bench(monkeypatch, tmp_path, "bench_varcluster")
-    row = bench.measure(4, bench.pipeline_profiles(4, 3), 3, "l2")
-    assert (row["n"], row["k"], row["metric"]) == (4, 3, "l2")
-    assert row["path"] == "exact" and row["n_iterations"] is None
-    assert row["timed_calls"] == harness.REPEAT
-    assert not bench.OUT.exists()
-
-
-def test_bench_ingest_measures(monkeypatch, tmp_path, harness):
-    bench = load_bench(monkeypatch, tmp_path, "bench_ingest")
-    row = bench.measure(4)
-    assert (row["n"], row["rows"], row["cells"]) == (4, harness.ROWS, 4 * harness.ROWS)
-    assert row["bitwise_float"] and row["timed_loads"] == harness.REPEAT
-    row = bench.measure(4, label_column="v1")
-    assert (row["label_column"], row["cells"]) == ("v1", 3 * harness.ROWS)
-    assert row["bitwise_float"] and row["timed_loads"] == harness.REPEAT
-    assert (24, 10_000, "v1") in bench.CASES
-    assert not bench.OUT.exists()
-
-
-def test_bench_output_measures(monkeypatch, tmp_path, harness):
-    bench = load_bench(monkeypatch, tmp_path, "bench_output")
-    row = bench.measure(4)
-    assert (row["n"], row["rows"]) == (4, harness.ROWS)
-    assert row["bytes_equal_dumps"] and row["json_bytes"] > 0
-    assert row["timed_calls"] == harness.REPEAT
-    assert not bench.OUT.exists()
+def test_bench_pipeline_row(monkeypatch, tmp_path, harness):
+    bench = importlib.import_module("bench_pipeline")
+    monkeypatch.setattr(bench, "OUT", tmp_path / "BENCH_pipeline.json")
+    monkeypatch.chdir(tmp_path)
+    data = tmp_path / "data.csv"
+    harness.write_factor_csv(data, 4)
+    row = bench.measure(data, bench.kmeans_flags(4, "l2"), case="n=4 l2", n=4)
+    assert row["case"] == "n=4 l2" and row["flags"][-2:] == ["--metric", "l2"]
+    assert row["timed_calls"] == row["traced_calls"] == harness.REPEAT
+    for span in ("ingest.load_csv", "eigensolve.eigen_symmetric", "varcluster.cluster_kmeans",
+                 "report.to_json_text", "report.render_markdown"):
+        assert row["stages_s"][span] > 0.0
+    assert row["exact"] is True and row["objective"] >= 0.0
+    assert isinstance(row["missing"], list) and len(row["report_sha256"]) == 64
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv"]
+    assert "perfbench" not in {Path(p).name for p in sys.path}
 
 
 def test_bench_main_merges_under_the_label(monkeypatch, tmp_path, capsys, harness):

@@ -108,6 +108,29 @@ def test_naive_permutation_equivariance(fixture_profiles):
         assert cluster_naive(shuffled).assignments == base
 
 
+def loop_naive(profiles, threshold):
+    """The per-profile, per-value loop ``cluster_naive`` replaced."""
+    out = {}
+    for prof in profiles:
+        best = None
+        for i, v in enumerate(prof.values):
+            if v >= threshold and (best is None or v > prof.values[best]):
+                best = i
+        out[prof.variable] = UNASSIGNED if best is None else f"pc{best + 1}"
+    return out
+
+
+def test_naive_matches_the_scalar_loop():
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        m, k = int(rng.integers(1, 9)), int(rng.integers(1, 5))
+        # one decimal, so ties and values equal to the threshold occur
+        values = np.round(rng.uniform(0.0, 1.0, (m, k)), 1)
+        profs = [SimilarityProfile(f"v{j}", values[j]) for j in range(m)]
+        for threshold in (0.1, 0.3, 0.5, 1.0):
+            assert cluster_naive(profs, threshold).assignments == loop_naive(profs, threshold)
+
+
 def test_naive_validation(fixture_profiles):
     with pytest.raises(ValueError, match="no profiles"):
         cluster_naive([])
