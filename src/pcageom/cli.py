@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -43,7 +44,9 @@ def _resolve_input(raw: str) -> Path:
     raise PcageomError(f"cli: cannot read input {raw!r}: no such file")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built on the first call and reused: parse_args keeps no state between calls
     parser = argparse.ArgumentParser(
         prog="pcageom",
         description="Correlation-geometry PCA: tables, selection criteria, "

@@ -12,13 +12,15 @@ coefficient: with t = r * sqrt((n - 2) / (1 - r^2)) following a
 Student-t law with df = n - 2 under the null, the two-tailed p-value
 2 * (1 - F(|t|)) collapses algebraically to I_x(df/2, 1/2) evaluated at
 x = 1 - r^2, where I is the regularized incomplete beta function.  The
-module evaluates that closed form directly, one coefficient at a time,
-with a modified Lentz continued fraction (``betainc_reg``).
+module evaluates that closed form directly with a modified Lentz
+continued fraction (``betainc_reg``), which takes one x or a whole
+array of them: the significance matrix is one batched call over the
+upper triangle, and each entry is bit for bit the value the fraction
+gives that coefficient alone.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -119,67 +121,113 @@ def correlation_matrix(z: StandardizedMatrix) -> CorrelationMatrix:
     return CorrelationMatrix(r=r, n_obs=z.n_rows, names=list(z.column_names))
 
 
-def _betacf(a, b, x):
-    """Continued fraction for the incomplete beta, modified Lentz scheme."""
+def _lentz(a: float, b: float, x: np.ndarray) -> np.ndarray:
+    """Continued fraction for the incomplete beta, modified Lentz scheme.
+
+    Evaluated for every entry of the 1-D array ``x`` at once.  Each entry
+    goes through the scalar scheme's IEEE operations in the scalar order
+    and leaves the active set at the step where its own |delta - 1|
+    falls below 1e-12, or after 300 steps.
+    """
     tiny = 1e-300
     qab = a + b
     qap = a + 1.0
     qam = a - 1.0
-    c = 1.0
+    out = np.empty_like(x)
+    idx = np.arange(x.size)
+    c = np.ones_like(x)
     d = 1.0 - qab * x / qap
-    if abs(d) < tiny:
-        d = tiny
+    d[np.abs(d) < tiny] = tiny
     d = 1.0 / d
     h = d
     for m in range(1, 301):
+        if not idx.size:
+            return out
         m2 = 2 * m
         aa = m * (b - m) * x / ((qam + m2) * (a + m2))
         d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
+        d[np.abs(d) < tiny] = tiny
         c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
+        c[np.abs(c) < tiny] = tiny
         d = 1.0 / d
-        h *= d * c
+        h = h * (d * c)
         aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
         d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
+        d[np.abs(d) < tiny] = tiny
         c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
+        c[np.abs(c) < tiny] = tiny
         d = 1.0 / d
         delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-12:
-            return h
-    return h
+        h = h * delta
+        done = np.abs(delta - 1.0) < 1e-12
+        if np.count_nonzero(done):
+            out[idx[done]] = h[done]
+            keep = ~done
+            idx, x, c, d, h = idx[keep], x[keep], c[keep], d[keep], h[keep]
+    out[idx] = h
+    return out
+
+
+def _each(f, v: np.ndarray) -> np.ndarray:
+    # the scalar function entry by entry: np.log and np.exp need not
+    # round as math.log and math.exp do
+    return np.fromiter(map(f, v.tolist()), np.float64, v.size)
 
 
 def betainc_reg(a, b, x):
     """Regularized incomplete beta function I_x(a, b).
 
-    Evaluated through the modified Lentz continued fraction with
-    relative tolerance 1e-12 and an iteration cap of 300, using the
-    symmetry I_x(a, b) = 1 - I_{1-x}(b, a) to keep the fraction in its
-    fast-converging regime.
+    ``a`` and ``b`` are finite positive scalars; ``x`` is a scalar, which
+    gives a float, or a 1-D array, which gives an array of the same
+    length.  Evaluated through the modified Lentz continued fraction
+    with relative tolerance 1e-12 and an iteration cap of 300, using the
+    symmetry I_x(a, b) = 1 - I_{1-x}(b, a), chosen per entry, to keep
+    the fraction in its fast-converging regime.  The prefactor goes
+    through ``math.lgamma``, ``math.log`` and ``math.exp`` entry by
+    entry, so every value is the one the scalar evaluation gives.
     """
-    if x <= 0.0:
-        return 0.0
-    if x >= 1.0:
-        return 1.0
-    ln_front = (
-        math.lgamma(a + b)
-        - math.lgamma(a)
-        - math.lgamma(b)
-        + a * math.log(x)
-        + b * math.log(1.0 - x)
-    )
-    front = math.exp(ln_front)
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _betacf(a, b, x) / a
-    return 1.0 - front * _betacf(b, a, 1.0 - x) / b
+    for name, v in (("a", a), ("b", b)):
+        if not (math.isfinite(v) and v > 0.0):
+            raise ValueError(f"corrstats: betainc_reg needs a finite positive {name}, got {v}")
+    xs = np.asarray(x, dtype=np.float64)
+    if xs.ndim > 1:
+        raise ValueError("corrstats: betainc_reg takes a scalar or 1-D x")
+    if np.isnan(xs).any():
+        raise ValueError("corrstats: betainc_reg x is NaN")
+    a = float(a)
+    b = float(b)
+    flat = xs.reshape(-1)
+    out = np.where(flat <= 0.0, 0.0, 1.0)
+    inner = np.flatnonzero((flat > 0.0) & (flat < 1.0))
+    if inner.size:
+        xi = flat[inner]
+        ln_gammas = math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+        ln_front = ln_gammas + a * _each(math.log, xi) + b * _each(math.log, 1.0 - xi)
+        front = _each(math.exp, ln_front)
+        low = xi < (a + 1.0) / (a + b + 2.0)
+        high = ~low
+        out[inner[low]] = front[low] * _lentz(a, b, xi[low]) / a
+        out[inner[high]] = 1.0 - front[high] * _lentz(b, a, 1.0 - xi[high]) / b
+    return float(out[0]) if xs.ndim == 0 else out
+
+
+def _beta_argument(r, n_obs: int) -> np.ndarray:
+    """x = 1 - r^2 for the significance of the correlations r, checked.
+
+    ``r`` may have any shape; the first offending entry in row-major
+    order names the error.
+    """
+    if n_obs < 3:
+        raise DataError("corrstats: significance needs at least 3 observations")
+    r = np.asarray(r, dtype=np.float64)
+    bad = np.isnan(r) | (np.abs(r) > 1.0 + 1e-12)
+    if bad.any():
+        first = float(r[bad][0])
+        if math.isnan(first):
+            raise ValueError("corrstats: significance of a NaN correlation is undefined")
+        raise ValueError(f"corrstats: correlation {first} outside [-1, 1]")
+    r = np.clip(r, -1.0, 1.0)
+    return np.maximum(0.0, 1.0 - r * r)
 
 
 def significance(r: float, n_obs: int) -> float:
@@ -189,15 +237,7 @@ def significance(r: float, n_obs: int) -> float:
     form of 2 * (1 - F(|t|)) for the associated t statistic.  Returns
     1.0 at r = 0 and 0.0 at |r| = 1.
     """
-    if n_obs < 3:
-        raise DataError("corrstats: significance needs at least 3 observations")
-    if math.isnan(r):
-        raise ValueError("corrstats: significance of a NaN correlation is undefined")
-    if abs(r) > 1.0 + 1e-12:
-        raise ValueError(f"corrstats: correlation {r} outside [-1, 1]")
-    r = min(1.0, max(-1.0, r))
-    x = max(0.0, 1.0 - r * r)
-    return betainc_reg((n_obs - 2) / 2.0, 0.5, x)
+    return betainc_reg((n_obs - 2) / 2.0, 0.5, _beta_argument(r, n_obs))
 
 
 def student_t_cdf(t: float, df: float) -> float:
@@ -207,6 +247,10 @@ def student_t_cdf(t: float, df: float) -> float:
     for t >= 0, F(t) = 1 - I_x(df/2, 1/2) / 2 with x = df / (df + t^2),
     and F(-t) = 1 - F(t) by symmetry.
     """
+    if math.isnan(t):
+        raise ValueError("corrstats: student_t_cdf t is NaN")
+    if not math.isfinite(df):
+        raise ValueError(f"corrstats: degrees of freedom df must be finite, got {df}")
     if df <= 0:
         raise ValueError("corrstats: degrees of freedom must be positive")
     x = df / (df + t * t)
@@ -228,13 +272,15 @@ def angle_deg(r: float) -> float:
 def significance_matrix(c: CorrelationMatrix) -> np.ndarray:
     """Matrix of two-tailed p-values; the diagonal is 0 by convention.
 
-    Each upper-triangle coefficient goes through the scalar
-    ``significance``; the lower triangle is mirrored from it.
+    The strict upper triangle is checked as one array and goes through
+    one batched ``betainc_reg`` call, entry for entry equal to the
+    scalar ``significance``; the lower triangle is mirrored from it.
     """
-    r = c.r.tolist()
+    iu = np.triu_indices(c.n, 1)
+    p = betainc_reg((c.n_obs - 2) / 2.0, 0.5, _beta_argument(c.r[iu], c.n_obs))
     out = np.zeros((c.n, c.n))
-    for i, j in itertools.combinations(range(c.n), 2):
-        out[i, j] = out[j, i] = significance(r[i][j], c.n_obs)
+    out[iu] = p
+    out.T[iu] = p
     return out
 
 

@@ -4,7 +4,9 @@ One ``bench_pipeline`` row runs at n = 4 with ``harness.MIN_S`` at zero,
 so each timing takes exactly ``harness.REPEAT`` calls; ``main``, which
 writes the ``BENCH_*.json`` files, runs only on a temporary file.  The
 benchmark loads ``perfbench/spans.py`` by file path, so ``perfbench/``
-stays off ``sys.path`` for the other tests.
+stays off ``sys.path`` for the other tests.  The tracer's hooks are
+checked against the package, so a renamed layer function fails here
+instead of silently losing its span.
 """
 
 import importlib
@@ -55,3 +57,21 @@ def test_bench_main_merges_under_the_label(monkeypatch, tmp_path, capsys, harnes
     assert bench["runs"]["new"]["rows"] == [{"n": 4, "t_s": 1.0}]
     assert bench["runs"]["new"]["environment"] == harness.environment()
     assert capsys.readouterr().out == f"wrote {out} [new]\n"
+
+
+def test_perfbench_hooks_resolve(tmp_path, capsys, harness):
+    spans = importlib.import_module("bench_pipeline").spans
+    from pcageom import cli, corrstats
+
+    real = corrstats.betainc_reg
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        unresolved = sorted(tracer.missing)
+        assert cli.main(["analyze", "fixtures/iris_corr.json", "--out", str(tmp_path)]) == 0
+    finally:
+        tracer.remove()
+    # the two stale hooks name functions the package no longer has
+    assert unresolved == ["pcageom.eigensolve.jacobi_sweeps", "pcageom.varcluster.point_distance"]
+    assert corrstats.betainc_reg is real
+    assert tracer.counts["corrstats.betainc_calls"] == 1

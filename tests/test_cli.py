@@ -243,3 +243,16 @@ def test_usage_error_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["analyze"])  # missing input
     assert exc.value.code == 2
+
+
+def test_parser_is_reused_without_carrying_flags_between_calls(tmp_path, capsys):
+    code, _, err = run(capsys, "analyze", "fixtures/iris.csv", "--columns", "1-4", "--header",
+                       "--out", str(tmp_path / "iris"))
+    assert code == 0, err
+    # CSV-only flags left over from the first call would make this an input error
+    code, _, err = run(capsys, "analyze", "fixtures/iris_corr.json", "--out", str(tmp_path / "corr"))
+    assert code == 0, err
+    assert cli._build_parser() is cli._build_parser()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["analyze", "fixtures/iris_corr.json", "--no-such-flag"])
+    assert exc.value.code == 2

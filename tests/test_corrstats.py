@@ -3,7 +3,9 @@
 The t-distribution CDF is cross-checked against an adaptive-quadrature
 oracle that never touches the incomplete beta function.  The matrix
 builders are checked against NumPy's ``corrcoef`` and, entry by entry,
-against their scalar counterparts.
+against their scalar counterparts; the batched significance matrix is
+compared bit for bit with the scalar continued fraction frozen in
+``oracles``.
 """
 
 import json
@@ -139,6 +141,69 @@ def test_significance_matrix_is_the_scalar_test_mirrored(corr_fixture):
             assert p[i, j] == want
 
 
+SPECIAL_R = [0.0, -0.0, 1.0, -1.0, 1e-9, -1e-9]
+
+
+@st.composite
+def significance_cases(draw):
+    """Correlation matrices with exact zeros and ones, tiny coefficients and
+    values of x = 1 - r^2 on both sides of the branch point (a+1)/(a+b+2)."""
+    n = draw(st.integers(2, 30))
+    n_obs = draw(st.integers(3, 10**6))
+    a, b = (n_obs - 2) / 2.0, 0.5
+    r_branch = math.sqrt(1.0 - (a + 1.0) / (a + b + 2.0))
+    near_branch = st.builds(lambda f, s: min(1.0, s * f * r_branch),
+                            st.floats(0.9, 1.1), st.sampled_from([1.0, -1.0]))
+    m = n * (n - 1) // 2
+    upper = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(-1.0, 1.0, m)
+    injected = draw(st.lists(st.tuples(st.integers(0, m - 1),
+                                       st.one_of(st.sampled_from(SPECIAL_R), near_branch)),
+                             max_size=12))
+    for k, v in injected:
+        upper[k] = v
+    r = np.eye(n)
+    iu = np.triu_indices(n, 1)
+    r[iu] = upper
+    r.T[iu] = upper
+    return CorrelationMatrix(r=r, n_obs=n_obs, names=[f"v{i}" for i in range(n)])
+
+
+def scalar_significance_matrix(c):
+    want = np.zeros((c.n, c.n))
+    for i in range(c.n):
+        for j in range(i + 1, c.n):
+            want[i, j] = want[j, i] = oracles.reference_significance(float(c.r[i, j]), c.n_obs)
+    return want
+
+
+@settings(max_examples=150, deadline=None)
+@given(significance_cases())
+def test_significance_matrix_is_bitwise_the_scalar_fraction(c):
+    assert significance_matrix(c).tobytes() == scalar_significance_matrix(c).tobytes()
+
+
+@pytest.mark.parametrize("n", [80, 160])
+def test_significance_matrix_is_bitwise_the_scalar_fraction_at_size(n):
+    r = oracles.random_correlation(np.random.default_rng(n), n)
+    c = CorrelationMatrix(r=r, n_obs=500, names=[f"v{i}" for i in range(n)])
+    assert significance_matrix(c).tobytes() == scalar_significance_matrix(c).tobytes()
+
+
+def test_significance_matrix_checks_pairs_in_row_major_order():
+    r = np.eye(3)
+    r[0, 2] = r[2, 0] = 1.5
+    r[1, 2] = r[2, 1] = math.nan
+    c = CorrelationMatrix(r=r, n_obs=10, names=list("abc"))
+    with pytest.raises(ValueError, match=r"correlation 1\.5 outside \[-1, 1\]"):
+        significance_matrix(c)
+    r[0, 1] = r[1, 0] = math.nan
+    with pytest.raises(ValueError, match="NaN correlation"):
+        significance_matrix(c)
+    c.n_obs = 2
+    with pytest.raises(DataError, match="at least 3"):
+        significance_matrix(c)
+
+
 def test_student_t_cdf_basics():
     assert student_t_cdf(0.0, 5.0) == pytest.approx(0.5, abs=1e-15)
     for t in (0.3, 1.7, 6.0):
@@ -207,6 +272,44 @@ def test_betainc_reg_monotone_in_x():
     xs = np.linspace(0.0, 1.0, 200)
     vals = [betainc_reg(74.0, 0.5, float(x)) for x in xs]
     assert all(u <= v + 1e-15 for u, v in zip(vals, vals[1:]))
+
+
+def test_betainc_reg_array_is_the_scalar_per_entry():
+    x = np.array([0.0, 1e-300, 0.2, 0.5, 0.97, 0.99, 1.0 - 1e-16, 1.0, -3.0, math.inf])
+    for a, b in ((74.0, 0.5), (0.5, 74.0), (2.0, 3.0), (1, 1)):
+        got = betainc_reg(a, b, x)
+        assert got.shape == x.shape
+        want = [oracles.reference_betainc_reg(a, b, float(v)) for v in x]
+        assert got.tobytes() == np.array(want).tobytes()
+        assert all(type(betainc_reg(a, b, float(v))) is float for v in x)
+    assert betainc_reg(2.0, 0.5, np.array([])).shape == (0,)
+
+
+@pytest.mark.parametrize("args, message", [
+    ((2.0, 0.5, math.nan), "x is NaN"),
+    ((2.0, 0.5, np.array([0.3, math.nan])), "x is NaN"),
+    ((-1.0, 0.5, 0.3), "finite positive a, got -1.0"),
+    ((0.0, 0.5, 0.3), "finite positive a"),
+    ((math.inf, 0.5, 0.3), "finite positive a"),
+    ((2.0, math.nan, 0.3), "finite positive b"),
+    ((2.0, -0.5, 0.3), "finite positive b"),
+    ((2.0, 0.5, np.full((2, 2), 0.3)), "scalar or 1-D x"),
+])
+def test_betainc_reg_rejects_invalid_arguments(args, message):
+    with pytest.raises(ValueError, match=message):
+        betainc_reg(*args)
+
+
+@pytest.mark.parametrize("t, df, message", [
+    (math.nan, 5.0, "t is NaN"),
+    (1.0, math.inf, "df must be finite"),
+    (1.0, math.nan, "df must be finite"),
+    (1.0, -math.inf, "df must be finite"),
+    (1.0, 0.0, "must be positive"),
+])
+def test_student_t_cdf_rejects_invalid_arguments(t, df, message):
+    with pytest.raises(ValueError, match=message):
+        student_t_cdf(t, df)
 
 
 def test_angle_deg():
