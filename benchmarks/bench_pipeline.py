@@ -12,6 +12,8 @@ writing its report files into a temporary directory:
   once per metric;
 * the csv_tall shape, 24 variables x 10000 rows with naive clusters,
   once without and once with ``--label-column v1``;
+* the json_wide shape, the correlation JSON of the same model at 48
+  variables and ``n_obs`` 500, with naive clusters;
 * the bundled iris CSV with the iris_small flags.
 
 A row holds the best-of end-to-end time of untraced calls; the minimum
@@ -47,6 +49,8 @@ OUT = ROOT / "BENCH_pipeline.json"
 MAX_CLUSTERS = 12
 TALL_SHAPE = (24, 10_000)  # variables, rows
 TALL_FLAGS = ("--header", "--clusters", "naive", "--format", "csv")
+JSON_SHAPE = (48, 500)  # variables, n_obs
+JSON_FLAGS = ("--clusters", "naive")
 IRIS_FLAGS = ("--columns", "1-4", "--header", "--clusters", "kmeans")
 OUTSIDE = "outside_spans"
 
@@ -69,7 +73,9 @@ DESCRIPTION = (
     f"{harness.ROWS} rows, %.6f cells) at n = {', '.join(map(str, harness.SIZES))} "
     f"with --clusters kmeans --k min({MAX_CLUSTERS}, n - 1) under each metric; the "
     f"same model at {TALL_SHAPE[0]} variables x {TALL_SHAPE[1]} rows with "
-    f"{' '.join(TALL_FLAGS)}, without and with --label-column v1; and the bundled "
+    f"{' '.join(TALL_FLAGS)}, without and with --label-column v1; the correlation "
+    f"JSON (np.corrcoef) of the same model at {JSON_SHAPE[0]} variables and n_obs "
+    f"{JSON_SHAPE[1]} with {' '.join(JSON_FLAGS)}; and the bundled "
     f"iris.csv with {' '.join(IRIS_FLAGS)}. analysis_s is the {harness.RULE}, "
     "untraced; stages_s holds the minimum over every traced call (the same rule, "
     "warm-up included) of each perfbench/spans.py span, inclusive of nested spans, "
@@ -164,6 +170,10 @@ def measure_all():
             flags = TALL_FLAGS if label is None else (*TALL_FLAGS, "--label-column", label)
             yield show(measure(data, flags, case=f"tall {label or 'unlabelled'}",
                                n=n, rows=rows, label_column=label))
+        n, n_obs = JSON_SHAPE
+        corr = Path(tmp, "corr.json")
+        harness.write_factor_json(corr, n, n_obs)
+        yield show(measure(corr, JSON_FLAGS, case=f"json n={n}", n=n, n_obs=n_obs))
     yield show(measure(fixture_path("iris.csv"), IRIS_FLAGS, case="iris", n=4, rows=150))
 
 

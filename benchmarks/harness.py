@@ -1,11 +1,11 @@
 """Seeded data, timer and result writer of ``bench_pipeline.py``.
 
 The data is a 3-factor model plus unit noise, ``ROWS`` rows, at
-n = ``SIZES`` variables.  Every timing is the best of ``best_of``'s
-calls under one stopping rule, and ``main`` merges the rows into a
-``BENCH_*.json`` under ``--label``, so runs of two versions of the
-package (point PYTHONPATH at the other checkout's ``src``) sit side by
-side.
+n = ``SIZES`` variables, written as CSV or as its correlation JSON.
+Every timing is the best of ``best_of``'s calls under one stopping
+rule, and ``main`` merges the rows into a ``BENCH_*.json`` under
+``--label``, so runs of two versions of the package (point PYTHONPATH
+at the other checkout's ``src``) sit side by side.
 """
 
 from __future__ import annotations
@@ -44,6 +44,15 @@ def write_factor_csv(path: Path, n: int, rows: int = ROWS) -> None:
     """``factor_data`` as CSV: a ``v1,…,vn`` header row and ``%.6f`` cells."""
     np.savetxt(path, factor_data(n, rows), fmt="%.6f", delimiter=",",
                header=",".join(f"v{i + 1}" for i in range(n)), comments="")
+
+
+def write_factor_json(path: Path, n: int, n_obs: int) -> None:
+    """The correlation of ``n_obs`` rows of ``factor_data`` as a
+    correlation JSON: names ``v1,…,vn``, ``n_obs`` and ``np.corrcoef``'s
+    matrix at full precision."""
+    r = np.corrcoef(factor_data(n, n_obs), rowvar=False)
+    doc = {"names": [f"v{i + 1}" for i in range(n)], "n_obs": n_obs, "r": r.tolist()}
+    path.write_text(json.dumps(doc), encoding="utf-8")
 
 
 def best_of(fn, *args, **kwargs) -> tuple[float, int, object]:

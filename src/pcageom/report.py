@@ -13,9 +13,12 @@ import io
 import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from itertools import islice
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from types import SimpleNamespace
+
+import numpy as np
 
 from . import __version__
 from .corrstats import (
@@ -278,35 +281,68 @@ def to_json_text(report: dict) -> str:
     sort_keys=True) + "\\n"``, byte for byte.
 
     ``json.dumps`` runs its pure-Python encoder whenever it indents; this
-    writer does the same job with one join per list of plain floats.
+    writer walks the tree once, appending pieces to one list joined at
+    the end.  A row of finite floats is left as a slot, and after the
+    walk ``float.__repr__`` formats each distinct double of all the rows
+    once: the report repeats many (``eigen.R`` is ``U`` transposed, the
+    matrices are symmetric).  Doubles are told apart by their bits, so
+    ``0.0`` and ``-0.0`` keep their own text.  Nothing is cached
+    between calls.
     """
-    return _json(report, "") + "\n"
+    out: list[str] = []
+    values: list[float] = []
+    slots: list[tuple[int, int, str]] = []
+    _walk(report, "", out, values, slots)
+    out.append("\n")
+    _fill(out, values, slots)
+    return "".join(out)
 
 
-def _json(o, indent: str) -> str:
-    """``o`` as indented JSON whose first line starts at ``indent``.
+def _walk(o, indent: str, out: list, values: list, slots: list) -> None:
+    """Append ``o`` as indented JSON whose first line starts at ``indent``.
 
+    A row of finite floats appends a placeholder and records the slot
+    ``(index in out, length, separator)``; its values go to ``values``.
     A value of another type, or a key that is not a ``str``, raises a
     ``TypeError`` naming its type (the key's from the sort or the quote).
     """
     if isinstance(o, (list, tuple)):
         if not o:
-            return "[]"
+            out.append("[]")
+            return
         inner = indent + "  "
         sep = ",\n" + inner
+        out.append("[\n" + inner)
         # a NaN or an infinity makes the sum non-finite, so only a row of
-        # finite floats takes the one join
+        # finite floats takes a slot
         if {*map(type, o)} == {float} and math.isfinite(sum(o)):
-            body = sep.join(map(float.__repr__, o))
+            slots.append((len(out), len(o), sep))
+            out.append("")
+            values += o
         else:
-            body = sep.join([_json(v, inner) for v in o])
-        return "[\n" + inner + body + "\n" + indent + "]"
+            for i, v in enumerate(o):
+                if i:
+                    out.append(sep)
+                _walk(v, inner, out, values, slots)
+        out.append("\n" + indent + "]")
+        return
     if isinstance(o, dict):
         if not o:
-            return "{}"
+            out.append("{}")
+            return
         inner = indent + "  "
-        body = (",\n" + inner).join([_quote(key) + ": " + _json(o[key], inner) for key in sorted(o)])
-        return "{\n" + inner + body + "\n" + indent + "}"
+        sep = "{\n" + inner
+        for key in sorted(o):
+            out.append(sep + _quote(key) + ": ")
+            sep = ",\n" + inner
+            _walk(o[key], inner, out, values, slots)
+        out.append("\n" + indent + "}")
+        return
+    out.append(_scalar(o))
+
+
+def _scalar(o) -> str:
+    """A value that is neither a list, a tuple nor a dict, as JSON."""
     if isinstance(o, str):
         return _quote(o)
     if o is None:
@@ -324,6 +360,26 @@ def _json(o, indent: str) -> str:
             return "Infinity" if o > 0 else "-Infinity"
         return float.__repr__(o)
     raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
+def _fill(out: list, values: list[float], slots: list[tuple[int, int, str]]) -> None:
+    """Write each slot's row text into ``out``, formatting every distinct
+    bit pattern of ``values`` once."""
+    bits = np.fromiter(values, np.float64, len(values)).view(np.uint64)
+    values.clear()
+    distinct, which = np.unique(bits, return_inverse=True)
+    del bits
+    doubles = distinct.view(np.float64)
+    # an object array hands out each value's text in one gather, not one
+    # Python index per value; formatting it a block at a time keeps only
+    # one block of Python floats alive beside the texts
+    texts = np.empty(doubles.size, dtype=object)
+    for start in range(0, doubles.size, 1024):
+        texts[start:start + 1024] = list(map(float.__repr__, doubles[start:start + 1024].tolist()))
+    pieces = iter(texts[which].tolist())
+    del distinct, doubles, which, texts
+    for at, length, sep in slots:
+        out[at] = sep.join(islice(pieces, length))
 
 
 def _matrix(labels: Iterable[str], matrix: Iterable, scale: float = 1.0) -> Iterator[list[str]]:

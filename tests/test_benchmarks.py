@@ -45,6 +45,20 @@ def test_bench_pipeline_row(monkeypatch, tmp_path, harness):
     assert "perfbench" not in {Path(p).name for p in sys.path}
 
 
+def test_bench_pipeline_correlation_json_row(tmp_path, harness):
+    bench = importlib.import_module("bench_pipeline")
+    corr = tmp_path / "corr.json"
+    harness.write_factor_json(corr, 4, 50)
+    doc = json.loads(corr.read_text(encoding="utf-8"))
+    assert doc["names"] == ["v1", "v2", "v3", "v4"] and doc["n_obs"] == 50
+    row = bench.measure(corr, bench.JSON_FLAGS, case="json n=4", n=4, n_obs=50)
+    assert row["flags"] == ["--clusters", "naive"]
+    for span in ("corrstats.load_correlation_json", "report.to_json_text"):
+        assert row["stages_s"][span] > 0.0
+    assert "ingest.load_csv" not in row["stages_s"] and "exact" not in row
+    assert len(row["report_sha256"]) == 64
+
+
 def test_bench_main_merges_under_the_label(monkeypatch, tmp_path, capsys, harness):
     out = tmp_path / "BENCH_test.json"
     earlier = {"environment": {}, "rows": [{"n": 4, "t_s": 2.0}]}

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -129,22 +130,48 @@ def dumps_text(tree) -> str:
     return json.dumps(tree, indent=2, sort_keys=True) + "\n"
 
 
-def seeded_csv(path, n: int, rows: int = 300):
+def seeded_data(n: int, rows: int) -> np.ndarray:
     rng = np.random.default_rng([20, n])
-    x = rng.standard_normal((rows, 3)) @ rng.standard_normal((3, n)) + rng.standard_normal((rows, n))
-    np.savetxt(path, x, fmt="%.6f", delimiter=",", comments="",
+    return rng.standard_normal((rows, 3)) @ rng.standard_normal((3, n)) + rng.standard_normal((rows, n))
+
+
+def seeded_csv(path, n: int, rows: int = 300):
+    np.savetxt(path, seeded_data(n, rows), fmt="%.6f", delimiter=",", comments="",
                header=",".join(f"v{j + 1}" for j in range(n)))
     return path
 
 
+def seeded_corr_json(path, n: int, n_obs: int = 500):
+    """The correlation of ``seeded_data`` as a correlation JSON."""
+    r = np.corrcoef(seeded_data(n, n_obs), rowvar=False)
+    doc = {"names": [f"v{j + 1}" for j in range(n)], "n_obs": n_obs, "r": r.tolist()}
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
+
+
 def test_json_text_matches_json_dumps_on_full_reports(tmp_path, corr_result):
+    # at 48 variables the mirrored triangles and R = U transposed repeat
+    # thousands of doubles across rows and blocks
     reports = [
         corr_result.report,
         run_analysis(IRIS, columns="1-4", header=True, cluster_method="kmeans").report,
         run_analysis(seeded_csv(tmp_path / "v20.csv", 20), header=True).report,
+        run_analysis(seeded_corr_json(tmp_path / "r48.json", 48), cluster_method="naive").report,
     ]
     for report in reports:
         assert to_json_text(report) == dumps_text(report)
+
+
+def test_json_text_peak_memory_is_bounded(tmp_path):
+    report = run_analysis(seeded_csv(tmp_path / "v20.csv", 20), header=True).report
+    to_json_text(report)  # first-call allocations stay out of the peak
+    tracemalloc.start()
+    try:
+        text = to_json_text(report)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * len(text), f"peak {peak} B for {len(text)} characters"
 
 
 JSON_FLOATS = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e308, 5e-324])
@@ -152,8 +179,12 @@ JSON_SCALARS = (
     st.none() | st.booleans() | st.integers() | st.text()
     | JSON_FLOATS | JSON_FLOATS.map(np.float64)
 )
+# doubles at repr's format switch points, and both zeros, shared by the
+# rows of a matrix so that one text is reused across rows and blocks
+SHARED_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e16, 9.999999999999999e15, 1e-05, 0.0001])
+JSON_MATRICES = st.lists(st.lists(SHARED_FLOATS, min_size=1, max_size=6), min_size=1, max_size=6)
 JSON_TREES = st.recursive(
-    JSON_SCALARS | st.lists(JSON_FLOATS),  # flat float rows take the one-join path
+    JSON_SCALARS | st.lists(JSON_FLOATS) | JSON_MATRICES,  # finite float rows take a slot
     lambda kids: st.lists(kids, max_size=5) | st.dictionaries(st.text(), kids, max_size=5),
     max_leaves=30,
 )
@@ -167,6 +198,8 @@ JSON_TREES = st.recursive(
 @example([[math.nan, 1.0], [math.inf], [-math.inf, -0.0], [0.1, 1e-300, -2.5e100]])
 @example({"np": [np.float64(0.1), np.float64(math.nan), np.float64(-0.0)], "x": np.float64(2.0)})
 @example(["\x1f\u2028\U0001f600\ud800", "\\/\t", 10**30, -(10**30)])
+@example({"a": [[0.0, -0.0], [-0.0, 0.0]], "b": [-0.0, 0.0]})
+@example({"R": [[0.1, 0.2], [0.3, 0.4]], "U": [[0.1, 0.3], [0.2, 0.4]]})
 def test_json_text_matches_json_dumps(tree):
     assert to_json_text(tree) == dumps_text(tree)
 
