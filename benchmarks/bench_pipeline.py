@@ -21,10 +21,10 @@ over traced calls of every span of ``perfbench/spans.py``'s ``Tracer``
 (it wraps each stage ``report`` and ``cli`` call) and of the time
 outside the outermost spans (argument parsing and file writes); the
 hooks the tracer could not find; for k-means rows, ``exact`` and
-``objective`` from the written ``report.json``; and a SHA-256 digest of
-that report with its input path cut to the file name, so two
-``--label`` runs show whether their outputs match.  Rows are merged
-into ``BENCH_pipeline.json`` under ``--label``.
+``objective`` from the written ``report.json``; and SHA-256 digests of
+that report and of ``report.md``, each with its input path cut to the
+file name, so two ``--label`` runs show whether their outputs match.
+Rows are merged into ``BENCH_pipeline.json`` under ``--label``.
 """
 
 from __future__ import annotations
@@ -81,7 +81,8 @@ DESCRIPTION = (
     "warm-up included) of each perfbench/spans.py span, inclusive of nested spans, "
     f"and of {OUTSIDE}, the call's time outside its outermost spans (argument "
     "parsing and file writes); missing lists the hooks the tracer could not find; "
-    "report_sha256 digests report.json with its input path cut to the file name"
+    "report_sha256 and markdown_sha256 digest report.json and report.md with their "
+    "input path cut to the file name"
 )
 
 
@@ -126,6 +127,7 @@ def measure(input_path: Path, flags: tuple[str, ...], **case) -> dict:
         analysis_s, timed_calls, _ = harness.best_of(analyze, argv)
         stages_s, traced_calls, missing = stage_times(argv)
         report = json.loads(Path(out, "report.json").read_text(encoding="utf-8"))
+        markdown = Path(out, "report.md").read_text(encoding="utf-8")
     row = {
         **case,
         "flags": list(flags),
@@ -138,8 +140,11 @@ def measure(input_path: Path, flags: tuple[str, ...], **case) -> dict:
     clusters = report["clusters"]
     if clusters["method"] == "kmeans":
         row["exact"], row["objective"] = clusters["exact"], clusters["objective"]
-    report["provenance"]["input"] = Path(report["provenance"]["input"]).name
+    given = report["provenance"]["input"]
+    report["provenance"]["input"] = name = Path(given).name
     row["report_sha256"] = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+    markdown = markdown.replace(f"- input: `{given}`", f"- input: `{name}`", 1)
+    row["markdown_sha256"] = hashlib.sha256(markdown.encode()).hexdigest()
     return row
 
 

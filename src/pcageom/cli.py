@@ -111,6 +111,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     json_text = to_json_text(result.report)
     (out_dir / "report.json").write_text(json_text, encoding="utf-8")
+    if args.format != "json":
+        json_text = None  # released before the markdown render's peak
     md_text = render_markdown(result.report)
     (out_dir / "report.md").write_text(md_text + "\n", encoding="utf-8")
     (out_dir / "scree.svg").write_text(render_svg_scree(result.scree_series), encoding="utf-8")

@@ -32,6 +32,7 @@ from .errors import DataError
 from .ingest import StandardizedMatrix
 
 __all__ = [
+    "MAX_N_OBS",
     "CorrelationMatrix",
     "DerivedMatrices",
     "correlation",
@@ -211,14 +212,26 @@ def betainc_reg(a, b, x):
     return float(out[0]) if xs.ndim == 0 else out
 
 
+# The most observations a significance level is computed for: the largest
+# power of ten at which it stays within a relative 1e-8 of a 50-digit
+# mpmath reference near the branch point x = (a+1)/(a+b+2) (1.6e-9 at
+# 10**6, 2.7e-8 at 10**7).  The prefactor's log-gamma difference cancels
+# as n_obs grows (at 2**53 the p-value came out as -6.3e19), so larger
+# samples are refused instead of given a wrong p-value.
+MAX_N_OBS = 10**6
+
+
 def _beta_argument(r, n_obs: int) -> np.ndarray:
     """x = 1 - r^2 for the significance of the correlations r, checked.
 
-    ``r`` may have any shape; the first offending entry in row-major
-    order names the error.
+    ``n_obs`` must lie in 3..``MAX_N_OBS``.  ``r`` may have any shape;
+    the first offending entry in row-major order names the error.
     """
     if n_obs < 3:
         raise DataError("corrstats: significance needs at least 3 observations")
+    if n_obs > MAX_N_OBS:
+        raise DataError(f"corrstats: significance is computed for at most {MAX_N_OBS:,} "
+                        f"observations (its relative error exceeds 1e-8 beyond), got {n_obs:,}")
     r = np.asarray(r, dtype=np.float64)
     bad = np.isnan(r) | (np.abs(r) > 1.0 + 1e-12)
     if bad.any():
@@ -314,9 +327,10 @@ def load_correlation_json(path: str | Path) -> CorrelationMatrix:
 
     Expected shape: ``{"names": [...], "n_obs": N, "r": [[...], ...]}``
     with a square, symmetric matrix, unit diagonal, and entries in
-    [-1, 1].  The file is UTF-8, with or without a byte-order mark.
-    Symmetry and the diagonal are checked to 1e-12 and then snapped
-    exact, so downstream code can rely on them.
+    [-1, 1], and ``N`` an integer from 3 to ``MAX_N_OBS``.  The file is
+    UTF-8, with or without a byte-order mark.  Symmetry and the diagonal
+    are checked to 1e-12 and then snapped exact, so downstream code can
+    rely on them.
     """
     path = Path(path)
     try:
@@ -348,8 +362,9 @@ def load_correlation_json(path: str | Path) -> CorrelationMatrix:
         raise DataError("corrstats: duplicate variable names")
 
     n_obs = doc["n_obs"]
-    if not isinstance(n_obs, int) or isinstance(n_obs, bool) or not 3 <= n_obs <= 2**53:
-        raise DataError("corrstats: 'n_obs' must be an integer from 3 to 2**53")
+    if not isinstance(n_obs, int) or isinstance(n_obs, bool) or not 3 <= n_obs <= MAX_N_OBS:
+        raise DataError(f"corrstats: 'n_obs' must be an integer from 3 to {MAX_N_OBS:,}, "
+                        "the most observations a significance level is computed for")
 
     n = len(names)
     try:

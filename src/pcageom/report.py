@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import islice
 from json.encoder import encode_basestring_ascii as _quote
@@ -382,9 +382,62 @@ def _fill(out: list, values: list[float], slots: list[tuple[int, int, str]]) -> 
         out[at] = sep.join(islice(pieces, length))
 
 
-def _matrix(labels: Iterable[str], matrix: Iterable, scale: float = 1.0) -> Iterator[list[str]]:
-    """Rows of a labelled matrix at 3 decimals, formatted as they are read."""
-    return ([label] + [f"{v * scale:.3f}" for v in row] for label, row in zip(labels, matrix))
+# below this many cells the keyed pass's fixed NumPy calls cost more than
+# the f-strings they save: the two took equal time on an 8-variable
+# report (about 500 cells), the keyed pass 1.2x as long at 4 variables
+_KEYED_MIN = 512
+
+
+def _three_decimals(blocks: list[tuple[list[list[float]], float]]) -> list[list[list[str]]]:
+    """Each block's cells as ``f"{v * scale:.3f}"``, byte for byte, in the
+    block's row shapes; a block is ``(rows of floats, scale)``.
+
+    The cells of all blocks are formatted in one pass.  A cell
+    w = v * scale is keyed by the bits of k = rint(1000 * w), so
+    ``-0.000`` keeps its own text, and each distinct key is formatted
+    once, as k / 1000.  A cell that is not finite, has |1000 * w| of
+    2**31 or more, or lies within 1e-6 of a .5 boundary goes through
+    the f-string itself: below 2**31 the product 1000 * w is within
+    2**-22 of the exact one, so off the margin rint rounds as the
+    f-string does.  With fewer than ``_KEYED_MIN`` cells every cell goes
+    through the f-string.  Nothing is cached between calls.
+    """
+    values: list[float] = []
+    scaled = []
+    for rows, scale in blocks:
+        start = len(values)
+        for row in rows:
+            values += row
+        if scale != 1.0:
+            scaled.append((start, len(values), scale))
+    if len(values) < _KEYED_MIN:
+        return [[[f"{v * scale:.3f}" for v in row] for row in rows] for rows, scale in blocks]
+    # each array is dropped once used: together they would set the
+    # render's peak memory
+    w = np.fromiter(values, np.float64, len(values))
+    del values
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start, stop, scale in scaled:
+            w[start:stop] *= scale
+        p = w * 1000.0
+        k = np.rint(p)
+        loose = np.flatnonzero((np.abs(p) >= 2.0**31) | ~(np.abs(np.abs(p - k) - 0.5) > 1e-6))
+    loose_texts = [f"{v:.3f}" for v in w[loose].tolist()]
+    del w, p
+    k[loose] = 0.0
+    distinct, which = np.unique(k.view(np.uint64), return_inverse=True)
+    del k
+    texts = np.empty(distinct.size, dtype=object)
+    texts[:] = list(map("{:.3f}".format, (distinct.view(np.float64) / 1000.0).tolist()))
+    cells = texts[which]
+    del which
+    cells[loose] = loose_texts
+    pieces = iter(cells.tolist())
+    return [[list(islice(pieces, len(row))) for row in rows] for rows, _ in blocks]
+
+
+def _labelled(labels: Iterable[str], rows: list[list[str]]) -> list[list[str]]:
+    return [[label, *row] for label, row in zip(labels, rows)]
 
 
 def _records(records: list[dict], label: str, keys: tuple[str, ...]) -> list[list[str]]:
@@ -401,74 +454,83 @@ def _sections(report: dict) -> list[tuple]:
     Each section is ``(markdown title line, CSV title or None, headers,
     rows)``.  A header or cell that the two formats spell differently is
     a ``(markdown, csv)`` pair, and ``None`` on one side leaves that cell
-    out of that format.  A CSV title of ``None`` keeps the table out of
-    the CSV; headers of ``None`` make the rows markdown text lines.
-    Matrix rows are generators that format each row as it is read: the
-    CSV never formats the markdown-only eigenvectors, and the sections
-    of one call can be rendered once.
+    out of that format; a header or row that holds a pair is a tuple,
+    one that holds none a list.  A CSV title of ``None`` keeps the table
+    out of the CSV; headers of ``None`` make the rows markdown text
+    lines.  The matrix cells are formatted in one ``_three_decimals``
+    pass, the few record tables cell by cell.
     """
     names = report["correlation"]["names"]
+    eig = report["eigen"]
+    full = report["loadings_full"]
+    rec = report["reconstruction_at_k"]
+    prof = report["similarity_profiles"]
+    (r, p, angles, det_pct, [eigenvalues], U, loading, det, [row_sums], [column_sums],
+     rec_det, [rec_averages], [rec_sums], profiles) = _three_decimals([
+        (report["correlation"]["r"], 1.0),
+        (report["significance"], 1.0),
+        (report["angles_deg"], 1.0),
+        (report["determination"], 100.0),
+        ([eig["eigenvalues"]], 1.0),
+        (eig["U"], 1.0),
+        (full["loading"], 1.0),
+        (full["determination"], 1.0),
+        ([full["row_sums"]], 1.0),
+        ([full["column_sums"]], 1.0),
+        (rec["determination"], 1.0),
+        ([rec["row_averages"]], 100.0),
+        ([rec["column_sums"]], 100.0),
+        (list(prof["profiles"].values()), 1.0),
+    ])
+
     sections = []
     if report["column_summaries"]:
         sections.append((
             "## Column summaries", "column summaries", ["column", *_STATS],
             _records(report["column_summaries"], "name", _STATS),
         ))
-    for md_title, csv_title, matrix, scale in (
-        ("## Correlation matrix", "correlation", report["correlation"]["r"], 1.0),
-        ("## Significance levels (two-tailed p-values)", "significance",
-         report["significance"], 1.0),
-        ("## Angles between variables (degrees)", "angles_deg", report["angles_deg"], 1.0),
-        ("## Determination coefficients (percent)", "determination_percent",
-         report["determination"], 100.0),
+    for md_title, csv_title, rows in (
+        ("## Correlation matrix", "correlation", r),
+        ("## Significance levels (two-tailed p-values)", "significance", p),
+        ("## Angles between variables (degrees)", "angles_deg", angles),
+        ("## Determination coefficients (percent)", "determination_percent", det_pct),
     ):
-        sections.append((md_title, csv_title, [""] + names, _matrix(names, matrix, scale)))
+        sections.append((md_title, csv_title, ["", *names], _labelled(names, rows)))
 
-    eig = report["eigen"]
-    pcs = [f"pc{i + 1}" for i in range(len(eig["eigenvalues"]))]
+    pcs = [f"pc{i + 1}" for i in range(len(eigenvalues))]
     sections.append((
         "## Eigensystem", None, ["component", "eigenvalue"],
-        [[pc, f"{v:.3f}"] for pc, v in zip(pcs, eig["eigenvalues"])],
+        [[pc, v] for pc, v in zip(pcs, eigenvalues)],
     ))
-    sections.append(("Eigenvectors in columns:", None, [""] + pcs, _matrix(names, eig["U"])))
+    sections.append(("Eigenvectors in columns:", None, ["", *pcs], _labelled(names, U)))
     sections.append((
         "## Variance explained", "variance explained",
-        ["component", "eigenvalue", "cumulative", "percent",
-         ("cumulative percent", "cumulative_percent")],
+        ("component", "eigenvalue", "cumulative", "percent",
+         ("cumulative percent", "cumulative_percent")),
         _records(report["variance_explained"], "component",
                  ("eigenvalue", "cumulative_eigenvalue", "percent", "cumulative_percent")),
     ))
 
-    full = report["loadings_full"]
     sections.append((
-        "## Loadings (components vs variables)", "loadings", [""] + full["variables"],
-        _matrix(full["pc_labels"], full["loading"]),
+        "## Loadings (components vs variables)", "loadings", ["", *full["variables"]],
+        _labelled(full["pc_labels"], loading),
     ))
     det_rows = [
-        [label] + [f"{v:.3f}" for v in row] + [f"{total:.3f}"]
-        for label, row, total in zip(full["pc_labels"], full["determination"], full["row_sums"])
+        [label, *row, total] for label, row, total in zip(full["pc_labels"], det, row_sums)
     ]
-    det_rows.append(
-        [("column sum", "column_sum")] + [f"{v:.3f}" for v in full["column_sums"]] + [""]
-    )
+    det_rows.append((("column sum", "column_sum"), *column_sums, ""))
     sections.append((
         "## Determination (components vs variables)", "determination_components",
-        [""] + full["variables"] + [("row sum", "row_sum")], det_rows,
+        ("", *full["variables"], ("row sum", "row_sum")), det_rows,
     ))
 
-    rec = report["reconstruction_at_k"]
     rec_rows = [
-        [label] + [f"{v:.3f}" for v in row] + [f"{avg * 100.0:.3f}"]
-        for label, row, avg in zip(rec["pc_labels"], rec["determination"], rec["row_averages"])
+        [label, *row, avg] for label, row, avg in zip(rec["pc_labels"], rec_det, rec_averages)
     ]
-    rec_rows.append(
-        [("reconstruction %", "reconstruction_percent")]
-        + [f"{v * 100.0:.3f}" for v in rec["column_sums"]]
-        + [""]
-    )
+    rec_rows.append((("reconstruction %", "reconstruction_percent"), *rec_sums, ""))
     sections.append((
         f"## Reconstruction with the first {rec['k']} component(s)", f"reconstruction_k{rec['k']}",
-        [""] + rec["variables"] + [("row average %", "row_average_percent")], rec_rows,
+        ("", *rec["variables"], ("row average %", "row_average_percent")), rec_rows,
     ))
 
     sel = report["selection"]
@@ -478,22 +540,21 @@ def _sections(report: dict) -> list[tuple]:
         notes = [f"threshold {detail['threshold']}"] if "threshold" in detail else []
         if detail.get("no_elbow"):
             notes.append("no elbow")
-        sel_rows.append([crit, str(sel[crit]["k"]), ("; ".join(notes), None)])
+        sel_rows.append((crit, str(sel[crit]["k"]), ("; ".join(notes), None)))
     chosen = sel["chosen_criterion"]
-    sel_rows.append([(f"chosen: {chosen}", f"chosen:{chosen}"), str(sel["k"]), ("", None)])
+    sel_rows.append(((f"chosen: {chosen}", f"chosen:{chosen}"), str(sel["k"]), ("", None)))
     sections.append((
-        "## Component-count selection", "selection", ["criterion", "k", ("notes", None)], sel_rows
+        "## Component-count selection", "selection", ("criterion", "k", ("notes", None)), sel_rows
     ))
 
-    prof = report["similarity_profiles"]
     sections.append((
-        "## Similarity profiles", "similarity_profiles", ["variable"] + prof["components"],
-        _matrix(prof["profiles"].keys(), prof["profiles"].values()),
+        "## Similarity profiles", "similarity_profiles", ["variable", *prof["components"]],
+        _labelled(prof["profiles"], profiles),
     ))
     sections.append((
         "## Clusters", "clusters", ["cluster", "members"],
         [
-            [cid, (", ".join(members) if members else "(empty)", ";".join(members))]
+            (cid, (", ".join(members) if members else "(empty)", ";".join(members)))
             for cid, members in report["clusters"]["clusters"].items()
         ],
     ))
@@ -502,14 +563,14 @@ def _sections(report: dict) -> list[tuple]:
     if scores["available"]:
         sections.append((
             "## Scores", "scores",
-            ["component", "mean", "std", ("variance (sample divisor)", "variance_sample")],
+            ("component", "mean", "std", ("variance (sample divisor)", "variance_sample")),
             _records(scores["summaries"], "component", _STATS),
         ))
     else:
         sections.append(("## Scores", None, None, [scores["reason"]]))
     sections.append((
         "## Representation identities", "relations",
-        ["relation", ("max abs deviation", "max_abs_dev"), ("status", "pass")],
+        ("relation", ("max abs deviation", "max_abs_dev"), ("status", "pass")),
         [
             [c["relation"], f"{c['max_abs_dev']:.3e}", "pass" if c["pass"] else "FAIL"]
             for c in report["relations"]
@@ -518,9 +579,10 @@ def _sections(report: dict) -> list[tuple]:
     return sections
 
 
-def _side(cells: list, side: int) -> list[str]:
-    """One format's cells of a row: pairs resolved to ``side``, ``None`` dropped."""
-    if tuple not in map(type, cells):  # most rows are plain strings
+def _side(cells: list | tuple, side: int) -> list[str]:
+    """One format's cells of a row: a list is the same in both formats; a
+    tuple's pairs are resolved to ``side`` and its ``None`` cells dropped."""
+    if cells.__class__ is list:
         return cells
     return [
         c if c.__class__ is str else c[side]

@@ -12,19 +12,26 @@ Agreement between the two routes is the evidence the tests rely on.
 
 The scalar incomplete beta function is kept as the package had it
 before the continued fraction was batched, so the batched p-values can
-be compared with it bit for bit.
+be compared with it bit for bit.  Likewise the markdown and CSV
+renderers are kept as they were before the keyed 3-decimal cell pass,
+formatting every cell with its own f-string, so the rendered texts can
+be compared with them byte for byte.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import math
+from collections.abc import Iterable, Iterator
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
 from pcageom.errors import DataError
 from pcageom.ingest import DataMatrix
+from pcageom.pcacore import CRITERIA
 
 
 def t_pdf(x: float, df: float) -> float:
@@ -411,3 +418,206 @@ def reference_load_csv(
 
     labels = [row[label_idx].strip() for row in data_rows] if label_idx is not None else None
     return DataMatrix(values=values, column_names=sel_names, labels=labels, label_name=label_name)
+
+
+def _matrix(labels: Iterable[str], matrix: Iterable, scale: float = 1.0) -> Iterator[list[str]]:
+    """Rows of a labelled matrix at 3 decimals, formatted as they are read."""
+    return ([label] + [f"{v * scale:.3f}" for v in row] for label, row in zip(labels, matrix))
+
+
+def _records(records: list[dict], label: str, keys: tuple[str, ...]) -> list[list[str]]:
+    """One row per record: its ``label`` field, then ``keys`` at 3 decimals."""
+    return [[r[label]] + [f"{r[key]:.3f}" for key in keys] for r in records]
+
+
+_STATS = ("mean", "std", "variance")
+
+
+def _reference_sections(report: dict) -> list[tuple]:
+    """The report's tables in print order, shared by both text renderers.
+
+    Each section is ``(markdown title line, CSV title or None, headers,
+    rows)``.  A header or cell that the two formats spell differently is
+    a ``(markdown, csv)`` pair, and ``None`` on one side leaves that cell
+    out of that format.  A CSV title of ``None`` keeps the table out of
+    the CSV; headers of ``None`` make the rows markdown text lines.
+    Matrix rows are generators that format each row as it is read: the
+    CSV never formats the markdown-only eigenvectors, and the sections
+    of one call can be rendered once.
+    """
+    names = report["correlation"]["names"]
+    sections = []
+    if report["column_summaries"]:
+        sections.append((
+            "## Column summaries", "column summaries", ["column", *_STATS],
+            _records(report["column_summaries"], "name", _STATS),
+        ))
+    for md_title, csv_title, matrix, scale in (
+        ("## Correlation matrix", "correlation", report["correlation"]["r"], 1.0),
+        ("## Significance levels (two-tailed p-values)", "significance",
+         report["significance"], 1.0),
+        ("## Angles between variables (degrees)", "angles_deg", report["angles_deg"], 1.0),
+        ("## Determination coefficients (percent)", "determination_percent",
+         report["determination"], 100.0),
+    ):
+        sections.append((md_title, csv_title, [""] + names, _matrix(names, matrix, scale)))
+
+    eig = report["eigen"]
+    pcs = [f"pc{i + 1}" for i in range(len(eig["eigenvalues"]))]
+    sections.append((
+        "## Eigensystem", None, ["component", "eigenvalue"],
+        [[pc, f"{v:.3f}"] for pc, v in zip(pcs, eig["eigenvalues"])],
+    ))
+    sections.append(("Eigenvectors in columns:", None, [""] + pcs, _matrix(names, eig["U"])))
+    sections.append((
+        "## Variance explained", "variance explained",
+        ["component", "eigenvalue", "cumulative", "percent",
+         ("cumulative percent", "cumulative_percent")],
+        _records(report["variance_explained"], "component",
+                 ("eigenvalue", "cumulative_eigenvalue", "percent", "cumulative_percent")),
+    ))
+
+    full = report["loadings_full"]
+    sections.append((
+        "## Loadings (components vs variables)", "loadings", [""] + full["variables"],
+        _matrix(full["pc_labels"], full["loading"]),
+    ))
+    det_rows = [
+        [label] + [f"{v:.3f}" for v in row] + [f"{total:.3f}"]
+        for label, row, total in zip(full["pc_labels"], full["determination"], full["row_sums"])
+    ]
+    det_rows.append(
+        [("column sum", "column_sum")] + [f"{v:.3f}" for v in full["column_sums"]] + [""]
+    )
+    sections.append((
+        "## Determination (components vs variables)", "determination_components",
+        [""] + full["variables"] + [("row sum", "row_sum")], det_rows,
+    ))
+
+    rec = report["reconstruction_at_k"]
+    rec_rows = [
+        [label] + [f"{v:.3f}" for v in row] + [f"{avg * 100.0:.3f}"]
+        for label, row, avg in zip(rec["pc_labels"], rec["determination"], rec["row_averages"])
+    ]
+    rec_rows.append(
+        [("reconstruction %", "reconstruction_percent")]
+        + [f"{v * 100.0:.3f}" for v in rec["column_sums"]]
+        + [""]
+    )
+    sections.append((
+        f"## Reconstruction with the first {rec['k']} component(s)", f"reconstruction_k{rec['k']}",
+        [""] + rec["variables"] + [("row average %", "row_average_percent")], rec_rows,
+    ))
+
+    sel = report["selection"]
+    sel_rows = []
+    for crit in CRITERIA:
+        detail = sel[crit]["detail"]
+        notes = [f"threshold {detail['threshold']}"] if "threshold" in detail else []
+        if detail.get("no_elbow"):
+            notes.append("no elbow")
+        sel_rows.append([crit, str(sel[crit]["k"]), ("; ".join(notes), None)])
+    chosen = sel["chosen_criterion"]
+    sel_rows.append([(f"chosen: {chosen}", f"chosen:{chosen}"), str(sel["k"]), ("", None)])
+    sections.append((
+        "## Component-count selection", "selection", ["criterion", "k", ("notes", None)], sel_rows
+    ))
+
+    prof = report["similarity_profiles"]
+    sections.append((
+        "## Similarity profiles", "similarity_profiles", ["variable"] + prof["components"],
+        _matrix(prof["profiles"].keys(), prof["profiles"].values()),
+    ))
+    sections.append((
+        "## Clusters", "clusters", ["cluster", "members"],
+        [
+            [cid, (", ".join(members) if members else "(empty)", ";".join(members))]
+            for cid, members in report["clusters"]["clusters"].items()
+        ],
+    ))
+
+    scores = report["scores"]
+    if scores["available"]:
+        sections.append((
+            "## Scores", "scores",
+            ["component", "mean", "std", ("variance (sample divisor)", "variance_sample")],
+            _records(scores["summaries"], "component", _STATS),
+        ))
+    else:
+        sections.append(("## Scores", None, None, [scores["reason"]]))
+    sections.append((
+        "## Representation identities", "relations",
+        ["relation", ("max abs deviation", "max_abs_dev"), ("status", "pass")],
+        [
+            [c["relation"], f"{c['max_abs_dev']:.3e}", "pass" if c["pass"] else "FAIL"]
+            for c in report["relations"]
+        ],
+    ))
+    return sections
+
+
+def _side(cells: list, side: int) -> list[str]:
+    """One format's cells of a row: pairs resolved to ``side``, ``None`` dropped."""
+    if tuple not in map(type, cells):  # most rows are plain strings
+        return cells
+    return [
+        c if c.__class__ is str else c[side]
+        for c in cells
+        if c.__class__ is str or c[side] is not None
+    ]
+
+
+def reference_render_markdown(report: dict) -> str:
+    """``report.render_markdown`` as it was before the keyed cell pass: one
+    f-string per cell."""
+    prov = report["provenance"]
+    lines = [
+        "# Correlation-geometry PCA report",
+        "",
+        f"- input: `{prov['input']}` ({prov['input_kind']})",
+        f"- divisor: {prov['divisor']}; seed: {prov['seed']}",
+        f"- criterion: {prov['criterion']}"
+        + (f" (threshold {prov['threshold']})" if prov["threshold"] is not None else "")
+        + f"; components kept: {prov['k']}",
+        f"- clustering: {prov['cluster_method']}"
+        + (f" ({prov['metric']})" if prov["metric"] else ""),
+        "",
+    ]
+    # every text cell that is not a fixed label holds a variable name, so
+    # only a name can put a "|" in a cell; the tables then write it "\|"
+    escape = any("|" in name for name in report["correlation"]["names"])
+    for title, _, headers, rows in _reference_sections(report):
+        lines += [title, ""]
+        if headers is None:
+            lines += rows
+        else:
+            headers = _side(headers, 0)
+            if escape:
+                headers = _escape_pipes(headers)
+                rows = [_escape_pipes(_side(row, 0)) for row in rows]
+            lines.append("| " + " | ".join(headers) + " |")
+            lines.append("| " + " | ".join(["---"] * len(headers)) + " |")
+            lines += ["| " + " | ".join(_side(row, 0)) + " |" for row in rows]
+        lines.append("")
+    return "\n".join(lines)
+
+
+def _escape_pipes(cells: list[str]) -> list[str]:
+    return [c.replace("|", "\\|") for c in cells]
+
+
+def reference_render_csv(report: dict) -> str:
+    """``report.render_csv`` as it was before the keyed cell pass."""
+    buf = io.StringIO()
+    # a "\r" in the terminator makes the writer quote cells holding one;
+    # each row still ends in "\n"
+    rows_out = SimpleNamespace(write=lambda line: buf.write(line[:-2] + "\n"))
+    writer = csv.writer(rows_out, lineterminator="\r\n")
+    for _, title, headers, rows in _reference_sections(report):
+        if title is None:
+            continue
+        buf.write(f"# {title}\n")
+        writer.writerow(_side(headers, 1))
+        writer.writerows(_side(row, 1) for row in rows)
+        buf.write("\n")
+    return buf.getvalue()[:-1]

@@ -41,6 +41,7 @@ def test_bench_pipeline_row(monkeypatch, tmp_path, harness):
         assert row["stages_s"][span] > 0.0
     assert row["exact"] is True and row["objective"] >= 0.0
     assert isinstance(row["missing"], list) and len(row["report_sha256"]) == 64
+    assert len(row["markdown_sha256"]) == 64
     assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv"]
     assert "perfbench" not in {Path(p).name for p in sys.path}
 
@@ -56,7 +57,13 @@ def test_bench_pipeline_correlation_json_row(tmp_path, harness):
     for span in ("corrstats.load_correlation_json", "report.to_json_text"):
         assert row["stages_s"][span] > 0.0
     assert "ingest.load_csv" not in row["stages_s"] and "exact" not in row
-    assert len(row["report_sha256"]) == 64
+    assert len(row["report_sha256"]) == 64 and len(row["markdown_sha256"]) == 64
+    # the digests cut the input path to its file name
+    (tmp_path / "elsewhere").mkdir()
+    moved = corr.rename(tmp_path / "elsewhere" / corr.name)
+    again = bench.measure(moved, bench.JSON_FLAGS, case="json n=4", n=4, n_obs=50)
+    assert (again["report_sha256"], again["markdown_sha256"]) == (row["report_sha256"],
+                                                                  row["markdown_sha256"])
 
 
 def test_bench_main_merges_under_the_label(monkeypatch, tmp_path, capsys, harness):

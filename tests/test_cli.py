@@ -1,7 +1,12 @@
 """Command-line behavior: files written, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from pcageom import cli
@@ -154,6 +159,17 @@ def test_missing_path_is_not_replaced_by_a_fixture(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_more_observations_than_significance_allows_is_an_input_error(tmp_path, capsys):
+    doc = {"names": ["a", "b", "c"], "n_obs": 2**53,
+           "r": [[1.0, 1.2e-8, 0.0], [1.2e-8, 1.0, 0.0], [0.0, 0.0, 1.0]]}
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, "analyze", str(path), "--out", str(tmp_path / "o"))
+    assert code == 2 and out == ""
+    assert "'n_obs' must be an integer from 3 to 1,000,000" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_bad_k_is_an_input_error(capsys):
     code, _, err = run(capsys, "analyze", "fixtures/iris_corr.json", "--k", "many")
     assert code == 2
@@ -256,3 +272,25 @@ def test_parser_is_reused_without_carrying_flags_between_calls(tmp_path, capsys)
     with pytest.raises(SystemExit) as exc:
         cli.main(["analyze", "fixtures/iris_corr.json", "--no-such-flag"])
     assert exc.value.code == 2
+
+
+def test_report_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # reports of up to 200 variables are documented as independent of
+    # the thread count; n = 160 is the largest full report measured equal
+    n, rows = 160, 2000
+    rng = np.random.default_rng([7, n])
+    data = rng.standard_normal((rows, 3)) @ rng.standard_normal((3, n)) + rng.standard_normal((rows, n))
+    path = tmp_path / "wide.csv"
+    np.savetxt(path, data, fmt="%.6f", delimiter=",", comments="",
+               header=",".join(f"v{j + 1}" for j in range(n)))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    reports = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = tmp_path / f"threads{threads}"
+        subprocess.run([sys.executable, "-m", "pcageom.cli", "analyze", str(path), "--header",
+                        "--clusters", "naive", "--format", "json", "--out", str(out)],
+                       env=env, check=True, capture_output=True, timeout=300)
+        reports.append((out / "report.json").read_bytes())
+    assert reports[0] == reports[1]

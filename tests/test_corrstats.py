@@ -11,6 +11,7 @@ compared bit for bit with the scalar continued fraction frozen in
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from pcageom.corrstats import (
+    MAX_N_OBS,
     CorrelationMatrix,
     angle_deg,
     angle_matrix,
@@ -204,6 +206,47 @@ def test_significance_matrix_checks_pairs_in_row_major_order():
         significance_matrix(c)
 
 
+def mpmath_significance(x: float, n_obs: int) -> float:
+    """I_x((n_obs - 2)/2, 1/2) at 50 digits."""
+    with mpmath.workdps(50):
+        return float(mpmath.betainc((n_obs - 2) / mpmath.mpf(2), mpmath.mpf(1) / 2, 0, x,
+                                    regularized=True))
+
+
+@st.composite
+def accuracy_cases(draw):
+    """``n_obs`` log-uniform over 3..MAX_N_OBS, and r near the branch point
+    x = (a+1)/(a+b+2) or with a t statistic log-uniform over [1e-6, 30],
+    so that the p-value stays above 1e-200."""
+    n_obs = min(MAX_N_OBS, max(3, round(10 ** draw(st.floats(math.log10(3), math.log10(MAX_N_OBS))))))
+    a, b = (n_obs - 2) / 2.0, 0.5
+    r_branch = math.sqrt(1.0 - (a + 1.0) / (a + b + 2.0))
+    r = draw(st.floats(0.9, 1.1).map(lambda f: min(1.0, f * r_branch))
+             | st.floats(-6.0, math.log10(30.0)).map(lambda e: 10.0**e / math.sqrt(n_obs - 2 + 100.0**e)))
+    return r * draw(st.sampled_from([1.0, -1.0])), n_obs
+
+
+@settings(max_examples=200, deadline=None)
+@given(accuracy_cases())
+@example((math.sqrt(1.0 - (MAX_N_OBS / 2.0) / (MAX_N_OBS / 2.0 + 1.5)), MAX_N_OBS))
+@example((30.0 / math.sqrt(MAX_N_OBS - 2 + 900.0), MAX_N_OBS))
+@example((0.5, 3))
+def test_significance_is_accurate_up_to_the_limit(case):
+    # the reference is taken at the double x = 1 - r^2 that significance
+    # evaluates: it measures the function, not the rounding of x
+    r, n_obs = case
+    want = mpmath_significance(max(0.0, 1.0 - r * r), n_obs)
+    assert abs(significance(r, n_obs) - want) <= 1e-8 * want, (r, n_obs, want)
+
+
+@pytest.mark.parametrize("n_obs", [MAX_N_OBS + 1, 10**8, 2**53])
+def test_significance_refuses_more_observations_than_the_limit(n_obs):
+    c = CorrelationMatrix(r=np.array([[1.0, 1.2e-8], [1.2e-8, 1.0]]), n_obs=n_obs, names=["a", "b"])
+    for call in (lambda: significance(1.2e-8, n_obs), lambda: significance_matrix(c)):
+        with pytest.raises(DataError, match="at most 1,000,000 observations"):
+            call()
+
+
 def test_student_t_cdf_basics():
     assert student_t_cdf(0.0, 5.0) == pytest.approx(0.5, abs=1e-15)
     for t in (0.3, 1.7, 6.0):
@@ -364,6 +407,7 @@ GOOD = {"names": ["a", "b"], "n_obs": 10, "r": [[1.0, 0.5], [0.5, 1.0]]}
         (lambda d: d.update(names=["a"]), "at least 2"),
         (lambda d: d.update(names=["a", "a"]), "duplicate"),
         (lambda d: d.update(n_obs=2), "n_obs"),
+        (lambda d: d.update(n_obs=MAX_N_OBS + 1), "from 3 to 1,000,000"),
         (lambda d: d.update(r=[[1.0, 0.5]]), "must be 2x2"),
         (lambda d: d.update(r=[[1.0, 0.5], [0.4, 1.0]]), "not symmetric"),
         (lambda d: d.update(r=[[0.9, 0.5], [0.5, 1.0]]), "diagonal"),

@@ -12,8 +12,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from pcageom.fixtures import fixture_path
-from pcageom.report import render_csv, render_markdown, run_analysis, to_json_text
+from pcageom.report import (
+    _KEYED_MIN,
+    _three_decimals,
+    render_csv,
+    render_markdown,
+    run_analysis,
+    to_json_text,
+)
 
 CORR = fixture_path("iris_corr.json")
 IRIS = fixture_path("iris.csv")
@@ -215,6 +223,83 @@ def test_json_text_matches_json_dumps(tree):
 def test_json_text_rejects_what_the_report_never_holds(tree, names):
     with pytest.raises(TypeError, match=names):
         to_json_text(tree)
+
+
+def test_text_renderers_match_the_f_string_renderer(tmp_path):
+    # iris stays below the keyed pass's cell count; the 48-variable JSON
+    # and the 160-variable k-means report go through it
+    reports = [
+        run_analysis(IRIS, columns="1-4", header=True, cluster_method="kmeans").report,
+        run_analysis(seeded_corr_json(tmp_path / "r48.json", 48), cluster_method="naive").report,
+        run_analysis(seeded_csv(tmp_path / "v160.csv", 160), header=True, cluster_method="kmeans",
+                     k=12).report,
+    ]
+    for report in reports:
+        assert render_markdown(report) == oracles.reference_render_markdown(report)
+        assert render_csv(report) == oracles.reference_render_csv(report)
+
+
+def test_markdown_peak_memory_is_bounded(tmp_path):
+    report = run_analysis(seeded_csv(tmp_path / "v20.csv", 20), header=True).report
+    render_markdown(report)  # first-call allocations stay out of the peak
+    tracemalloc.start()
+    try:
+        text = render_markdown(report)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7 * len(text), f"peak {peak} B for {len(text)} characters"
+
+
+# a block of zeros that takes every call through the keyed pass
+PADDING = ([[0.0] * _KEYED_MIN], 1.0)
+
+
+def keyed_texts(values: list[float], scale: float) -> list[str]:
+    return _three_decimals([([values], scale), PADDING])[0][0]
+
+
+def test_three_decimals_on_every_boundary():
+    # every k/1000 and (k + 0.5)/1000 for |k| <= 200,000, and the values
+    # that the x100 scale takes there
+    k = np.arange(-200_000, 200_001, dtype=np.float64)
+    for scale, step in ((1.0, 1000.0), (100.0, 100_000.0)):
+        values = np.concatenate([k / step, (k + 0.5) / step]).tolist()
+        assert keyed_texts(values, scale) == [f"{v * scale:.3f}" for v in values]
+
+
+def boundary_neighbours(k: int) -> list[float]:
+    at = (k + 0.5) / 1000.0
+    return [at, math.nextafter(at, -math.inf), math.nextafter(at, math.inf), k / 1000.0]
+
+
+CELL_FLOATS = (
+    st.floats()
+    | st.floats(-200.0, 200.0)
+    | st.floats(-1e-3, 1e-3)
+    | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, math.nan, math.inf, -math.inf, 1e300, -1e300,
+                       2.0**31 / 1000.0, -(2.0**31) / 1000.0, 2.0**53])
+)
+NEAR_BOUNDARY = st.integers(-200_000, 200_000).flatmap(lambda k: st.sampled_from(boundary_neighbours(k)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(CELL_FLOATS | NEAR_BOUNDARY, min_size=1, max_size=40), st.sampled_from([1.0, 100.0]))
+@example([0.0, -0.0, 5e-324, -5e-324, math.nan, math.inf, -math.inf, 1e300, -1e300], 1.0)
+@example([0.0, -0.0, 5e-324, -5e-324, math.nan, math.inf, -math.inf, 1e300, -1e300], 100.0)
+@example([-0.0004, -0.0005, 0.0005, 0.0625, -0.0625, 179.9995, 1e-7], 1.0)
+@example([x for k in (-2, -1, 0, 1, 62, 199_999) for x in boundary_neighbours(k)], 1.0)
+def test_three_decimals_matches_the_f_string(values, scale):
+    assert keyed_texts(values, scale) == [f"{v * scale:.3f}" for v in values]
+    # below the keyed pass's cell count every cell is an f-string too
+    assert _three_decimals([([values], scale)])[0][0] == [f"{v * scale:.3f}" for v in values]
+
+
+def test_three_decimals_keeps_the_block_shapes():
+    blocks = [([[0.1, 0.2], [0.3]], 1.0), ([], 1.0), ([[0.5]], 100.0), PADDING]
+    got = _three_decimals(blocks)
+    assert got[:3] == [[["0.100", "0.200"], ["0.300"]], [], [["50.000"]]]
+    assert got[3] == [["0.000"] * _KEYED_MIN]
 
 
 def test_markdown_sections(corr_result):
