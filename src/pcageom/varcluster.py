@@ -25,13 +25,22 @@ from a seed-chosen start and at most ``MAX_ITER`` (100) Lloyd
 iterations to an assignment fixpoint, best objective kept (earliest
 restart wins ties).  The sum of Chebyshev distances has no closed-form
 minimizer, so that metric reuses the mean and the iteration simply
-stops if the objective would rise, keeping the descent property.
+stops if the objective would rise, keeping the descent property.  The
+restarts run in lockstep: ``lloyd`` takes every start at once and steps
+all restarts still descending together, and each restart leaves that
+set at its own fixpoint, guard trip or iteration cap, so it returns
+what a loop over the starts would.
 
 Distances are array code: ``pairwise_distance`` gives each Lloyd step
-one point-to-centroid matrix, from which labels and cost are read, and
-one point-to-point matrix serves the initialization of every restart.
-It adds coordinates in the order a loop over one pair of vectors would,
-so results are bitwise those of such a loop.
+one matrix from every point to the centroids of every live restart,
+from which each restart's labels and cost are read, and one
+point-to-point matrix serves the initialization of every restart.  It
+adds coordinates in the order a loop over one pair of vectors would,
+so results are bitwise those of such a loop.  The centroids of one
+step come from one pass over all (restart, cluster) groups; groups of
+equal size are reduced together, so each centroid is bitwise what
+``np.median``, ``mean`` or the normalized sum gives for its group
+alone.  The exact path takes its centroids from the same pass.
 """
 
 from __future__ import annotations
@@ -165,19 +174,6 @@ def cluster_naive(profiles: list[SimilarityProfile], threshold: float = 0.5) -> 
     )
 
 
-def _centroid(points: np.ndarray, metric: str) -> np.ndarray:
-    if metric == "l1":
-        return np.median(points, axis=0)
-    if metric == "cosine":
-        norms = np.linalg.norm(points, axis=1, keepdims=True)
-        direction = np.sum(points / norms, axis=0)
-        total = np.linalg.norm(direction)
-        if total == 0.0:
-            return points[0].copy()
-        return direction / total
-    return points.mean(axis=0)
-
-
 def _check_metric(metric: str) -> None:
     if metric not in METRICS:
         raise ValueError(f"varcluster: unknown metric {metric!r}, expected one of {sorted(METRICS)}")
@@ -245,19 +241,17 @@ def assign_labels(points: np.ndarray, centroids: np.ndarray, metric: str) -> tup
     return labels, _labeled_cost(dist, labels)
 
 
-def _fix_empty(points: np.ndarray, centroids: np.ndarray, labels: np.ndarray, metric: str) -> bool:
-    """Refill empty clusters in place; return whether any point moved.
+def _fix_empty(points: np.ndarray, centroids: np.ndarray, labels: np.ndarray,
+               own: np.ndarray, counts: np.ndarray) -> bool:
+    """Refill one restart's empty clusters in place; return whether any point moved.
 
-    Each empty cluster, lowest id first, takes the point farthest from
-    its own centroid among clusters that can spare one, and that point
-    becomes its centroid.
+    ``own`` holds every point's distance to its own centroid and
+    ``counts`` the cluster sizes.  Each empty cluster, lowest id first,
+    takes the point farthest from its own centroid among clusters that
+    can spare one, and that point becomes its centroid.
     """
-    counts = np.bincount(labels, minlength=centroids.shape[0])
-    if counts.all():
-        return False
     # a moved point is alone in its new cluster and never moves again,
     # so the other points' distances to their centroids stay valid
-    own = pairwise_distance(points, centroids, metric)[np.arange(labels.shape[0]), labels]
     moved = False
     for cid in np.flatnonzero(counts == 0):
         spare = counts[labels] > 1
@@ -272,72 +266,142 @@ def _fix_empty(points: np.ndarray, centroids: np.ndarray, labels: np.ndarray, me
     return moved
 
 
-def _assign(points: np.ndarray, centroids: np.ndarray, metric: str) -> tuple[np.ndarray, float]:
-    """Nearest-centroid labels with empty clusters refilled, and their cost."""
-    labels, cost = assign_labels(points, centroids, metric)
-    if _fix_empty(points, centroids, labels, metric):
-        cost = _labeled_cost(pairwise_distance(points, centroids, metric), labels)
-    return labels, cost
+def _assign_all(points: np.ndarray, centroids: np.ndarray, metric: str) -> tuple[np.ndarray, np.ndarray]:
+    """Every restart's nearest-centroid labels, empty clusters refilled, and costs.
+
+    ``centroids`` is ``(restarts, kc, dim)`` and is updated in place by
+    refills; returns labels ``(restarts, m)`` and costs ``(restarts,)``.
+    """
+    rows, kc, dim = centroids.shape
+    m = points.shape[0]
+    dist = pairwise_distance(points, centroids.reshape(-1, dim), metric).reshape(m, rows, kc)
+    labels = dist.argmin(axis=2).T.copy()  # ties go to the lowest centroid index
+    own = dist[np.arange(m), np.arange(rows)[:, None], labels]
+    # added in point order, as a scalar loop would
+    costs = np.add.accumulate(own, axis=1)[:, -1] if m else np.zeros(rows)
+    counts = np.bincount((labels + kc * np.arange(rows)[:, None]).ravel(), minlength=rows * kc)
+    counts = counts.reshape(rows, kc)
+    for r in np.flatnonzero((counts == 0).any(axis=1)):
+        if _fix_empty(points, centroids[r], labels[r], own[r], counts[r]):
+            costs[r] = _labeled_cost(pairwise_distance(points, centroids[r], metric), labels[r])
+    return labels, costs
 
 
-def lloyd(points: np.ndarray, centroids: np.ndarray, metric: str = "l2") -> LloydResult:
-    """Run Lloyd iterations from the given centroids until a fixpoint.
+def _centroids(points: np.ndarray, labels: np.ndarray, centroids: np.ndarray, metric: str) -> np.ndarray:
+    """Centroid of every (row, cluster) group of ``labels``, in one pass.
 
-    Stops at an assignment fixpoint, after ``MAX_ITER`` iterations, or
-    as soon as an update would increase the objective (possible only
-    for the Chebyshev metric, whose centroid rule is heuristic).  The
-    returned history is the objective after each accepted iteration and
-    is nonincreasing by construction.
+    ``labels`` is ``(rows, m)`` and ``centroids`` ``(rows, kc, dim)``;
+    returns a copy of ``centroids`` in which every group with members
+    holds its centroid: the coordinatewise median (l1), the normalized
+    sum of unit vectors (cosine; the group's first member when that sum
+    is zero) or the mean (l2, linf).  Members are ordered by group size,
+    then group, then point, so the groups of each size form one
+    ``(groups, size, dim)`` block.  Reducing a block along its middle
+    axis adds each group's members in the order ``np.median``, ``mean``
+    and ``np.sum`` add one group's, so every centroid is bitwise theirs.
+    """
+    rows, m = labels.shape
+    kc, dim = centroids.shape[1:]
+    group = (labels + kc * np.arange(rows)[:, None]).ravel()
+    counts = np.bincount(group, minlength=rows * kc)
+    order = np.argsort(counts[group] * (rows * kc) + group, kind="stable")
+    members = points[order % m]
+    if metric == "cosine":
+        members = members / np.linalg.norm(members, axis=1, keepdims=True)
+    out = centroids.reshape(rows * kc, dim).copy()
+    groups_of_size = np.bincount(counts)
+    groups_of_size[0] = 0  # empty groups keep their centroid
+    stop = 0
+    for size in np.flatnonzero(groups_of_size).tolist():
+        start, stop = stop, stop + size * int(groups_of_size[size])
+        block = members[start:stop].reshape(-1, size, dim)
+        first = order[start:stop:size]  # each group's first member
+        ids = group[first]
+        if metric == "l1":
+            block = np.sort(block, axis=1)
+            # np.median: the mean of the middle one or two sorted values
+            middle = 0.0 + block[:, (size - 1) // 2]
+            out[ids] = middle if size % 2 else (middle + block[:, size // 2]) / 2.0
+        elif metric == "cosine":
+            direction = np.add.reduce(block, axis=1)
+            # per group ``norm(direction)``, which is sqrt(direction @ direction)
+            total = np.sqrt(direction[:, None, :] @ direction[:, :, None])[:, :, 0]
+            zero = total[:, 0] == 0.0
+            np.divide(direction, total, out=direction, where=~zero[:, None])
+            direction[zero] = points[first[zero] % m]
+            out[ids] = direction
+        else:
+            out[ids] = np.add.reduce(block, axis=1) / size
+    return out.reshape(rows, kc, dim)
+
+
+def lloyd(points: np.ndarray, starts: np.ndarray, metric: str = "l2") -> list[LloydResult]:
+    """Run Lloyd iterations from every stack of starting centroids.
+
+    ``starts`` is ``(restarts, kc, dim)``; returns one result per start,
+    each what a descent from that start alone would give.  A descent
+    stops at an assignment fixpoint, after ``MAX_ITER`` iterations, or
+    as soon as an update would increase its objective (possible only
+    for the Chebyshev metric, whose centroid rule is heuristic).  Its
+    history is the objective after each accepted iteration and is
+    nonincreasing by construction.
     """
     points = np.asarray(points, dtype=np.float64)
-    centroids = np.array(centroids, dtype=np.float64)
-    kc = centroids.shape[0]
-    labels, objective = _assign(points, centroids, metric)
-    history = [objective]
-    converged = False
-    guard_tripped = False
+    centroids = np.array(starts, dtype=np.float64)
+    if centroids.ndim != 3:
+        raise ValueError(f"varcluster: starts must be (restarts, kc, dim), got shape {centroids.shape}")
+    labels, objective = _assign_all(points, centroids, metric)
+    history = [[cost] for cost in objective.tolist()]
+    converged = np.zeros(centroids.shape[0], dtype=bool)
+    guard_tripped = np.zeros(centroids.shape[0], dtype=bool)
+    live = np.arange(centroids.shape[0])
 
     for _ in range(MAX_ITER):
-        new_centroids = centroids.copy()
-        for cid in range(kc):
-            members = points[labels == cid]
-            if members.shape[0]:
-                new_centroids[cid] = _centroid(members, metric)
-        new_labels, new_objective = _assign(points, new_centroids, metric)
-        if new_objective > objective + _GUARD_TOL:
-            guard_tripped = True
+        if not live.size:
             break
-        fixpoint = np.array_equal(new_labels, labels)
-        labels, centroids, objective = new_labels, new_centroids, new_objective
-        history.append(objective)
-        if fixpoint:
-            converged = True
-            break
-    return LloydResult(
-        labels=labels,
-        centroids=centroids,
-        objective=objective,
-        history=history,
-        converged=converged,
-        guard_tripped=guard_tripped,
-    )
+        new_centroids = _centroids(points, labels[live], centroids[live], metric)
+        new_labels, new_objective = _assign_all(points, new_centroids, metric)
+        rose = new_objective > objective[live] + _GUARD_TOL
+        guard_tripped[live[rose]] = True
+        fixpoint = (new_labels == labels[live]).all(axis=1)
+        accept = live[~rose]
+        labels[accept] = new_labels[~rose]
+        centroids[accept] = new_centroids[~rose]
+        objective[accept] = new_objective[~rose]
+        for r, cost in zip(accept.tolist(), new_objective[~rose].tolist()):
+            history[r].append(cost)
+        converged[live[~rose & fixpoint]] = True
+        live = live[~rose & ~fixpoint]
+    return [
+        LloydResult(
+            labels=labels[r],
+            centroids=centroids[r],
+            objective=history[r][-1],
+            history=history[r],
+            converged=bool(converged[r]),
+            guard_tripped=bool(guard_tripped[r]),
+        )
+        for r in range(centroids.shape[0])
+    ]
 
 
-def _farthest_point_init(pair_dist: np.ndarray, kc: int, seed: int) -> list[int]:
-    """Indices of kc starting points, from the point-to-point distances.
+def _farthest_point_init(pair_dist: np.ndarray, kc: int, seeds: range) -> np.ndarray:
+    """Indices of kc starting points per seed, ``(len(seeds), kc)``.
 
-    The first is drawn with the seed; each next one is the point
-    farthest from its nearest chosen point (lowest index on ties).
+    From the point-to-point distances: each restart's first point is
+    drawn with its seed; each next one is the point farthest from its
+    nearest chosen point (lowest index on ties).
     """
-    rng = np.random.default_rng(seed)
-    chosen = [int(rng.integers(pair_dist.shape[0]))]
-    nearest = pair_dist[:, chosen[0]].copy()
-    nearest[chosen[0]] = -1.0
+    first = np.array([np.random.default_rng(seed).integers(pair_dist.shape[0]) for seed in seeds])
+    chosen = [first]
+    rows = np.arange(first.shape[0])
+    nearest = pair_dist[:, first].T.copy()
+    nearest[rows, first] = -1.0
     while len(chosen) < kc:
-        chosen.append(int(np.argmax(nearest)))
-        np.minimum(nearest, pair_dist[:, chosen[-1]], out=nearest)
-        nearest[chosen[-1]] = -1.0
-    return chosen
+        chosen.append(np.argmax(nearest, axis=1))
+        np.minimum(nearest, pair_dist[:, chosen[-1]].T, out=nearest)
+        nearest[rows, chosen[-1]] = -1.0
+    return np.stack(chosen, axis=1)
 
 
 def _stirling2(m: int, k: int) -> int:
@@ -370,7 +434,7 @@ def _partitions(m: int, k: int) -> np.ndarray:
 
 
 def _partition_costs(points: np.ndarray, labels: np.ndarray, metric: str) -> np.ndarray:
-    """Cost of every partition row, each block costed at its ``_centroid``.
+    """Cost of every partition row, each block costed at its exact centroid.
 
     Closed forms of the block cost at the exact centroid: squared
     Euclidean, sum of squares minus squared sum over the count; cosine,
@@ -450,18 +514,17 @@ def cluster_kmeans(
     if exact:
         candidates = _partitions(points.shape[0], k_clusters)
         labels = candidates[int(np.argmin(_partition_costs(points, candidates, metric)))]
-        centroids = np.array([_centroid(points[labels == c], metric) for c in range(k_clusters)])
+        # every block has members, so no placeholder centroid survives
+        placeholder = np.zeros((1, k_clusters, points.shape[1]))
+        centroids = _centroids(points, labels[None], placeholder, metric)[0]
         objective = _labeled_cost(pairwise_distance(points, centroids, metric), labels)
         n_iterations = None
     else:
         # one point-to-point matrix serves every restart's initialization
         pair_dist = pairwise_distance(points, points, metric)
-        best: LloydResult | None = None
-        for attempt in range(RESTARTS):
-            init = points[_farthest_point_init(pair_dist, k_clusters, seed + attempt)]
-            result = lloyd(points, init, metric)
-            if best is None or result.objective < best.objective:
-                best = result
+        starts = points[_farthest_point_init(pair_dist, k_clusters, range(seed, seed + RESTARTS))]
+        # min keeps the first of equal objectives: the earliest restart
+        best = min(lloyd(points, starts, metric), key=lambda result: result.objective)
         labels, objective, n_iterations = best.labels, best.objective, len(best.history) - 1
 
     # canonical ids: order clusters by their lowest member variable index

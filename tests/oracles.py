@@ -15,7 +15,10 @@ before the continued fraction was batched, so the batched p-values can
 be compared with it bit for bit.  Likewise the markdown and CSV
 renderers are kept as they were before the keyed 3-decimal cell pass,
 formatting every cell with its own f-string, so the rendered texts can
-be compared with them byte for byte.
+be compared with them byte for byte, and the k-means restarts are kept
+as the loop they were before they ran in lockstep, one Lloyd descent
+per start with one ``oracle_centroid`` call per cluster per step, so
+labels, objectives and iteration counts can be compared bit for bit.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ import numpy as np
 from pcageom.errors import DataError
 from pcageom.ingest import DataMatrix
 from pcageom.pcacore import CRITERIA
+from pcageom.varcluster import MAX_ITER, RESTARTS, assign_labels, pairwise_distance
 
 
 def t_pdf(x: float, df: float) -> float:
@@ -275,6 +279,92 @@ def oracle_centroid(points: np.ndarray, metric: str) -> np.ndarray:
         norm = np.linalg.norm(direction)
         return direction / norm if norm > 0.0 else points[0].copy()
     return points.mean(axis=0)
+
+
+def _restart_fix_empty(points, centroids, labels, metric) -> bool:
+    counts = np.bincount(labels, minlength=centroids.shape[0])
+    if counts.all():
+        return False
+    own = pairwise_distance(points, centroids, metric)[np.arange(labels.shape[0]), labels]
+    moved = False
+    for cid in np.flatnonzero(counts == 0):
+        spare = counts[labels] > 1
+        if not spare.any():
+            break
+        i = int(np.argmax(np.where(spare, own, -1.0)))
+        counts[labels[i]] -= 1
+        counts[cid] = 1
+        labels[i] = cid
+        centroids[cid] = points[i]
+        moved = True
+    return moved
+
+
+def _restart_assign(points, centroids, metric):
+    labels, cost = assign_labels(points, centroids, metric)
+    moved = _restart_fix_empty(points, centroids, labels, metric)
+    if moved:
+        own = pairwise_distance(points, centroids, metric)[np.arange(labels.shape[0]), labels]
+        cost = float(np.add.accumulate(own)[-1])
+    return labels, cost, moved
+
+
+def restart_lloyd(points: np.ndarray, centroids: np.ndarray, metric: str) -> SimpleNamespace:
+    """``varcluster.lloyd`` from one start, as it was before the restarts
+    ran in lockstep; ``refills`` counts the assignments that refilled an
+    empty cluster."""
+    points = np.asarray(points, dtype=np.float64)
+    centroids = np.array(centroids, dtype=np.float64)
+    labels, objective, refills = _restart_assign(points, centroids, metric)
+    history = [objective]
+    converged = guard_tripped = False
+    for _ in range(MAX_ITER):
+        new_centroids = centroids.copy()
+        for cid in range(centroids.shape[0]):
+            members = points[labels == cid]
+            if members.shape[0]:
+                new_centroids[cid] = oracle_centroid(members, metric)
+        new_labels, new_objective, moved = _restart_assign(points, new_centroids, metric)
+        refills += moved
+        if new_objective > objective + 1e-12:
+            guard_tripped = True
+            break
+        fixpoint = np.array_equal(new_labels, labels)
+        labels, centroids, objective = new_labels, new_centroids, new_objective
+        history.append(objective)
+        if fixpoint:
+            converged = True
+            break
+    return SimpleNamespace(labels=labels, centroids=centroids, objective=objective,
+                           history=history, converged=converged,
+                           guard_tripped=guard_tripped, refills=refills)
+
+
+def restart_starts(pair_dist: np.ndarray, kc: int, seed: int) -> list[int]:
+    """Farthest-point start indices of one restart, drawn as the loop drew them."""
+    rng = np.random.default_rng(seed)
+    chosen = [int(rng.integers(pair_dist.shape[0]))]
+    nearest = pair_dist[:, chosen[0]].copy()
+    nearest[chosen[0]] = -1.0
+    while len(chosen) < kc:
+        chosen.append(int(np.argmax(nearest)))
+        np.minimum(nearest, pair_dist[:, chosen[-1]], out=nearest)
+        nearest[chosen[-1]] = -1.0
+    return chosen
+
+
+def restart_kmeans(points: np.ndarray, kc: int, metric: str, seed: int = 0):
+    """The heuristic path of ``cluster_kmeans`` as a loop over the restarts:
+    ``(best, runs)``, the earliest restart of lowest objective and every
+    restart's descent."""
+    pair_dist = pairwise_distance(points, points, metric)
+    runs = [restart_lloyd(points, points[restart_starts(pair_dist, kc, seed + attempt)], metric)
+            for attempt in range(RESTARTS)]
+    best = runs[0]
+    for run in runs[1:]:
+        if run.objective < best.objective:
+            best = run
+    return best, runs
 
 
 def oracle_distance(x: np.ndarray, c: np.ndarray, metric: str) -> float:

@@ -34,7 +34,7 @@ from pcageom.varcluster import (
     pairwise_distance,
     similarity_profiles,
 )
-from pcageom.varcluster import _partitions, _stirling2
+from pcageom.varcluster import _centroids, _partitions, _stirling2
 
 from conftest import REF_PARTITION, REF_PROFILES_K2_3DP
 import oracles
@@ -295,7 +295,10 @@ def test_kmeans_validation(fixture_profiles):
     with pytest.raises(ValueError, match="no profiles"):
         cluster_kmeans([], 1)
     with pytest.raises(ValueError, match="unknown metric"):
-        lloyd(np.eye(2), np.eye(2), "mahalanobis")
+        lloyd(np.eye(2), np.eye(2)[None], "mahalanobis")
+    with pytest.raises(ValueError, match="starts must be"):
+        lloyd(np.eye(2), np.eye(2), "l2")
+    assert lloyd(np.zeros((0, 2)), np.eye(2)[None], "l2")[0].objective == 0.0
     with pytest.raises(ValueError, match="unknown metric"):
         pairwise_distance(np.eye(2), np.eye(2), "mahalanobis")
 
@@ -386,7 +389,7 @@ def test_lloyd_refills_empty_clusters_as_before():
     for metric, (labels, history) in EMPTY_CLUSTER_RESULTS.items():
         first, _ = assign_labels(points, init, metric)
         assert set(first.tolist()) == {0, 1}  # the far centroids win nothing
-        res = lloyd(points, init, metric)
+        res = lloyd(points, init[None], metric)[0]
         assert res.converged, metric
         assert res.labels.tolist() == labels, metric
         assert res.history == history, metric
@@ -428,7 +431,7 @@ def test_lloyd_history_is_nonincreasing():
         kc = int(rng.integers(2, min(4, n + 1)))
         for metric in METRICS:
             init = points[rng.choice(n, size=kc, replace=False)]
-            res = lloyd(points, init, metric)
+            res = lloyd(points, init[None], metric)[0]
             assert all(a >= b - 1e-12 for a, b in zip(res.history, res.history[1:])), metric
             assert res.converged or res.guard_tripped or len(res.history) == MAX_ITER + 1
 
@@ -440,7 +443,145 @@ def test_guard_trips_only_for_chebyshev():
         points = np.array([p.values for p in profs])
         init = points[rng.choice(points.shape[0], size=2, replace=False)]
         for metric in ("l1", "l2", "cosine"):
-            assert not lloyd(points, init, metric).guard_tripped
+            assert not lloyd(points, init[None], metric)[0].guard_tripped
+
+
+# -- lockstep restarts against the restart loop ----------------------------
+
+
+def same_bits(got, want) -> bool:
+    got, want = np.asarray(got, dtype=np.float64), np.asarray(want, dtype=np.float64)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@st.composite
+def restart_instances(draw):
+    """Profiles on the restart path: 11 to 20 variables in 2 to 6 clusters
+    (S(m, k) > EXACT_BUDGET for all of them) with 1 to 4 coordinates, and
+    one-decimal values in half the draws, so that ties and duplicates occur."""
+    m = draw(st.integers(11, 20))
+    if draw(st.booleans()):
+        cells = st.integers(0, 10).map(lambda i: i / 10)
+    else:
+        cells = st.floats(0.0, 1.0, allow_nan=False, width=64)
+    points = draw(hnp.arrays(np.float64, (m, draw(st.integers(1, 4))), elements=cells))
+    return points, draw(st.integers(2, 6)), draw(st.integers(0, 50))
+
+
+def check_against_restart_loop(points, kc, metric, seed):
+    """Assert ``cluster_kmeans`` equals the restart loop bitwise; return the
+    loop's descents, or None when the instance is clustered exactly."""
+    profs = [SimilarityProfile(f"v{i + 1}", p.copy()) for i, p in enumerate(points)]
+    active = np.arange(points.shape[0])
+    if metric == "cosine":
+        active = np.flatnonzero(np.linalg.norm(points, axis=1) > 0.0)  # zero profiles are parked
+        if active.shape[0] < kc:
+            return None
+    got = cluster_kmeans(profs, kc, metric=metric, seed=seed)
+    if got.exact:
+        return None
+    best, runs = oracles.restart_kmeans(points[active], kc, metric, seed)
+    canonical = {lbl: f"c{rank + 1}" for rank, lbl in enumerate(dict.fromkeys(best.labels.tolist()))}
+    assert [got.assignments[f"v{i + 1}"] for i in active] == [canonical[lbl] for lbl in best.labels.tolist()]
+    assert got.objective.hex() == best.objective.hex(), metric
+    assert got.n_iterations == len(best.history) - 1, metric
+    return runs
+
+
+@settings(max_examples=60, deadline=None)
+@given(restart_instances())
+def test_kmeans_restarts_match_the_restart_loop_bitwise(instance):
+    points, kc, seed = instance
+    assert _stirling2(points.shape[0], kc) > EXACT_BUDGET
+    for metric in METRICS:
+        check_against_restart_loop(points, kc, metric, seed)
+
+
+def test_restart_loop_comparison_covers_refills_and_guard_trips():
+    """The comparison above on seeded one-decimal profiles, checked to reach
+    empty-cluster refills and Chebyshev guard trips in the restart loop."""
+    rng = np.random.default_rng(17)
+    refills = guard_trips = 0
+    for _ in range(30):
+        m, kc, dim = int(rng.integers(11, 21)), int(rng.integers(2, 7)), int(rng.integers(1, 5))
+        points = np.round(rng.random((m, dim)), 1)
+        for metric in METRICS:
+            runs = check_against_restart_loop(points, kc, metric, int(rng.integers(50)))
+            refills += sum(run.refills > 0 for run in runs or ())
+            guard_trips += sum(run.guard_tripped for run in runs or ())
+    assert refills > 0 and guard_trips > 0, (refills, guard_trips)
+
+
+@settings(max_examples=60, deadline=None)
+@given(restart_instances(), st.data())
+def test_lloyd_matches_the_restart_loop_per_start(instance, data):
+    points, kc, _ = instance
+    # cosine needs a direction for every point
+    points[np.linalg.norm(points, axis=1) == 0.0] = 1.0
+    picks = data.draw(hnp.arrays(np.int64, (data.draw(st.integers(1, 4)), kc),
+                                 elements=st.integers(0, points.shape[0] - 1)))
+    # a start moved far from every point wins none: its cluster is refilled
+    shift = data.draw(hnp.arrays(np.float64, (*picks.shape, 1), elements=st.sampled_from([0.0, 50.0])))
+    starts = points[picks] + shift
+    for metric in METRICS:
+        results = lloyd(points, starts, metric)
+        assert len(results) == starts.shape[0]
+        for start, got in zip(starts, results):
+            want = oracles.restart_lloyd(points, start, metric)
+            assert got.labels.tolist() == want.labels.tolist(), metric
+            assert same_bits(got.centroids, want.centroids), metric
+            assert same_bits(got.history, want.history), metric
+            assert got.objective.hex() == want.objective.hex(), metric
+            assert (got.converged, got.guard_tripped) == (want.converged, want.guard_tripped)
+
+
+def numpy_centroid(members, metric):
+    if metric == "l1":
+        return np.median(members, axis=0)
+    if metric == "cosine":
+        return oracles.oracle_centroid(members, metric)
+    return members.mean(axis=0)
+
+
+def check_centroid_pass(points, labels, before):
+    for metric in METRICS:
+        got = _centroids(points, labels, before, metric)
+        for r, c in np.ndindex(*before.shape[:2]):
+            members = points[labels[r] == c]
+            want = numpy_centroid(members, metric) if members.shape[0] else before[r, c]
+            assert same_bits(got[r, c], want), (metric, r, c, got[r, c], want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_centroid_pass_matches_numpy_group_by_group(data):
+    dim = data.draw(st.integers(1, 4))
+    cells = st.sampled_from([-0.0, 0.0, 0.1, 0.5, -1.0]) | st.floats(-10.0, 10.0, allow_nan=False, width=64)
+    points = data.draw(hnp.arrays(np.float64, (data.draw(st.integers(1, 24)), dim), elements=cells))
+    points[np.linalg.norm(points, axis=1) == 0.0, 0] = -0.5  # cosine needs a direction
+    kc = data.draw(st.integers(1, 6))
+    labels = data.draw(hnp.arrays(np.int64, (data.draw(st.integers(1, 4)), points.shape[0]),
+                                  elements=st.integers(0, kc - 1)))
+    before = data.draw(hnp.arrays(np.float64, (labels.shape[0], kc, dim), elements=cells))
+    check_centroid_pass(points, labels, before)
+
+
+def test_centroid_pass_edge_groups():
+    points = np.array([
+        [-0.0, 1.0], [-0.0, 2.0],               # two -0.0 cells: both sums read +0.0
+        [0.3, -0.0],                             # one member
+        [0.2, 0.1], [0.6, -0.0], [0.4, 0.5],    # odd count
+        [1.0, 0.5], [-1.0, -0.5],                # unit vectors cancel
+        [0.1, 0.9], [0.7, 0.3], [0.5, 0.5], [0.9, 0.2],  # even count
+    ])
+    labels = np.array([[0, 0, 1, 2, 2, 2, 3, 3, 4, 4, 4, 4],
+                       [4, 4, 4, 4, 0, 0, 1, 1, 1, 1, 1, 1]])
+    before = np.full((2, 6, 2), 7.0)  # cluster 5 stays empty
+    check_centroid_pass(points, labels, before)
+    for metric in ("l1", "l2", "linf"):
+        assert _centroids(points, labels, before, metric)[0, 0].tobytes() == np.array([0.0, 1.5]).tobytes()
+    cosine = _centroids(points, labels, before, "cosine")
+    assert cosine[0, 3].tolist() == [1.0, 0.5]  # the first member of a cancelling group
 
 
 # -- enumeration oracle ---------------------------------------------------
