@@ -10,7 +10,7 @@ from pathlib import Path
 from .eigensolve import eigen_symmetric
 from .errors import PcageomError
 from .fixtures import fixture_path
-from .report import load_input, render_csv, render_markdown, run_analysis, to_json_text
+from .report import _sections, load_input, render_csv, render_markdown, run_analysis, to_json_text
 from .svgplot import render_svg_scree, render_svg_similarity
 from .tensorops import build_virtual, verify_relations
 from .varcluster import METRICS
@@ -113,7 +113,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     (out_dir / "report.json").write_text(json_text, encoding="utf-8")
     if args.format != "json":
         json_text = None  # released before the markdown render's peak
-    md_text = render_markdown(result.report)
+    # built once, for report.md and the CSV echo
+    sections = _sections(result.report)
+    md_text = render_markdown(result.report, sections)
     (out_dir / "report.md").write_text(md_text + "\n", encoding="utf-8")
     (out_dir / "scree.svg").write_text(render_svg_scree(result.scree_series), encoding="utf-8")
     if result.k == 2:
@@ -132,7 +134,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     if args.format == "json":
         sys.stdout.write(json_text)
     elif args.format == "csv":
-        print(render_csv(result.report))
+        print(render_csv(result.report, sections))
     else:
         print(md_text)
     return 0

@@ -112,11 +112,13 @@ def correlation_matrix(z: StandardizedMatrix) -> CorrelationMatrix:
     exactly, and the diagonal is exactly 1.
     """
     zc = z.values - z.values.mean(axis=0)
-    norms = np.sqrt(np.sum(zc * zc, axis=0))
+    gram = zc.T @ zc
+    # squared in place: the Gram product is the last reader of zc
+    norms = np.sqrt(np.square(zc, out=zc).sum(axis=0))
     if np.any(norms == 0.0):
         j = int(np.argmin(norms))
         raise DataError(f"corrstats: column {z.column_names[j]!r} has zero variance")
-    r = np.triu(np.clip(zc.T @ zc / np.outer(norms, norms), -1.0, 1.0), 1)
+    r = np.triu(np.clip(gram / np.outer(norms, norms), -1.0, 1.0), 1)
     r += r.T
     np.fill_diagonal(r, 1.0)
     return CorrelationMatrix(r=r, n_obs=z.n_rows, names=list(z.column_names))

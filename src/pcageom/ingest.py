@@ -15,6 +15,12 @@ loader does not.  The csv module reads only the first row (the header,
 or the field count); NumPy's parser reads the label cells too.  When it
 refuses a file, the csv module reads it again only to name the row and
 column at fault.
+
+NumPy is given the file's path, not an open handle: it reads a path in
+large chunks, but iterates a handle one line at a time.  A path goes
+through NumPy's data source, which decompresses by file suffix, so a
+name ending in ``.gz``, ``.bz2``, ``.xz`` or ``.lzma`` (any case) is
+refused before anything is read.
 """
 
 from __future__ import annotations
@@ -46,6 +52,8 @@ SAMPLE = "sample"
 # Largest column index a selection may name: a correlation matrix of
 # that many variables alone would take 80 GB.
 MAX_COLUMNS = 100_000
+# Suffixes NumPy's data source decompresses by (np.lib._datasource)
+COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
 
 
 def ddof_for(divisor: str) -> int:
@@ -199,10 +207,14 @@ def _read(
     """The data of a well-formed file, or None when ``_fault`` must name a fault.
 
     The csv module reads the first row; then one ``np.loadtxt`` call
-    reads the values from the start of the same file.  Columns that are
-    not data get a converter that returns 0.0, so NumPy still checks
-    that every row has the same number of fields (``usecols`` would drop
-    that check); the label column's converter also keeps the cell.
+    reads the values from the start of the file, by path: NumPy reads a
+    path in chunks, while a handle would hand it one ``str`` per line.
+    Columns that are not data get a converter that returns 0.0, so NumPy
+    still checks that every row has the same number of fields
+    (``usecols`` would drop that check); the label column's converter
+    also keeps the cell.  NumPy opens the path in text mode, which turns
+    a ``\r\n`` or ``\r`` inside a quoted cell into ``\n``; so when a
+    label holds a line break, the csv module reads the labels as written.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
@@ -218,20 +230,23 @@ def _read(
         # loadtxt warns on a file without data rows
         if header and not any(line.strip("\r\n") for line in fh):
             return None
-        converters = dict.fromkeys(set(range(n_cols)) - set(selected), lambda _cell: 0.0)
-        labels: list[str] = []
-        if label_idx is not None:  # NumPy calls it once per data row, in file order
-            converters[label_idx] = lambda cell: labels.append(cell.strip()) or 0.0
-        fh.seek(0)
-        # encoding=None: NumPy < 2.0 defaults to "bytes" and would pass bytes to converters
-        values = np.loadtxt(
-            fh, delimiter=",", comments=None, quotechar='"', ndmin=2, skiprows=skiprows,
-            converters=converters, encoding=None,
-        )
+    converters = dict.fromkeys(set(range(n_cols)) - set(selected), lambda _cell: 0.0)
+    labels: list[str] = []
+    if label_idx is not None:  # NumPy calls it once per data row, in file order
+        converters[label_idx] = lambda cell: labels.append(cell.strip()) or 0.0
+    values = np.loadtxt(
+        str(path), delimiter=",", comments=None, quotechar='"', ndmin=2, skiprows=skiprows,
+        converters=converters, encoding="utf-8-sig",
+    )
     if len(values) < 3 or values.shape[1] != n_cols:
         return None
-    if label_idx is not None and len(labels) != len(values):
-        return None
+    if label_idx is not None:
+        if any("\n" in label for label in labels):
+            with open(path, newline="", encoding="utf-8-sig") as fh:
+                rows = [row for row in csv.reader(fh) if row][1 if header else 0:]
+            labels = [row[label_idx].strip() for row in rows]
+        if len(labels) != len(values):
+            return None
     if selected != list(range(n_cols)):
         values = values.take(selected, axis=1)
     if not np.isfinite(values).all():
@@ -312,7 +327,8 @@ def load_csv(
     module docstring gives.  Cells of columns that are neither data nor
     label are not parsed, but every row must have as many fields as the
     first.  The csv module reads only the first row, so its
-    131,072-character field limit applies to that row only.
+    131,072-character field limit applies to that row only, unless a
+    label holds a line break (see ``_read``).
 
     Args:
         path: file to read.
@@ -323,12 +339,18 @@ def load_csv(
         header: whether the first row holds column names.
 
     Raises:
-        DataError: unreadable or non-UTF-8 file, a row with a different
+        DataError: a compressed-file suffix (``.gz``, ``.bz2``, ``.xz``,
+            ``.lzma``), unreadable or non-UTF-8 file, a row with a different
             number of fields, unknown column, a non-numeric, non-finite
             or missing cell (reported with its row and column), fewer
             than 3 rows, or fewer than 2 numeric columns.
     """
     path = Path(path)
+    if path.suffix.lower() in COMPRESSED_SUFFIXES:
+        raise DataError(
+            f"ingest: {path} has the compressed-file suffix {path.suffix!r}; "
+            "decompress it first, the loader reads plain-text CSV only"
+        )
     try:
         data = _read(path, columns, label_column, header)
     except (DataError, OSError, ValueError, csv.Error):
@@ -371,7 +393,8 @@ def standardize(data: DataMatrix, divisor: str = POPULATION) -> StandardizedMatr
     for s in summaries:
         if s.std == 0.0:
             raise DataError(f"ingest: column {s.name!r} has zero variance")
-    z = (data.values - [s.mean for s in summaries]) / [s.std for s in summaries]
+    z = data.values - [s.mean for s in summaries]
+    z /= [s.std for s in summaries]
     return StandardizedMatrix(
         values=z, column_names=list(data.column_names), summaries=summaries, divisor=divisor
     )

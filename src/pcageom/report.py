@@ -591,8 +591,12 @@ def _side(cells: list | tuple, side: int) -> list[str]:
     ]
 
 
-def render_markdown(report: dict) -> str:
-    """Render the analysis report as markdown tables (3-decimal cells)."""
+def render_markdown(report: dict, sections: list[tuple] | None = None) -> str:
+    """Render the analysis report as markdown tables (3-decimal cells).
+
+    ``sections`` is ``_sections(report)`` when the caller has built it
+    already, to share with ``render_csv``; by default it is built here.
+    """
     prov = report["provenance"]
     lines = [
         "# Correlation-geometry PCA report",
@@ -609,7 +613,7 @@ def render_markdown(report: dict) -> str:
     # every text cell that is not a fixed label holds a variable name, so
     # only a name can put a "|" in a cell; the tables then write it "\|"
     escape = any("|" in name for name in report["correlation"]["names"])
-    for title, _, headers, rows in _sections(report):
+    for title, _, headers, rows in sections or _sections(report):
         lines += [title, ""]
         if headers is None:
             lines += rows
@@ -629,19 +633,20 @@ def _escape_pipes(cells: list[str]) -> list[str]:
     return [c.replace("|", "\\|") for c in cells]
 
 
-def render_csv(report: dict) -> str:
+def render_csv(report: dict, sections: list[tuple] | None = None) -> str:
     """Render the report as sectioned CSV with the same 3-decimal cells.
 
     Each table is a ``# title`` line, a header row and its rows, quoted
     per RFC 4180; a blank line separates tables.  The eigensystem and
-    the selection notes are markdown only.
+    the selection notes are markdown only.  ``sections`` is as for
+    ``render_markdown``.
     """
     buf = io.StringIO()
     # a "\r" in the terminator makes the writer quote cells holding one;
     # each row still ends in "\n"
     rows_out = SimpleNamespace(write=lambda line: buf.write(line[:-2] + "\n"))
     writer = csv.writer(rows_out, lineterminator="\r\n")
-    for _, title, headers, rows in _sections(report):
+    for _, title, headers, rows in sections or _sections(report):
         if title is None:
             continue
         buf.write(f"# {title}\n")

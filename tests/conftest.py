@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from pcageom.corrstats import load_correlation_json
 from pcageom.eigensolve import eigen_symmetric
@@ -145,6 +146,21 @@ def sign_normalize_columns(m: np.ndarray, tol: float = 1e-9) -> np.ndarray:
 
 def sign_normalize_rows(m: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     return sign_normalize_columns(np.asarray(m).T, tol).T
+
+
+@st.composite
+def offset_columns(draw) -> np.ndarray:
+    """Small data sets whose columns sit at large offsets, hold ``-0.0``
+    cells, or repeat one row's value, so some have zero variance."""
+    n_rows, n_cols = draw(st.integers(3, 12)), draw(st.integers(2, 5))
+    cell = st.sampled_from([-0.0, 0.0, 1.0, -2.5, 0.1, 3.0, 1e-300, 7e5])
+    values = np.array(draw(st.lists(cell, min_size=n_rows * n_cols, max_size=n_rows * n_cols)))
+    values = values.reshape(n_rows, n_cols)
+    offsets = [0.0, -0.0, 1e8, -3.7e15, 12345.678]
+    values += draw(st.lists(st.sampled_from(offsets), min_size=n_cols, max_size=n_cols))
+    for j in draw(st.lists(st.integers(0, n_cols - 1), max_size=2)):
+        values[:, j] = values[draw(st.integers(0, n_rows - 1)), j]
+    return values
 
 
 @pytest.fixture(scope="session")

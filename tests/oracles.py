@@ -19,6 +19,10 @@ be compared with them byte for byte, and the k-means restarts are kept
 as the loop they were before they ran in lockstep, one Lloyd descent
 per start with one ``oracle_centroid`` call per cluster per step, so
 labels, objectives and iteration counts can be compared bit for bit.
+The CSV loader is kept as it was when NumPy read the values through
+the open text handle, and standardization and the correlation matrix
+as the expressions they were before they worked in place, so the
+loaded values and the matrices can be compared bit for bit.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from pcageom.errors import DataError
-from pcageom.ingest import DataMatrix
+from pcageom.ingest import DataMatrix, StandardizedMatrix, _fault, _names, _select, summarize
 from pcageom.pcacore import CRITERIA
 from pcageom.varcluster import MAX_ITER, RESTARTS, assign_labels, pairwise_distance
 
@@ -508,6 +512,90 @@ def reference_load_csv(
 
     labels = [row[label_idx].strip() for row in data_rows] if label_idx is not None else None
     return DataMatrix(values=values, column_names=sel_names, labels=labels, label_name=label_name)
+
+
+def _handle_read(
+    path: Path, columns: list[int | str] | None, label_column: int | str | None, header: bool
+) -> DataMatrix | None:
+    """``ingest._read`` as it was when ``np.loadtxt`` read the open handle."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        first = next(filter(None, reader), None)
+        if first is None:
+            return None
+        names = _names(first, header)
+        n_cols = len(names)
+        skiprows = reader.line_num if header else 0
+        label_idx, selected = _select(names, columns, label_column)
+        if len(selected) < 2:
+            return None
+        if header and not any(line.strip("\r\n") for line in fh):
+            return None
+        converters = dict.fromkeys(set(range(n_cols)) - set(selected), lambda _cell: 0.0)
+        labels: list[str] = []
+        if label_idx is not None:
+            converters[label_idx] = lambda cell: labels.append(cell.strip()) or 0.0
+        fh.seek(0)
+        values = np.loadtxt(
+            fh, delimiter=",", comments=None, quotechar='"', ndmin=2, skiprows=skiprows,
+            converters=converters, encoding=None,
+        )
+    if len(values) < 3 or values.shape[1] != n_cols:
+        return None
+    if label_idx is not None and len(labels) != len(values):
+        return None
+    if selected != list(range(n_cols)):
+        values = values.take(selected, axis=1)
+    if not np.isfinite(values).all():
+        return None
+    return DataMatrix(
+        values=values,
+        column_names=[names[i] for i in selected],
+        labels=None if label_idx is None else labels,
+        label_name=None if label_idx is None else names[label_idx],
+    )
+
+
+def handle_load_csv(
+    path: str | Path,
+    columns: list[int | str] | None = None,
+    label_column: int | str | None = None,
+    header: bool = False,
+) -> DataMatrix:
+    """``ingest.load_csv`` as it was when NumPy iterated the open text
+    handle line by line; errors are named by the package's ``_fault``."""
+    path = Path(path)
+    try:
+        data = _handle_read(path, columns, label_column, header)
+    except (DataError, OSError, ValueError, csv.Error):
+        data = None
+    if data is None:
+        raise _fault(path, columns, label_column, header)
+    return data
+
+
+def expression_standardize(data: DataMatrix, divisor: str = "population") -> np.ndarray:
+    """``ingest.standardize``'s values as the one expression it was before
+    it divided in place; raises its zero-variance error the same way."""
+    summaries = summarize(data, divisor)
+    for s in summaries:
+        if s.std == 0.0:
+            raise DataError(f"ingest: column {s.name!r} has zero variance")
+    return (data.values - [s.mean for s in summaries]) / [s.std for s in summaries]
+
+
+def expression_correlation(z: StandardizedMatrix) -> np.ndarray:
+    """``corrstats.correlation_matrix``'s ``r`` as it was computed before the
+    norms were taken from the centered columns squared in place."""
+    zc = z.values - z.values.mean(axis=0)
+    norms = np.sqrt(np.sum(zc * zc, axis=0))
+    if np.any(norms == 0.0):
+        j = int(np.argmin(norms))
+        raise DataError(f"corrstats: column {z.column_names[j]!r} has zero variance")
+    r = np.triu(np.clip(zc.T @ zc / np.outer(norms, norms), -1.0, 1.0), 1)
+    r += r.T
+    np.fill_diagonal(r, 1.0)
+    return r
 
 
 def _matrix(labels: Iterable[str], matrix: Iterable, scale: float = 1.0) -> Iterator[list[str]]:

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from pcageom import cli
+from pcageom import report as report_module
 from pcageom.tensorops import RelationCheck
 
 
@@ -97,24 +98,28 @@ def test_analyze_format_json_and_csv(tmp_path, capsys):
 
 @pytest.mark.parametrize("fmt", ["md", "csv", "json"])
 def test_analyze_renders_each_text_once(tmp_path, capsys, monkeypatch, fmt):
-    calls = {"render_markdown": 0, "to_json_text": 0}
+    calls = {"render_markdown": 0, "render_csv": 0, "to_json_text": 0, "_sections": 0}
 
-    def counted(name):
-        real = getattr(cli, name)
+    def counted(module, name):
+        real = getattr(module, name)
 
-        def wrapper(report):
+        def wrapper(*args, **kwargs):
             calls[name] += 1
-            return real(report)
+            return real(*args, **kwargs)
 
         return wrapper
 
     for name in calls:
-        monkeypatch.setattr(cli, name, counted(name))
+        monkeypatch.setattr(cli, name, counted(cli, name))
+    # a renderer given only the report builds the sections through report's global
+    monkeypatch.setattr(report_module, "_sections", cli._sections)
     code, out, _ = run(
         capsys, "analyze", "fixtures/iris_corr.json", "--format", fmt, "--out", str(tmp_path)
     )
     assert code == 0
-    assert calls == {"render_markdown": 1, "to_json_text": 1}
+    assert calls == {
+        "render_markdown": 1, "render_csv": int(fmt == "csv"), "to_json_text": 1, "_sections": 1
+    }
     # the echo is the text written to disk
     if fmt == "md":
         assert out == (tmp_path / "report.md").read_text(encoding="utf-8")

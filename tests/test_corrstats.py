@@ -10,6 +10,7 @@ compared bit for bit with the scalar continued fraction frozen in
 
 import json
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -33,9 +34,9 @@ from pcageom.corrstats import (
     student_t_cdf,
 )
 from pcageom.errors import DataError
-from pcageom.ingest import StandardizedMatrix
+from pcageom.ingest import DataMatrix, StandardizedMatrix, standardize
 
-from conftest import REF_ANGLES_3DP, REF_NAMES, REF_P_VALUE_WEAK
+from conftest import REF_ANGLES_3DP, REF_NAMES, REF_P_VALUE_WEAK, offset_columns
 import oracles
 
 
@@ -122,6 +123,35 @@ def test_correlation_matrix_names_zero_variance_column():
     z = StandardizedMatrix(values=values, column_names=["a", "flat"], summaries=[])
     with pytest.raises(DataError, match="'flat' has zero variance"):
         correlation_matrix(z)
+
+
+@settings(max_examples=300, deadline=None)
+@given(offset_columns(), st.booleans())
+@example(np.array([[-0.0, 1.0], [-0.0, 2.0], [-0.0, 4.0]]), False)
+@example(np.array([[1e8, 1.0], [1e8 + 1.0, 2.0], [1e8 + 3.0, 2.0]]), False)
+@example(np.random.default_rng(3).standard_normal((2000, 6)) * 1e-3 + 1e8, False)
+@example(np.random.default_rng(4).standard_normal((2000, 6)), True)
+def test_correlation_matrix_matches_the_expression_bitwise(values, standardized):
+    """Norms from the centered columns squared in place, after the Gram
+    product, give the bits of the expressions they replaced, and the
+    same zero-variance error; raw and standardized columns alike."""
+    names = [f"v{j}" for j in range(values.shape[1])]
+    if standardized:
+        data = DataMatrix(values=values, column_names=names)
+        try:
+            z = standardize(data)
+        except DataError:
+            return
+    else:
+        z = StandardizedMatrix(values=values, column_names=names, summaries=[])
+    try:
+        expected = oracles.expression_correlation(z)
+    except DataError as exc:
+        with pytest.raises(DataError, match=re.escape(str(exc))):
+            correlation_matrix(z)
+        return
+    r = correlation_matrix(z).r
+    assert r.tobytes() == expected.tobytes()
 
 
 def test_angle_matrix_matches_angle_deg():

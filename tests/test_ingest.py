@@ -1,6 +1,9 @@
 """CSV loading, column selection, summaries, and standardization."""
 
 import ast
+import bz2
+import gzip
+import lzma
 import re
 
 import numpy as np
@@ -19,8 +22,8 @@ from pcageom.ingest import (
     summarize,
 )
 
-from conftest import REF_IRIS_MEANS
-from oracles import reference_load_csv
+from conftest import REF_IRIS_MEANS, offset_columns
+from oracles import expression_standardize, handle_load_csv, reference_load_csv
 
 
 def write_csv(tmp_path, text, name="data.csv"):
@@ -323,6 +326,100 @@ def test_load_csv_matches_the_float_loop(tmp_path_factory, content, header, colu
         ref.column_names, ref.labels, ref.label_name)
 
 
+@pytest.mark.parametrize("name", ["data.csv.gz", "data.csv.bz2", "data.xz", "data.csv.LZMA",
+                                  "data.GZ"])
+def test_load_csv_refuses_compressed_names_before_reading(tmp_path, name):
+    suffix = name[name.rindex("."):]
+    match = rf"has the compressed-file suffix '\{suffix}'; decompress it first"
+    with pytest.raises(DataError, match=match):
+        load_csv(tmp_path / name)  # absent: nothing is opened
+    p = write_csv(tmp_path, "a,b\n" + BASIC, name=name)  # plain text NumPy would decompress
+    with pytest.raises(DataError, match=match):
+        load_csv(p, header=True)
+
+
+@pytest.mark.parametrize("suffix, compress", [(".gz", gzip.compress), (".bz2", bz2.compress),
+                                              (".xz", lzma.compress)])
+def test_load_csv_refuses_a_compressed_file(tmp_path, suffix, compress):
+    p = tmp_path / f"data.csv{suffix}"
+    p.write_bytes(compress(BASIC.encode("utf-8")))
+    with pytest.raises(DataError, match=rf"data\.csv\{suffix} has the compressed-file suffix"):
+        load_csv(p)
+
+
+NUMERIC = ["1", "-2.5", "1e3", ".5", '"3"', '" 4 "', '"5\n"', '"6\r\n"']
+ODD_NUMERIC = ["nan", "inf", "", " ", "x"]
+LABELS = ["r1", " r2 ", '"r,3"', '"r\n4"', '"r\r\n5"', '"r\r6"', '""', '"a""b"']
+HEADERS = ["a", "b", '"a,b"', '"h\nc"', '"h\r\nd"', '"h\re"']
+
+
+@st.composite
+def loader_cases(draw):
+    """A file of numbers with an optional column of text labels, and the
+    arguments to load it with: quoted cells, line breaks of every kind
+    inside and between rows, blank lines, ragged rows, odd cells."""
+    n_data = draw(st.integers(2, 4))
+    label_at = draw(st.none() | st.integers(0, n_data))
+    width = n_data + (label_at is not None)
+    header = draw(st.booleans())
+    cell = st.sampled_from(NUMERIC * 20 + ODD_NUMERIC)
+    lines = []
+    if header:
+        names = draw(st.lists(st.sampled_from(HEADERS), min_size=width, max_size=width,
+                              unique=True))
+        if label_at is not None:
+            names[label_at] = "lab"
+        lines.append(names)
+    for _ in range(draw(st.integers(2, 6))):
+        row = draw(st.lists(cell, min_size=width, max_size=width))
+        if label_at is not None:
+            row[label_at] = draw(st.sampled_from(LABELS))
+        lines.append(row)
+    if not draw(st.integers(0, 7)):  # one ragged row
+        at = draw(st.integers(0, len(lines) - 1))
+        lines[at] = lines[at][:-1] if draw(st.booleans()) else [*lines[at], "1"]
+    lines = [",".join(row) for row in lines]
+    for _ in range(draw(st.integers(0, 2))):  # blank lines, before the header too
+        lines.insert(draw(st.integers(0, len(lines))), "")
+    end = st.sampled_from(["\n", "\r\n", "\r"])
+    if draw(st.booleans()):
+        ends = draw(st.lists(end, min_size=len(lines), max_size=len(lines)))
+    else:
+        ends = [draw(end)] * len(lines)
+    text = "".join(line + e for line, e in zip(lines, ends))
+    if draw(st.booleans()):  # no final line break
+        text = text[:-len(ends[-1])]
+    content = (BOM if draw(st.booleans()) else b"") + text.encode("utf-8")
+
+    label = None if label_at is None else draw(st.sampled_from([label_at + 1, "lab"][:header + 1]))
+    data = [i + 1 for i in range(width) if i != label_at]
+    columns = draw(st.sampled_from([None] * 3 + [data, data[::-1], data[:1], [*data, data[0]]]))
+    return content, header, columns, label
+
+
+@settings(max_examples=400, deadline=None)
+@given(loader_cases())
+@example((b'1,2,"r\r\n1"\r\n3,4,r2\r\n5,7,r3\r\n', False, None, 3))
+@example((b'1,2,"r\r1"\r3,4,r2\r5,7,r3\r', False, None, 3))
+@example((b'\r\na,"h\r\nd",lab\r\n\r\n1,2,r1\r\n3,4,r2\r\n5,7,r3', True, None, "lab"))
+@example((BOM + b'a,b\r1,"2"\r3," 4 "\r\r5,"6\n"', True, None, None))
+def test_load_csv_matches_the_handle_loader(tmp_path_factory, case):
+    """Reading the path gives the values, names, labels and errors that
+    reading the open handle gave, line breaks inside quoted cells included."""
+    content, header, columns, label = case
+    p = tmp_path_factory.getbasetemp() / "handle.csv"
+    p.write_bytes(content)
+    kwargs = dict(columns=columns, label_column=label, header=header)
+    old, new = _outcome(handle_load_csv, p, **kwargs), _outcome(load_csv, p, **kwargs)
+    if isinstance(old, str) or isinstance(new, str):
+        assert new == old
+        return
+    assert new.values.dtype == old.values.dtype and new.values.shape == old.values.shape
+    assert new.values.tobytes() == old.values.tobytes()
+    assert (new.column_names, new.labels, new.label_name) == (
+        old.column_names, old.labels, old.label_name)
+
+
 def test_summarize_matches_numpy(tmp_path):
     # a per-column loop of 1-D reductions is the reference, bit for bit
     rng = np.random.default_rng(11)
@@ -339,6 +436,24 @@ def test_summarize_matches_numpy(tmp_path):
                 assert (s.mean, s.variance, s.std) == (float(np.mean(col)), var, float(np.sqrt(var)))
                 assert s.n == data.n_rows and s.divisor == divisor
                 assert z[:, j].tobytes() == ((col - s.mean) / s.std).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(offset_columns(), st.sampled_from(["population", "sample"]))
+@example(np.array([[-0.0, 1.0], [-0.0, 2.0], [-0.0, 4.0]]), "population")
+@example(np.array([[1e8, -0.0], [1e8 + 1.0, 0.0], [1e8 + 3.0, -0.0]]), "sample")
+def test_standardize_matches_the_expression_bitwise(values, divisor):
+    """Dividing the centered copy in place gives the bits of the one
+    expression it replaced, and the same zero-variance error."""
+    data = DataMatrix(values=values, column_names=[f"v{j}" for j in range(values.shape[1])])
+    try:
+        expected = expression_standardize(data, divisor)
+    except DataError as exc:
+        with pytest.raises(DataError, match=re.escape(str(exc))):
+            standardize(data, divisor)
+        return
+    z = standardize(data, divisor).values
+    assert z.dtype == expected.dtype and z.tobytes() == expected.tobytes()
 
 
 def test_standardize_centers_and_scales(iris_standardized):
