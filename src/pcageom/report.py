@@ -283,11 +283,15 @@ def to_json_text(report: dict) -> str:
     ``json.dumps`` runs its pure-Python encoder whenever it indents; this
     writer walks the tree once, appending pieces to one list joined at
     the end.  A row of finite floats is left as a slot, and after the
-    walk ``float.__repr__`` formats each distinct double of all the rows
-    once: the report repeats many (``eigen.R`` is ``U`` transposed, the
-    matrices are symmetric).  Doubles are told apart by their bits, so
-    ``0.0`` and ``-0.0`` keep their own text.  Nothing is cached
-    between calls.
+    walk each distinct double of all the rows is formatted once
+    (``_fill``): the report repeats many (``eigen.R`` is ``U``
+    transposed, the matrices are symmetric).  Doubles are told apart by
+    their bits, so ``0.0`` and ``-0.0`` keep their own text.  Each text
+    is ``float.__repr__``'s.  From ``_REPR_BATCH_MIN`` distinct doubles
+    on, NumPy writes the texts of those whose shortest digits exact
+    integer and double-double arithmetic proves (``_certified``); the
+    rest, and every double of a smaller report, go through
+    ``float.__repr__`` itself.  Nothing is cached between calls.
     """
     out: list[str] = []
     values: list[float] = []
@@ -364,22 +368,281 @@ def _scalar(o) -> str:
 
 def _fill(out: list, values: list[float], slots: list[tuple[int, int, str]]) -> None:
     """Write each slot's row text into ``out``, formatting every distinct
-    bit pattern of ``values`` once."""
+    bit pattern of ``values`` once.
+
+    From ``_REPR_BATCH_MIN`` distinct doubles on, ``_repr_batch`` formats
+    them: NumPy writes the text of each double whose shortest digits
+    ``_certified`` proves, and ``float.__repr__`` the others.  Below that
+    count ``float.__repr__`` formats them all."""
     bits = np.fromiter(values, np.float64, len(values)).view(np.uint64)
     values.clear()
     distinct, which = np.unique(bits, return_inverse=True)
     del bits
     doubles = distinct.view(np.float64)
     # an object array hands out each value's text in one gather, not one
-    # Python index per value; formatting it a block at a time keeps only
-    # one block of Python floats alive beside the texts
-    texts = np.empty(doubles.size, dtype=object)
-    for start in range(0, doubles.size, 1024):
-        texts[start:start + 1024] = list(map(float.__repr__, doubles[start:start + 1024].tolist()))
+    # Python index per value
+    texts = _repr_batch(doubles) if doubles.size >= _REPR_BATCH_MIN else _reprs(doubles)
     pieces = iter(texts[which].tolist())
     del distinct, doubles, which, texts
     for at, length, sep in slots:
         out[at] = sep.join(islice(pieces, length))
+
+
+# the batch and float.__repr__ took equal time at about 300 distinct
+# doubles of a 48-variable report, the batch 0.7x as long at 512 and 3x
+# as long at 64: below this many its fixed NumPy calls cost more than
+# the float.__repr__ calls they save
+_REPR_BATCH_MIN = 512
+# doubles per batch block, which bounds the batch's temporaries: at 4096
+# perfbench's json_wide read peak_rss_mb about 0.65 MB above float.__repr__
+_REPR_BLOCK = 4096
+# Veltkamp's splitter for a double: 2**27 + 1
+_SPLITTER = 134217729.0
+# a value whose distance to a candidate lies within this of the rounding
+# boundary or of a tie is left to float.__repr__: the float arithmetic on
+# the scaled value is off by less than 1e-12
+_MARGIN = 1e-9
+_FRACTION_BITS = np.uint64(2**52 - 1)
+
+
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp's split: ``a == hi + lo`` exactly, each half of at most 26
+    significant bits, so the product of two halves is exact."""
+    hi = a * _SPLITTER
+    lo = hi - a
+    hi -= lo
+    lo = np.subtract(a, hi, out=lo)
+    return hi, lo
+
+
+# 10**s for s = 0..22, each exact as a double, and its split
+_POW10 = np.array([float(10**s) for s in range(23)])
+_POW10_HI, _POW10_LO = _split(_POW10)
+
+
+def _repr_batch(doubles: np.ndarray) -> np.ndarray:
+    """``float.__repr__`` of each of ``doubles``, as an object array.
+
+    ``_certified`` proves the digits of most of them and ``_texts`` lays
+    those out; every other value goes through ``float.__repr__``.  The
+    work runs ``_REPR_BLOCK`` values at a time, so its temporaries stay
+    bounded.
+    """
+    texts = np.empty(doubles.size, dtype=object)
+    for start in range(0, doubles.size, _REPR_BLOCK):
+        x = doubles[start:start + _REPR_BLOCK]
+        block = texts[start:start + _REPR_BLOCK]
+        at, c, s, j = _certified(x)
+        block[at] = np.fromiter(_texts(c, s, j, x[at] < 0), object, at.size)
+        del c, s, j
+        rest = np.ones(x.size, dtype=bool)
+        rest[at] = False
+        block[rest] = _reprs(x[rest])
+    return texts
+
+
+def _reprs(doubles: np.ndarray) -> np.ndarray:
+    """``float.__repr__`` of each of ``doubles``, as an object array."""
+    return np.fromiter(map(float.__repr__, doubles.tolist()), object, doubles.size)
+
+
+def _scaled(ax: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(Y, f)`` with ``ax * 10**s == Y + f`` exactly: ``Y`` an int64 and
+    ``f`` a double in [0, 1).
+
+    Dekker's two-product gives the product as ``hi + lo`` exactly.  Where
+    the product is 2**53 or more ``hi`` is an integer, and ``lo`` less
+    its floor is exact because ``lo`` is a multiple of 2**-50.
+    """
+    hi = _POW10[s]
+    hi *= ax
+    a_hi, a_lo = _split(ax)
+    lo = _POW10_HI[s]
+    lo *= a_hi
+    lo -= hi
+    p_lo = _POW10_LO[s]
+    a_hi *= p_lo
+    lo += a_hi
+    np.take(_POW10_HI, s, out=a_hi)
+    a_hi *= a_lo
+    lo += a_hi
+    a_lo *= p_lo
+    lo += a_lo
+    del a_hi, a_lo, p_lo
+    whole = np.floor(lo)
+    lo -= whole
+    y = hi.astype(np.int64)
+    del hi
+    y += whole.astype(np.int64)
+    return y, lo
+
+
+def _certified(x: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The values of ``x`` whose ``float.__repr__`` digits exact
+    arithmetic proves, after Steele & White's shortest-digits rule.
+
+    Returns ``(at, c, s, j)``: their indices in ``x``; their digits as a
+    17-digit int64 ``c`` whose ``j`` trailing zeros repr drops; and the
+    int8 ``s`` with ``|x| * 10**s`` in [1e16, 1e17).
+
+    A value qualifies when 1e-6 <= |x| < 1e16 and its significand is not
+    a power of two, so that its rounding interval is symmetric.  The
+    scaled value y = |x| * 10**s is exact as ``Y + f`` (``_scaled``) and
+    so is the half-ulp H = 2**(e - 1) * 10**s.  A decimal round-trips
+    when it lies within H of y.  A multiple of 10**(j + 1) is a multiple
+    of 10**j, so the nearest multiple of 10**j to y fits for every j up
+    to some J: the nearest multiple of 10**J has the fewest digits, and
+    is the closest of that length, which is what repr prints.  A value
+    is left out when a distance lies within ``_MARGIN`` of H, when two
+    multiples fit at the same distance, when it still fits at j = 3 (14
+    digits or fewer, few values) or when its digits reach 1e17.
+    """
+    ax = np.abs(x)
+    at = (ax >= 1e-6) & (ax < 1e16) & ((x.view(np.uint64) & _FRACTION_BITS) != 0)
+    at = np.flatnonzero(at)
+    ax = ax[at]
+    lg = np.log10(ax)
+    np.floor(lg, out=lg)
+    np.subtract(16.0, lg, out=lg)
+    s = lg.astype(np.int8)
+    del lg
+    # log10 can miss by one next to a power of ten, so s is checked on the
+    # exact product and moved where it missed; next to |x| = 1e-6 it
+    # leaves the table of powers
+    np.minimum(s, 22, out=s)
+    y, f = _scaled(ax, s)
+    low = y < 10**16
+    off = low | (y >= 10**17)
+    ok = np.ones(at.size, dtype=bool)
+    if off.any():
+        off = np.flatnonzero(off)
+        moved = s[off] + np.where(low[off], 1, -1).astype(np.int8)
+        ok[off] = moved <= 22
+        np.minimum(moved, 22, out=moved)
+        s[off] = moved
+        y_off, f_off = _scaled(ax[off], moved)
+        y[off] = y_off
+        f[off] = f_off
+        ok[off] &= (y_off >= 10**16) & (y_off < 10**17)
+        del moved, y_off, f_off
+    del low, off
+    # the half-ulp: |x| = m * 2**(e - 53) with frexp's exponent e
+    _, e = np.frexp(ax, out=(ax, np.empty(ax.size, dtype=np.int32)))
+    del ax
+    e -= 54
+    half = np.ldexp(_POW10[s], e)
+    del e
+    # each candidate is Y less its last three digits plus a multiple of
+    # 10**j in [0, 1000], measured from r = Y % 1000 + f
+    r = y % 1000
+    y -= r
+    r = r.astype(np.float64)
+    r += f
+    del f
+    # j = 0: H > 0.55 always, so the nearest integer fits; ties are at 0.5
+    near = np.rint(r)
+    gap = r - near
+    np.abs(gap, out=gap)
+    gap -= 0.5
+    np.abs(gap, out=gap)
+    ok &= gap > _MARGIN
+    del gap
+    j = np.zeros(at.size, dtype=np.int8)
+    fits = np.arange(at.size)
+    for power in (1, 2, 3):
+        step = 10.0**power
+        rest = r[fits]
+        cand = rest / step
+        np.rint(cand, out=cand)
+        cand *= step
+        rest -= cand
+        gap = np.abs(rest, out=rest)
+        if power == 1:
+            # only here can a tie fit: 100 / 2 and 1000 / 2 exceed H
+            ok[fits] &= np.abs(gap - 5.0) > _MARGIN
+        gap -= half[fits]
+        ok[fits] &= np.abs(gap) > _MARGIN
+        inside = gap < 0
+        fits = fits[inside]
+        j[fits] = power
+        near[fits] = cand[inside]
+        del rest, cand, gap, inside
+    ok[fits] = False  # 14 digits or fewer
+    del r, half, fits
+    y += near.astype(np.int64)
+    del near
+    ok &= y < 10**17
+    ok = np.flatnonzero(ok)
+    return at[ok], y[ok], s[ok], j[ok]
+
+
+# the rows of ``_texts``' byte matrix: a sign, 22 rows of zeros, digits
+# and point, four of exponent and a newline
+_SIGN, _BODY, _EXP, _END = 0, 1, 23, 27
+_BODY_ROWS = np.arange(22, dtype=np.int8)[:, None]
+_LEAD_ROWS = np.arange(4, dtype=np.int8)[:, None]
+
+
+def _texts(c: np.ndarray, s: np.ndarray, j: np.ndarray, neg: np.ndarray) -> list[str]:
+    """The repr texts of ``_certified``'s values: the digits of ``c``
+    without its ``j`` trailing zeros, times 10**-s, negative where ``neg``.
+
+    They are laid out as CPython does: fixed notation from 1e-4 up
+    (``0.000ddd``, ``ddd.ddd``, and ``ddd0.0`` when the digits end left
+    of the point), ``d.ddde-05`` and ``d.ddde-06`` below.  Each text is a
+    column of a uint8 matrix, 0 where it has no character.  The matrix
+    is read out row-major once, its zeros dropped, and the texts split
+    at their newlines.
+    """
+    size = c.size
+    point = 17 - s  # digits left of the decimal point
+    sci = point <= -4
+    # rows 1-4: four leading zeros; rows 5-21: the 17 digits
+    lead = np.zeros((23, size), dtype=np.uint8)
+    high = c // 1_000_000_000
+    low = high * -1_000_000_000
+    low += c
+    for num, first, last in ((high.astype(np.uint32), 5, 12), (low.astype(np.uint32), 13, 21)):
+        # each row holds the number's quotient by a power of ten, mod 256;
+        # a digit is that less ten times the row above's, mod 256 as well
+        lead[last] = num
+        for row in range(last - 1, first - 1, -1):
+            num //= np.uint32(10)
+            lead[row] = num
+    del high, low, num
+    lead[14:22] -= np.uint8(10) * lead[13:21]
+    lead[6:13] -= np.uint8(10) * lead[5:12]
+    lead[5:22] += np.uint8(ord("0"))
+    # repr drops the j trailing zeros, but not those left of the point nor
+    # the one right after it: only the last two digits can go
+    kept = np.where(sci, 0, point + 1)
+    np.maximum(kept, 17 - j, out=kept)
+    lead[20] *= kept > 15
+    lead[21] *= kept > 16
+    del kept
+    np.multiply((_LEAD_ROWS >= 3 + point) & ~sci, np.uint8(ord("0")), out=lead[1:5])
+    # the point follows body row 3 + point, or the first digit in
+    # scientific notation; the rows after it move down by one
+    dot = np.where(sci, 4, 3 + point)
+    rows = np.empty((28, size), dtype=np.uint8)
+    np.multiply(neg, np.uint8(ord("-")), out=rows[_SIGN])
+    body = rows[_BODY:_EXP]
+    body[:] = lead[1:]
+    np.copyto(body, lead[:-1], where=_BODY_ROWS > dot)
+    del lead
+    body[dot + 1, np.arange(size)] = ord(".")
+    for row, char in enumerate(b"e-05", _EXP):
+        np.multiply(sci, np.uint8(char), out=rows[row])
+    rows[_END - 1] += point == -5  # e-06
+    rows[_END] = ord("\n")
+    # each copy is dropped once the next is made
+    data = rows.T.tobytes()
+    del rows, body
+    data = data.translate(None, b"\0").decode("ascii")
+    texts = data.split("\n")
+    del data
+    texts.pop()
+    return texts
 
 
 # below this many cells the keyed pass's fixed NumPy calls cost more than

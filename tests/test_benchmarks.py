@@ -66,6 +66,22 @@ def test_bench_pipeline_correlation_json_row(tmp_path, harness):
                                                                   row["markdown_sha256"])
 
 
+def test_bench_pipeline_keeps_the_fastest_pass(monkeypatch, harness):
+    bench = importlib.import_module("bench_pipeline")
+
+    def row(analysis_s, stages_s, digest="d"):
+        return {"case": "c", "analysis_s": analysis_s, "timed_calls": 5, "stages_s": stages_s,
+                "traced_calls": 6, "report_sha256": digest, "markdown_sha256": "m"}
+
+    passes = iter([[row(2.0, {"a": 1.0, "b": 3.0})], [row(1.5, {"a": 2.0, "b": 1.0})]])
+    monkeypatch.setattr(bench, "one_pass", lambda: next(passes))
+    [got] = list(bench.measure_all())
+    assert got["analysis_s"] == 1.5 and got["stages_s"] == {"a": 1.0, "b": 1.0}
+    assert (got["timed_calls"], got["traced_calls"]) == (10, 12)
+    with pytest.raises(RuntimeError, match="report_sha256 differs between passes"):
+        bench.merged(row(1.0, {}), row(1.0, {}, digest="e"))
+
+
 def test_bench_main_merges_under_the_label(monkeypatch, tmp_path, capsys, harness):
     out = tmp_path / "BENCH_test.json"
     earlier = {"environment": {}, "rows": [{"n": 4, "t_s": 2.0}]}

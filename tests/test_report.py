@@ -16,6 +16,8 @@ import oracles
 from pcageom.fixtures import fixture_path
 from pcageom.report import (
     _KEYED_MIN,
+    _REPR_BATCH_MIN,
+    _repr_batch,
     _three_decimals,
     render_csv,
     render_markdown,
@@ -171,15 +173,21 @@ def test_json_text_matches_json_dumps_on_full_reports(tmp_path, corr_result):
 
 
 def test_json_text_peak_memory_is_bounded(tmp_path):
-    report = run_analysis(seeded_csv(tmp_path / "v20.csv", 20), header=True).report
-    to_json_text(report)  # first-call allocations stay out of the peak
-    tracemalloc.start()
-    try:
-        text = to_json_text(report)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 4 * len(text), f"peak {peak} B for {len(text)} characters"
+    # both reports hold more distinct doubles than _REPR_BATCH_MIN, so the
+    # batch formatter's temporaries count in the peak
+    reports = [
+        run_analysis(seeded_csv(tmp_path / "v20.csv", 20), header=True).report,
+        run_analysis(seeded_corr_json(tmp_path / "r48.json", 48), cluster_method="naive").report,
+    ]
+    for report in reports:
+        to_json_text(report)  # first-call allocations stay out of the peak
+        tracemalloc.start()
+        try:
+            text = to_json_text(report)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * len(text), f"peak {peak} B for {len(text)} characters"
 
 
 JSON_FLOATS = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e308, 5e-324])
@@ -191,6 +199,14 @@ JSON_SCALARS = (
 # rows of a matrix so that one text is reused across rows and blocks
 SHARED_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e16, 9.999999999999999e15, 1e-05, 0.0001])
 JSON_MATRICES = st.lists(st.lists(SHARED_FLOATS, min_size=1, max_size=6), min_size=1, max_size=6)
+# float rows with more distinct doubles than _REPR_BATCH_MIN, so the
+# batch formatter writes them: magnitudes from 1e-8 to 1e17, both signs,
+# with repeats, zeros and short decimals among them
+_rng = np.random.default_rng(19)
+BATCH_ROWS = (_rng.standard_normal((_REPR_BATCH_MIN // 8, 16))
+              * 10.0 ** _rng.integers(-8, 18, (_REPR_BATCH_MIN // 8, 16))).tolist()
+BATCH_ROWS += [[0.0, -0.0, 0.5, 0.1, 1e-06, 1e16, -9.999999999999999e-05]] + BATCH_ROWS[:3]
+del _rng
 JSON_TREES = st.recursive(
     JSON_SCALARS | st.lists(JSON_FLOATS) | JSON_MATRICES,  # finite float rows take a slot
     lambda kids: st.lists(kids, max_size=5) | st.dictionaries(st.text(), kids, max_size=5),
@@ -208,6 +224,7 @@ JSON_TREES = st.recursive(
 @example(["\x1f\u2028\U0001f600\ud800", "\\/\t", 10**30, -(10**30)])
 @example({"a": [[0.0, -0.0], [-0.0, 0.0]], "b": [-0.0, 0.0]})
 @example({"R": [[0.1, 0.2], [0.3, 0.4]], "U": [[0.1, 0.3], [0.2, 0.4]]})
+@example({"batch": BATCH_ROWS, "scalar": BATCH_ROWS[0][0]})
 def test_json_text_matches_json_dumps(tree):
     assert to_json_text(tree) == dumps_text(tree)
 
@@ -223,6 +240,57 @@ def test_json_text_matches_json_dumps(tree):
 def test_json_text_rejects_what_the_report_never_holds(tree, names):
     with pytest.raises(TypeError, match=names):
         to_json_text(tree)
+
+
+def assert_reprs(values) -> None:
+    doubles = np.asarray(values, dtype=np.float64)
+    texts = _repr_batch(doubles)
+    assert texts.dtype == object and texts.shape == doubles.shape
+    expected = list(map(float.__repr__, doubles.tolist()))
+    wrong = [(e, t) for e, t in zip(expected, texts.tolist()) if e != t]
+    assert not wrong, f"{len(wrong)} of {doubles.size} differ, e.g. {wrong[:5]}"
+
+
+def neighbours(values) -> np.ndarray:
+    values = np.asarray(values, dtype=np.float64)
+    return np.concatenate([values, np.nextafter(values, np.inf), np.nextafter(values, -np.inf)])
+
+
+def test_repr_batch_on_named_doubles():
+    powers_of_two = 2.0 ** np.arange(-1074, 1024)
+    subnormals = np.array([5e-324, 1e-320, 2.225073858507201e-308, 1e-310])
+    edges = neighbours([1e-06, 1e-05, 0.0001, 0.001, 0.1, 1.0, 1e15, 1e16, 9.999999999999999e-05,
+                        9.999999999999999e-07, 9007199254740992.0])
+    integers = np.concatenate([np.arange(1, 100_001), 2.0**53 - np.arange(100_000),
+                               np.random.default_rng(1).integers(1, 2**53, 100_000)]).astype(np.float64)
+    k = np.arange(1, 20_001, dtype=np.float64)
+    short = neighbours(np.concatenate([k / 10.0**j for j in range(1, 12)]))
+    # odd quarters past 2**50: ten times each ends in .5, a tie between
+    # two 17-digit candidates
+    ties = np.arange(2**52 + 1, 2**52 + 20_001, 2) / 4.0
+    for values in (powers_of_two, subnormals, edges, integers, short, ties):
+        assert_reprs(np.concatenate([values, -values]))
+    zeros = _repr_batch(np.array([0.0, -0.0]))
+    assert zeros.tolist() == ["0.0", "-0.0"]
+
+
+def test_repr_batch_on_seeded_doubles():
+    # about a million doubles: every bit pattern, magnitudes across the
+    # certified range and past both of its ends, and correlation-like values
+    rng = np.random.default_rng(2024)
+    bits = rng.integers(0, 2**64, 250_000, dtype=np.uint64, endpoint=False).view(np.float64)
+    spread = rng.uniform(-1.0, 1.0, 500_000) * 10.0 ** rng.uniform(-8.0, 17.0, 500_000)
+    unit = rng.uniform(-1.0, 1.0, 250_000)
+    assert_reprs(np.concatenate([bits[np.isfinite(bits)], spread, unit]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False)
+                | st.floats(1e-7, 1e17) | st.floats(-1.0, 1.0), max_size=300))
+@example([])
+@example([1e-06, 1e16, 9.999999999999999e-05, 0.30000000000000004, 2.0**52 + 1, -5e-324])
+def test_repr_batch_matches_float_repr(values):
+    assert_reprs(values)
 
 
 def test_text_renderers_match_the_f_string_renderer(tmp_path):
