@@ -36,6 +36,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from pcageom.corrstats import _ln_gamma_ratio
 from pcageom.errors import DataError
 from pcageom.ingest import DataMatrix, StandardizedMatrix, _fault, _names, _select, summarize
 from pcageom.pcacore import CRITERIA
@@ -126,14 +127,16 @@ def _reference_betacf(a, b, x):
 
 def reference_betainc_reg(a: float, b: float, x: float) -> float:
     """``corrstats.betainc_reg`` as it was before it took arrays: one
-    scalar modified Lentz continued fraction per value."""
+    scalar modified Lentz continued fraction per value.  The prefactor's
+    log-gamma difference is the package's own ``_ln_gamma_ratio``, which
+    ``test_ln_gamma_ratio_series_is_exact_to_rounding`` pins to mpmath:
+    this reference pins the fraction."""
     if x <= 0.0:
         return 0.0
     if x >= 1.0:
         return 1.0
     ln_front = (
-        math.lgamma(a + b)
-        - math.lgamma(a)
+        _ln_gamma_ratio(a, b)
         - math.lgamma(b)
         + a * math.log(x)
         + b * math.log(1.0 - x)

@@ -20,8 +20,10 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from pcageom.corrstats import (
+    _SERIES_FROM,
     MAX_N_OBS,
     CorrelationMatrix,
+    _ln_gamma_ratio,
     angle_deg,
     angle_matrix,
     betainc_reg,
@@ -261,12 +263,23 @@ def accuracy_cases(draw):
 @example((math.sqrt(1.0 - (MAX_N_OBS / 2.0) / (MAX_N_OBS / 2.0 + 1.5)), MAX_N_OBS))
 @example((30.0 / math.sqrt(MAX_N_OBS - 2 + 900.0), MAX_N_OBS))
 @example((0.5, 3))
+# found by this test: math.lgamma's difference was 1.1e-9 and 1.5e-9 off
+@example((0.0025121346566075536, 475371))
+@example((0.0018182950268491563, 907384))
 def test_significance_is_accurate_up_to_the_limit(case):
     # the reference is taken at the double x = 1 - r^2 that significance
     # evaluates: it measures the function, not the rounding of x
     r, n_obs = case
     want = mpmath_significance(max(0.0, 1.0 - r * r), n_obs)
     assert abs(significance(r, n_obs) - want) <= 1e-8 * want, (r, n_obs, want)
+
+
+@pytest.mark.parametrize("a", [_SERIES_FROM, 40_000.0, 237_684.5, 453_691.0, (MAX_N_OBS - 2) / 2.0, 1e9])
+@pytest.mark.parametrize("b", [0.5, 1.0, 0.25])
+def test_ln_gamma_ratio_series_is_exact_to_rounding(a, b):
+    with mpmath.workdps(40):
+        want = float(mpmath.loggamma(a + b) - mpmath.loggamma(a))
+    assert abs(_ln_gamma_ratio(a, b) - want) <= 4 * math.ulp(want)
 
 
 @pytest.mark.parametrize("n_obs", [MAX_N_OBS + 1, 10**8, 2**53])
