@@ -30,7 +30,7 @@ from .corrstats import (
 )
 from .eigensolve import EigenSystem, eigen_symmetric, rotation_from_eigenvectors, symmetric_eigh
 from .errors import ConvergenceError, DataError, PcageomError
-from .fixtures import fixture_path, list_fixtures
+from .fixtures import fixture_path
 from .ingest import (
     ColumnSummary,
     DataMatrix,
@@ -130,5 +130,4 @@ __all__ = [
     "render_markdown",
     "render_csv",
     "fixture_path",
-    "list_fixtures",
 ]

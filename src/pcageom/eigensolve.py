@@ -98,11 +98,9 @@ def _apply_conventions(w: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.nda
             w[i:j] = w[[i + t for t in sub]]
         i = j
 
-    for k in range(n):
-        col = u[:, k]
-        big = np.nonzero(np.abs(col) > SIGN_TOL)[0]
-        if big.size and col[big[0]] < 0.0:
-            u[:, k] = -col
+    # a unit column always has a component above SIGN_TOL
+    first = np.argmax(np.abs(u) > SIGN_TOL, axis=0)
+    u[:, u[first, np.arange(n)] < 0.0] *= -1.0
     return w, u
 
 

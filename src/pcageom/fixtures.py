@@ -5,7 +5,7 @@ from __future__ import annotations
 from importlib import resources
 from pathlib import Path
 
-__all__ = ["fixture_path", "list_fixtures"]
+__all__ = ["fixture_path"]
 
 
 def fixture_path(name: str) -> Path:
@@ -19,8 +19,3 @@ def fixture_path(name: str) -> Path:
     if not path.is_file():
         raise FileNotFoundError(f"no bundled fixture named {name!r}")
     return path
-
-
-def list_fixtures() -> list[str]:
-    root = Path(str(resources.files("pcageom").joinpath("fixtures")))
-    return sorted(p.name for p in root.iterdir() if p.is_file())

@@ -35,7 +35,6 @@ from .ingest import (
     load_csv,
     parse_column_spec,
     standardize,
-    summarize,
 )
 from .pcacore import (
     CRITERIA,
@@ -128,7 +127,6 @@ def run_analysis(
 
     corr, data, z = load_input(input_path, columns, label_column, header, divisor)
     input_kind = "correlation_json" if data is None else "csv"
-    summaries = None if data is None else summarize(data, divisor)
 
     derived = derived_matrices(corr)
     eig = eigen_symmetric(corr)
@@ -197,7 +195,7 @@ def run_analysis(
             "k": k_selected,
         },
         "column_summaries": None
-        if summaries is None
+        if z is None
         else [
             {
                 "name": s.name,
@@ -207,7 +205,7 @@ def run_analysis(
                 "n": s.n,
                 "divisor": s.divisor,
             }
-            for s in summaries
+            for s in z.summaries
         ],
         "correlation": {"names": corr.names, "n_obs": corr.n_obs, "r": corr.r.tolist()},
         "significance": derived.p_values.tolist(),
@@ -645,12 +643,6 @@ def _texts(c: np.ndarray, s: np.ndarray, j: np.ndarray, neg: np.ndarray) -> list
     return texts
 
 
-# below this many cells the keyed pass's fixed NumPy calls cost more than
-# the f-strings they save: the two took equal time on an 8-variable
-# report (about 500 cells), the keyed pass 1.2x as long at 4 variables
-_KEYED_MIN = 512
-
-
 def _three_decimals(blocks: list[tuple[list[list[float]], float]]) -> list[list[list[str]]]:
     """Each block's cells as ``f"{v * scale:.3f}"``, byte for byte, in the
     block's row shapes; a block is ``(rows of floats, scale)``.
@@ -662,8 +654,7 @@ def _three_decimals(blocks: list[tuple[list[list[float]], float]]) -> list[list[
     2**31 or more, or lies within 1e-6 of a .5 boundary goes through
     the f-string itself: below 2**31 the product 1000 * w is within
     2**-22 of the exact one, so off the margin rint rounds as the
-    f-string does.  With fewer than ``_KEYED_MIN`` cells every cell goes
-    through the f-string.  Nothing is cached between calls.
+    f-string does.  Nothing is cached between calls.
     """
     values: list[float] = []
     scaled = []
@@ -673,8 +664,6 @@ def _three_decimals(blocks: list[tuple[list[list[float]], float]]) -> list[list[
             values += row
         if scale != 1.0:
             scaled.append((start, len(values), scale))
-    if len(values) < _KEYED_MIN:
-        return [[[f"{v * scale:.3f}" for v in row] for row in rows] for rows, scale in blocks]
     # each array is dropped once used: together they would set the
     # render's peak memory
     w = np.fromiter(values, np.float64, len(values))

@@ -65,7 +65,6 @@ __all__ = [
     "cluster_kmeans",
     "lloyd",
     "pairwise_distance",
-    "assign_labels",
 ]
 
 # city block, squared Euclidean, Chebyshev, cosine distance
@@ -219,40 +218,24 @@ def pairwise_distance(points: np.ndarray, centers: np.ndarray, metric: str) -> n
     return out
 
 
-def _labeled_cost(dist: np.ndarray, labels: np.ndarray) -> float:
-    """Sum of every point's distance to its own centroid.
-
-    Added in point order, as a scalar loop would; ``np.sum`` would pair
-    the terms up and round differently.
-    """
-    own = dist[np.arange(labels.shape[0]), labels]
-    return float(np.add.accumulate(own)[-1]) if own.size else 0.0
-
-
-def assign_labels(points: np.ndarray, centroids: np.ndarray, metric: str) -> tuple[np.ndarray, float]:
-    """Label every point with its nearest centroid; return ``(labels, cost)``.
-
-    Ties go to the lowest centroid index.  For the squared Euclidean
-    metric the cost is the usual within-cluster sum of squares; for the
-    other metrics it is the plain sum of distances.
-    """
-    dist = pairwise_distance(points, centroids, metric)
-    labels = dist.argmin(axis=1)
-    return labels, _labeled_cost(dist, labels)
+def _point_order_sum(own: np.ndarray) -> np.ndarray:
+    """Each row of ``own`` summed in point order, as a scalar loop adds;
+    ``np.sum`` would pair the terms up and round differently."""
+    return np.add.accumulate(own, axis=-1)[..., -1] if own.shape[-1] else np.zeros(own.shape[:-1])
 
 
 def _fix_empty(points: np.ndarray, centroids: np.ndarray, labels: np.ndarray,
-               own: np.ndarray, counts: np.ndarray) -> bool:
-    """Refill one restart's empty clusters in place; return whether any point moved.
+               own: np.ndarray, counts: np.ndarray, metric: str) -> None:
+    """Refill one restart's empty clusters in place.
 
     ``own`` holds every point's distance to its own centroid and
     ``counts`` the cluster sizes.  Each empty cluster, lowest id first,
     takes the point farthest from its own centroid among clusters that
-    can spare one, and that point becomes its centroid.
+    can spare one, and that point becomes its centroid; its ``own``
+    entry becomes its distance to itself, which is not 0 under cosine.
     """
     # a moved point is alone in its new cluster and never moves again,
     # so the other points' distances to their centroids stay valid
-    moved = False
     for cid in np.flatnonzero(counts == 0):
         spare = counts[labels] > 1
         if not spare.any():
@@ -262,8 +245,7 @@ def _fix_empty(points: np.ndarray, centroids: np.ndarray, labels: np.ndarray,
         counts[cid] = 1
         labels[i] = cid
         centroids[cid] = points[i]
-        moved = True
-    return moved
+        own[i] = pairwise_distance(points[i, None], points[i, None], metric)[0, 0]
 
 
 def _assign_all(points: np.ndarray, centroids: np.ndarray, metric: str) -> tuple[np.ndarray, np.ndarray]:
@@ -277,14 +259,11 @@ def _assign_all(points: np.ndarray, centroids: np.ndarray, metric: str) -> tuple
     dist = pairwise_distance(points, centroids.reshape(-1, dim), metric).reshape(m, rows, kc)
     labels = dist.argmin(axis=2).T.copy()  # ties go to the lowest centroid index
     own = dist[np.arange(m), np.arange(rows)[:, None], labels]
-    # added in point order, as a scalar loop would
-    costs = np.add.accumulate(own, axis=1)[:, -1] if m else np.zeros(rows)
     counts = np.bincount((labels + kc * np.arange(rows)[:, None]).ravel(), minlength=rows * kc)
     counts = counts.reshape(rows, kc)
     for r in np.flatnonzero((counts == 0).any(axis=1)):
-        if _fix_empty(points, centroids[r], labels[r], own[r], counts[r]):
-            costs[r] = _labeled_cost(pairwise_distance(points, centroids[r], metric), labels[r])
-    return labels, costs
+        _fix_empty(points, centroids[r], labels[r], own[r], counts[r], metric)
+    return labels, _point_order_sum(own)
 
 
 def _centroids(points: np.ndarray, labels: np.ndarray, centroids: np.ndarray, metric: str) -> np.ndarray:
@@ -517,7 +496,8 @@ def cluster_kmeans(
         # every block has members, so no placeholder centroid survives
         placeholder = np.zeros((1, k_clusters, points.shape[1]))
         centroids = _centroids(points, labels[None], placeholder, metric)[0]
-        objective = _labeled_cost(pairwise_distance(points, centroids, metric), labels)
+        own = pairwise_distance(points, centroids, metric)[np.arange(points.shape[0]), labels]
+        objective = float(_point_order_sum(own))
         n_iterations = None
     else:
         # one point-to-point matrix serves every restart's initialization

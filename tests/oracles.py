@@ -40,7 +40,7 @@ from pcageom.corrstats import _ln_gamma_ratio
 from pcageom.errors import DataError
 from pcageom.ingest import DataMatrix, StandardizedMatrix, _fault, _names, _select, summarize
 from pcageom.pcacore import CRITERIA
-from pcageom.varcluster import MAX_ITER, RESTARTS, assign_labels, pairwise_distance
+from pcageom.varcluster import MAX_ITER, RESTARTS, pairwise_distance
 
 
 def t_pdf(x: float, df: float) -> float:
@@ -308,12 +308,14 @@ def _restart_fix_empty(points, centroids, labels, metric) -> bool:
 
 
 def _restart_assign(points, centroids, metric):
-    labels, cost = assign_labels(points, centroids, metric)
+    dist = pairwise_distance(points, centroids, metric)
+    labels = dist.argmin(axis=1)  # ties go to the lowest centroid index
     moved = _restart_fix_empty(points, centroids, labels, metric)
-    if moved:
-        own = pairwise_distance(points, centroids, metric)[np.arange(labels.shape[0]), labels]
-        cost = float(np.add.accumulate(own)[-1])
-    return labels, cost, moved
+    if moved:  # every distance again, to the refilled centroids too
+        dist = pairwise_distance(points, centroids, metric)
+    own = dist[np.arange(labels.shape[0]), labels]
+    # added in point order, as a scalar loop would
+    return labels, float(np.add.accumulate(own)[-1]), moved
 
 
 def restart_lloyd(points: np.ndarray, centroids: np.ndarray, metric: str) -> SimpleNamespace:

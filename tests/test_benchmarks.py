@@ -108,7 +108,8 @@ def test_perfbench_hooks_resolve(tmp_path, capsys, harness):
         assert cli.main(["analyze", "fixtures/iris_corr.json", "--out", str(tmp_path)]) == 0
     finally:
         tracer.remove()
-    # the two stale hooks name functions the package no longer has
-    assert unresolved == ["pcageom.eigensolve.jacobi_sweeps", "pcageom.varcluster.point_distance"]
+    # the stale hooks name functions the package no longer has
+    assert unresolved == ["pcageom.eigensolve.jacobi_sweeps", "pcageom.report.summarize",
+                          "pcageom.varcluster.assign_labels", "pcageom.varcluster.point_distance"]
     assert corrstats.betainc_reg is real
     assert tracer.counts["corrstats.betainc_calls"] == 1

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 import oracles
 from pcageom.fixtures import fixture_path
 from pcageom.report import (
-    _KEYED_MIN,
     _REPR_BATCH_MIN,
     _repr_batch,
     _three_decimals,
@@ -319,12 +318,8 @@ def test_markdown_peak_memory_is_bounded(tmp_path):
     assert peak <= 7 * len(text), f"peak {peak} B for {len(text)} characters"
 
 
-# a block of zeros that takes every call through the keyed pass
-PADDING = ([[0.0] * _KEYED_MIN], 1.0)
-
-
 def keyed_texts(values: list[float], scale: float) -> list[str]:
-    return _three_decimals([([values], scale), PADDING])[0][0]
+    return _three_decimals([([values], scale)])[0][0]
 
 
 def test_three_decimals_on_every_boundary():
@@ -359,15 +354,12 @@ NEAR_BOUNDARY = st.integers(-200_000, 200_000).flatmap(lambda k: st.sampled_from
 @example([x for k in (-2, -1, 0, 1, 62, 199_999) for x in boundary_neighbours(k)], 1.0)
 def test_three_decimals_matches_the_f_string(values, scale):
     assert keyed_texts(values, scale) == [f"{v * scale:.3f}" for v in values]
-    # below the keyed pass's cell count every cell is an f-string too
-    assert _three_decimals([([values], scale)])[0][0] == [f"{v * scale:.3f}" for v in values]
 
 
 def test_three_decimals_keeps_the_block_shapes():
-    blocks = [([[0.1, 0.2], [0.3]], 1.0), ([], 1.0), ([[0.5]], 100.0), PADDING]
-    got = _three_decimals(blocks)
-    assert got[:3] == [[["0.100", "0.200"], ["0.300"]], [], [["50.000"]]]
-    assert got[3] == [["0.000"] * _KEYED_MIN]
+    blocks = [([[0.1, 0.2], [0.3]], 1.0), ([], 1.0), ([[0.5]], 100.0)]
+    assert _three_decimals(blocks) == [[["0.100", "0.200"], ["0.300"]], [], [["50.000"]]]
+    assert _three_decimals([([[]], 1.0)]) == [[[]]]
 
 
 def test_markdown_sections(corr_result):

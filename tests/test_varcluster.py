@@ -27,14 +27,13 @@ from pcageom.varcluster import (
     METRICS,
     UNASSIGNED,
     SimilarityProfile,
-    assign_labels,
     cluster_kmeans,
     cluster_naive,
     lloyd,
     pairwise_distance,
     similarity_profiles,
 )
-from pcageom.varcluster import _centroids, _partitions, _stirling2
+from pcageom.varcluster import _assign_all, _centroids, _partitions, _stirling2
 
 from conftest import REF_PARTITION, REF_PROFILES_K2_3DP
 import oracles
@@ -225,9 +224,9 @@ def test_pairwise_distance_matches_scalar_loop_bitwise(sets, metric):
 def test_assign_labels_tie_goes_to_lowest_index():
     points = np.array([[0.5, 0.0]])
     centroids = np.array([[0.0, 0.0], [1.0, 0.0]])
-    labels, total = assign_labels(points, centroids, "l2")
-    assert labels.tolist() == [0]
-    assert total == pytest.approx(0.25, abs=1e-15)
+    labels, total = _assign_all(points, centroids[None], "l2")
+    assert labels.tolist() == [[0]]
+    assert total.tolist() == pytest.approx([0.25], abs=1e-15)
 
 
 def test_assign_labels_matches_bruteforce():
@@ -235,14 +234,14 @@ def test_assign_labels_matches_bruteforce():
     points = rng.standard_normal((50, 3))
     centroids = rng.standard_normal((4, 3))
     for metric in METRICS:
-        labels, total = assign_labels(points, centroids, metric)
+        labels, total = _assign_all(points, centroids[None], metric)
         dist = [[scalar_distance(p.tolist(), c.tolist(), metric) for c in centroids] for p in points]
         want = [int(np.argmin(row)) for row in dist]
-        assert labels.tolist() == want
+        assert labels.tolist() == [want]
         cost = 0.0
         for row, j in zip(dist, want):
             cost += row[j]
-        assert total == cost  # summed in point order, as a scalar loop would
+        assert total.tolist() == [cost]  # summed in point order, as a scalar loop would
 
 
 # -- k-means on the bundled instance --------------------------------------
@@ -387,7 +386,7 @@ def test_lloyd_refills_empty_clusters_as_before():
     points = np.random.default_rng(3).random((15, 3))
     init = np.vstack([points[:2], [[50.0, 50.0, 50.0], [60.0, 60.0, 60.0]]])
     for metric, (labels, history) in EMPTY_CLUSTER_RESULTS.items():
-        first, _ = assign_labels(points, init, metric)
+        first = pairwise_distance(points, init, metric).argmin(axis=1)
         assert set(first.tolist()) == {0, 1}  # the far centroids win nothing
         res = lloyd(points, init[None], metric)[0]
         assert res.converged, metric
@@ -497,19 +496,54 @@ def test_kmeans_restarts_match_the_restart_loop_bitwise(instance):
         check_against_restart_loop(points, kc, metric, seed)
 
 
+def check_lloyd_against_restart_loop(points, starts, metric):
+    """Assert ``lloyd`` from every start equals the restart loop bitwise;
+    return the loop's descents."""
+    results = lloyd(points, starts, metric)
+    assert len(results) == starts.shape[0]
+    runs = []
+    for start, got in zip(starts, results):
+        want = oracles.restart_lloyd(points, start, metric)
+        assert got.labels.tolist() == want.labels.tolist(), metric
+        assert same_bits(got.centroids, want.centroids), metric
+        assert same_bits(got.history, want.history), metric
+        assert got.objective.hex() == want.objective.hex(), metric
+        assert (got.converged, got.guard_tripped) == (want.converged, want.guard_tripped)
+        runs.append(want)
+    return runs
+
+
+def far_starts(points, picks, far):
+    """Starts at the picked points, those flagged ``far`` moved by -50 in
+    every coordinate.  Points lie in [0, 1], so under every metric a far
+    start is farther from each point than any start at a point (under
+    cosine its dot product with a point is negative): unless every start
+    is far, it wins no point and its cluster is refilled."""
+    return points[picks] - 50.0 * far[..., None]
+
+
 def test_restart_loop_comparison_covers_refills_and_guard_trips():
-    """The comparison above on seeded one-decimal profiles, checked to reach
-    empty-cluster refills and Chebyshev guard trips in the restart loop."""
-    rng = np.random.default_rng(17)
-    refills = guard_trips = 0
+    """The comparisons above on seeded one-decimal profiles, checked to reach
+    Chebyshev guard trips and, under every metric, empty-cluster refills in
+    the restart loop.  Farthest-point starts refill only under cosine, so
+    refills under the other metrics come from far starts."""
+    rng, far_rng = np.random.default_rng(17), np.random.default_rng(18)
+    refills = dict.fromkeys(METRICS, 0)
+    guard_trips = 0
     for _ in range(30):
         m, kc, dim = int(rng.integers(11, 21)), int(rng.integers(2, 7)), int(rng.integers(1, 5))
         points = np.round(rng.random((m, dim)), 1)
         for metric in METRICS:
             runs = check_against_restart_loop(points, kc, metric, int(rng.integers(50)))
-            refills += sum(run.refills > 0 for run in runs or ())
+            refills[metric] += sum(run.refills > 0 for run in runs or ())
             guard_trips += sum(run.guard_tripped for run in runs or ())
-    assert refills > 0 and guard_trips > 0, (refills, guard_trips)
+        # cosine needs a direction for every point
+        points[np.linalg.norm(points, axis=1) == 0.0] = 1.0
+        starts = far_starts(points, far_rng.integers(m, size=(2, kc)), far_rng.random((2, kc)) < 0.3)
+        for metric in METRICS:
+            runs = check_lloyd_against_restart_loop(points, starts, metric)
+            refills[metric] += sum(run.refills > 0 for run in runs)
+    assert guard_trips > 0 and all(refills.values()), (refills, guard_trips)
 
 
 @settings(max_examples=60, deadline=None)
@@ -520,19 +554,9 @@ def test_lloyd_matches_the_restart_loop_per_start(instance, data):
     points[np.linalg.norm(points, axis=1) == 0.0] = 1.0
     picks = data.draw(hnp.arrays(np.int64, (data.draw(st.integers(1, 4)), kc),
                                  elements=st.integers(0, points.shape[0] - 1)))
-    # a start moved far from every point wins none: its cluster is refilled
-    shift = data.draw(hnp.arrays(np.float64, (*picks.shape, 1), elements=st.sampled_from([0.0, 50.0])))
-    starts = points[picks] + shift
+    far = data.draw(hnp.arrays(np.bool_, picks.shape))
     for metric in METRICS:
-        results = lloyd(points, starts, metric)
-        assert len(results) == starts.shape[0]
-        for start, got in zip(starts, results):
-            want = oracles.restart_lloyd(points, start, metric)
-            assert got.labels.tolist() == want.labels.tolist(), metric
-            assert same_bits(got.centroids, want.centroids), metric
-            assert same_bits(got.history, want.history), metric
-            assert got.objective.hex() == want.objective.hex(), metric
-            assert (got.converged, got.guard_tripped) == (want.converged, want.guard_tripped)
+        check_lloyd_against_restart_loop(points, far_starts(points, picks, far), metric)
 
 
 def numpy_centroid(members, metric):
