@@ -1,9 +1,11 @@
 """Pipeline orchestration and report rendering (JSON, markdown, CSV).
 
-The report dict is the single source of truth: the markdown and CSV
-renderers read from it, so every printed cell round-trips from
-``report.json``.  Tables are printed at 3 decimals; JSON carries full
-doubles.
+The report dict is the single source of truth: ``to_json_text`` and the
+markdown and CSV renderers read from it, so every printed cell
+round-trips from ``report.json``.  Its matrix and vector blocks are the
+pipeline's float64 arrays (see ``AnalysisResult``), which the writers
+read as blocks; the rest is plain JSON data.  Tables are printed at 3
+decimals; JSON carries full doubles.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import io
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
-from itertools import islice
+from itertools import accumulate, islice
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from types import SimpleNamespace
@@ -54,7 +56,17 @@ DEFAULT_THRESHOLDS = {"percentage": 0.95, "per_variable": 0.8}
 
 @dataclass(eq=False)
 class AnalysisResult:
-    """Everything one analyze run produces: the report plus plot inputs."""
+    """Everything one analyze run produces: the report plus plot inputs.
+
+    ``report`` holds the matrix and vector blocks as the pipeline's own
+    float64 arrays, not as lists: ``correlation.r``, ``significance``,
+    ``angles_deg``, ``determination``, ``eigen.eigenvalues``, ``eigen.U``,
+    ``eigen.R``, every block of ``loadings_full``, the ``determination``,
+    ``column_sums`` and ``row_averages`` of ``reconstruction_at_k``, and
+    each row of ``similarity_profiles.profiles``.  Some are shared with
+    ``eigen``; treat them as read-only.  ``json.loads(to_json_text(report))``
+    is the report as plain JSON, the tree ``report.json`` holds.
+    """
 
     report: dict
     scree_series: list[tuple[int, float]]
@@ -207,14 +219,14 @@ def run_analysis(
             }
             for s in z.summaries
         ],
-        "correlation": {"names": corr.names, "n_obs": corr.n_obs, "r": corr.r.tolist()},
-        "significance": derived.p_values.tolist(),
-        "angles_deg": derived.angles_deg.tolist(),
-        "determination": derived.determination.tolist(),
+        "correlation": {"names": corr.names, "n_obs": corr.n_obs, "r": corr.r},
+        "significance": derived.p_values,
+        "angles_deg": derived.angles_deg,
+        "determination": derived.determination,
         "eigen": {
-            "eigenvalues": eig.eigenvalues.tolist(),
-            "U": eig.U.tolist(),
-            "R": eig.R.tolist(),
+            "eigenvalues": eig.eigenvalues,
+            "U": eig.U,
+            "R": eig.R,
             # always 0: the eigensolver no longer sweeps.  Dropping the key
             # is a schema decision for the maintainer (ROADMAP.md, report.json
             # schema item), so readers of the report keep finding it.
@@ -233,19 +245,19 @@ def run_analysis(
         "loadings_full": {
             "pc_labels": expl_full.pc_labels,
             "variables": expl_full.variable_names,
-            "loading": expl_full.loading.tolist(),
-            "determination": expl_full.determination.tolist(),
-            "row_sums": expl_full.row_sums.tolist(),
-            "column_sums": expl_full.column_sums.tolist(),
-            "row_averages": expl_full.row_averages.tolist(),
+            "loading": expl_full.loading,
+            "determination": expl_full.determination,
+            "row_sums": expl_full.row_sums,
+            "column_sums": expl_full.column_sums,
+            "row_averages": expl_full.row_averages,
         },
         "reconstruction_at_k": {
             "k": k_selected,
             "pc_labels": expl_k.pc_labels,
             "variables": expl_k.variable_names,
-            "determination": expl_k.determination.tolist(),
-            "column_sums": expl_k.column_sums.tolist(),
-            "row_averages": expl_k.row_averages.tolist(),
+            "determination": expl_k.determination,
+            "column_sums": expl_k.column_sums,
+            "row_averages": expl_k.row_averages,
         },
         "selection": {
             **{
@@ -257,7 +269,7 @@ def run_analysis(
         },
         "similarity_profiles": {
             "components": expl_k.pc_labels,
-            "profiles": {p.variable: p.values.tolist() for p in profiles},
+            "profiles": {p.variable: p.values for p in profiles},
         },
         "clusters": assignment.to_json(),
         "scores": scores_block,
@@ -276,24 +288,28 @@ def run_analysis(
 
 def to_json_text(report: dict) -> str:
     """The report as JSON text: ``json.dumps(report, indent=2,
-    sort_keys=True) + "\\n"``, byte for byte.
+    sort_keys=True, default=np.ndarray.tolist) + "\\n"``, byte for byte.
 
     ``json.dumps`` runs its pure-Python encoder whenever it indents; this
     writer walks the tree once, appending pieces to one list joined at
-    the end.  A row of finite floats is left as a slot, and after the
-    walk each distinct double of all the rows is formatted once
+    the end.  The report's matrix and vector blocks are float64 arrays
+    (``AnalysisResult`` names them): each such array of one or two
+    dimensions, like each list of floats, is left as one slot, and after
+    the walk each distinct double of all the slots is formatted once
     (``_fill``): the report repeats many (``eigen.R`` is ``U``
     transposed, the matrices are symmetric).  Doubles are told apart by
-    their bits, so ``0.0`` and ``-0.0`` keep their own text.  Each text
-    is ``float.__repr__``'s.  From ``_REPR_BATCH_MIN`` distinct doubles
-    on, NumPy writes the texts of those whose shortest digits exact
-    integer and double-double arithmetic proves (``_certified``); the
-    rest, and every double of a smaller report, go through
-    ``float.__repr__`` itself.  Nothing is cached between calls.
+    their bits, so ``0.0`` and ``-0.0`` keep their own text.  A finite
+    double's text is ``float.__repr__``'s, and ``NaN``, ``Infinity`` and
+    ``-Infinity`` are ``json.dumps``'s.  From ``_REPR_BATCH_MIN`` distinct
+    doubles on, NumPy writes the texts of those whose shortest digits
+    exact integer and double-double arithmetic proves (``_certified``);
+    the rest, and every double of a smaller report, go through
+    ``float.__repr__`` itself.  Any other array is written as its
+    ``tolist()``.  Nothing is cached between calls.
     """
     out: list[str] = []
-    values: list[float] = []
-    slots: list[tuple[int, int, str]] = []
+    values: list = []
+    slots: list[tuple[int, int, int, str, str]] = []
     _walk(report, "", out, values, slots)
     out.append("\n")
     _fill(out, values, slots)
@@ -303,11 +319,31 @@ def to_json_text(report: dict) -> str:
 def _walk(o, indent: str, out: list, values: list, slots: list) -> None:
     """Append ``o`` as indented JSON whose first line starts at ``indent``.
 
-    A row of finite floats appends a placeholder and records the slot
-    ``(index in out, length, separator)``; its values go to ``values``.
-    A value of another type, or a key that is not a ``str``, raises a
-    ``TypeError`` naming its type (the key's from the sort or the quote).
+    A non-empty float64 array of one or two dimensions, or a list of
+    floats, appends a placeholder and records the slot ``(index in out,
+    rows, columns, separator within a row, text between rows)``; the
+    array or list goes to ``values``.  Any other array is walked as its
+    ``tolist()``.  A value of another type, or a key that is not a
+    ``str``, raises a ``TypeError`` naming its type (the key's from the
+    sort or the quote).
     """
+    if isinstance(o, np.ndarray):
+        if o.dtype != np.float64 or not 1 <= o.ndim <= 2 or not o.size:
+            _walk(o.tolist(), indent, out, values, slots)
+            return
+        inner = indent + "  "
+        if o.ndim == 1:
+            out.append("[\n" + inner)
+            slots.append((len(out), 1, o.size, ",\n" + inner, ""))
+            close = "\n" + indent + "]"
+        else:
+            row = inner + "  "
+            out.append("[\n" + inner + "[\n" + row)
+            slots.append((len(out), *o.shape, ",\n" + row, "\n" + inner + "],\n" + inner + "[\n" + row))
+            close = "\n" + inner + "]\n" + indent + "]"
+        out += ("", close)
+        values.append(o)
+        return
     if isinstance(o, (list, tuple)):
         if not o:
             out.append("[]")
@@ -315,12 +351,10 @@ def _walk(o, indent: str, out: list, values: list, slots: list) -> None:
         inner = indent + "  "
         sep = ",\n" + inner
         out.append("[\n" + inner)
-        # a NaN or an infinity makes the sum non-finite, so only a row of
-        # finite floats takes a slot
-        if {*map(type, o)} == {float} and math.isfinite(sum(o)):
-            slots.append((len(out), len(o), sep))
+        if {*map(type, o)} == {float}:
+            slots.append((len(out), 1, len(o), sep, ""))
             out.append("")
-            values += o
+            values.append(o)
         else:
             for i, v in enumerate(o):
                 if i:
@@ -344,7 +378,7 @@ def _walk(o, indent: str, out: list, values: list, slots: list) -> None:
 
 
 def _scalar(o) -> str:
-    """A value that is neither a list, a tuple nor a dict, as JSON."""
+    """A value that is neither an array, a list, a tuple nor a dict, as JSON."""
     if isinstance(o, str):
         return _quote(o)
     if o is None:
@@ -364,15 +398,18 @@ def _scalar(o) -> str:
     raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
-def _fill(out: list, values: list[float], slots: list[tuple[int, int, str]]) -> None:
-    """Write each slot's row text into ``out``, formatting every distinct
-    bit pattern of ``values`` once.
+def _fill(out: list, values: list, slots: list[tuple[int, int, int, str, str]]) -> None:
+    """Write each slot's text into ``out``, formatting every distinct bit
+    pattern of ``values`` once.
 
     From ``_REPR_BATCH_MIN`` distinct doubles on, ``_repr_batch`` formats
     them: NumPy writes the text of each double whose shortest digits
     ``_certified`` proves, and ``float.__repr__`` the others.  Below that
-    count ``float.__repr__`` formats them all."""
-    bits = np.fromiter(values, np.float64, len(values)).view(np.uint64)
+    count ``float.__repr__`` formats them all.  ``NaN`` and the
+    infinities take ``_scalar``'s names."""
+    if not values:
+        return
+    bits = np.concatenate(values, axis=None).view(np.uint64)
     values.clear()
     distinct, which = np.unique(bits, return_inverse=True)
     del bits
@@ -380,10 +417,13 @@ def _fill(out: list, values: list[float], slots: list[tuple[int, int, str]]) -> 
     # an object array hands out each value's text in one gather, not one
     # Python index per value
     texts = _repr_batch(doubles) if doubles.size >= _REPR_BATCH_MIN else _reprs(doubles)
+    named = ~np.isfinite(doubles)
+    if named.any():
+        texts[named] = [_scalar(v) for v in doubles[named].tolist()]
     pieces = iter(texts[which].tolist())
     del distinct, doubles, which, texts
-    for at, length, sep in slots:
-        out[at] = sep.join(islice(pieces, length))
+    for at, rows, cols, sep, between in slots:
+        out[at] = between.join([sep.join(islice(pieces, cols)) for _ in range(rows)])
 
 
 # the batch and float.__repr__ took equal time at about 300 distinct
@@ -643,9 +683,10 @@ def _texts(c: np.ndarray, s: np.ndarray, j: np.ndarray, neg: np.ndarray) -> list
     return texts
 
 
-def _three_decimals(blocks: list[tuple[list[list[float]], float]]) -> list[list[list[str]]]:
-    """Each block's cells as ``f"{v * scale:.3f}"``, byte for byte, in the
-    block's row shapes; a block is ``(rows of floats, scale)``.
+def _three_decimals(blocks: list[tuple[np.ndarray, float]]) -> list[list]:
+    """Each block's cells as ``f"{v * scale:.3f}"``, byte for byte, as
+    nested lists in the block's shape; a block is ``(array of floats,
+    scale)``, of one or two dimensions (or what ``np.asarray`` makes one).
 
     The cells of all blocks are formatted in one pass.  A cell
     w = v * scale is keyed by the bits of k = rint(1000 * w), so
@@ -656,21 +697,16 @@ def _three_decimals(blocks: list[tuple[list[list[float]], float]]) -> list[list[
     2**-22 of the exact one, so off the margin rint rounds as the
     f-string does.  Nothing is cached between calls.
     """
-    values: list[float] = []
-    scaled = []
-    for rows, scale in blocks:
-        start = len(values)
-        for row in rows:
-            values += row
-        if scale != 1.0:
-            scaled.append((start, len(values), scale))
+    arrays = [np.asarray(values, dtype=np.float64) for values, _ in blocks]
+    bounds = [*accumulate((a.size for a in arrays), initial=0)]
+    spans = list(zip(bounds, bounds[1:]))
     # each array is dropped once used: together they would set the
     # render's peak memory
-    w = np.fromiter(values, np.float64, len(values))
-    del values
+    w = np.concatenate(arrays, axis=None)
     with np.errstate(over="ignore", invalid="ignore"):
-        for start, stop, scale in scaled:
-            w[start:stop] *= scale
+        for (_, scale), (start, stop) in zip(blocks, spans):
+            if scale != 1.0:
+                w[start:stop] *= scale
         p = w * 1000.0
         k = np.rint(p)
         loose = np.flatnonzero((np.abs(p) >= 2.0**31) | ~(np.abs(np.abs(p - k) - 0.5) > 1e-6))
@@ -684,8 +720,7 @@ def _three_decimals(blocks: list[tuple[list[list[float]], float]]) -> list[list[
     cells = texts[which]
     del which
     cells[loose] = loose_texts
-    pieces = iter(cells.tolist())
-    return [[list(islice(pieces, len(row))) for row in rows] for rows, _ in blocks]
+    return [cells[start:stop].reshape(a.shape).tolist() for a, (start, stop) in zip(arrays, spans)]
 
 
 def _labelled(labels: Iterable[str], rows: list[list[str]]) -> list[list[str]]:
@@ -717,21 +752,21 @@ def _sections(report: dict) -> list[tuple]:
     full = report["loadings_full"]
     rec = report["reconstruction_at_k"]
     prof = report["similarity_profiles"]
-    (r, p, angles, det_pct, [eigenvalues], U, loading, det, [row_sums], [column_sums],
-     rec_det, [rec_averages], [rec_sums], profiles) = _three_decimals([
+    (r, p, angles, det_pct, eigenvalues, U, loading, det, row_sums, column_sums,
+     rec_det, rec_averages, rec_sums, profiles) = _three_decimals([
         (report["correlation"]["r"], 1.0),
         (report["significance"], 1.0),
         (report["angles_deg"], 1.0),
         (report["determination"], 100.0),
-        ([eig["eigenvalues"]], 1.0),
+        (eig["eigenvalues"], 1.0),
         (eig["U"], 1.0),
         (full["loading"], 1.0),
         (full["determination"], 1.0),
-        ([full["row_sums"]], 1.0),
-        ([full["column_sums"]], 1.0),
+        (full["row_sums"], 1.0),
+        (full["column_sums"], 1.0),
         (rec["determination"], 1.0),
-        ([rec["row_averages"]], 100.0),
-        ([rec["column_sums"]], 100.0),
+        (rec["row_averages"], 100.0),
+        (rec["column_sums"], 100.0),
         (list(prof["profiles"].values()), 1.0),
     ])
 

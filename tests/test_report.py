@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import oracles
 from pcageom.fixtures import fixture_path
@@ -67,6 +68,13 @@ def test_report_structure(corr_result):
     assert all(c["pass"] for c in r["relations"])
     assert r["selection"]["chosen_criterion"] == "per_variable"
     assert {s["component"] for s in r["variance_explained"]} == {"pc1", "pc2", "pc3", "pc4"}
+    full, rec = r["loadings_full"], r["reconstruction_at_k"]
+    blocks = [r["correlation"]["r"], r["significance"], r["angles_deg"], r["determination"],
+              *(r["eigen"][key] for key in ("eigenvalues", "U", "R")),
+              *(full[key] for key in ("loading", "determination", "row_sums", "column_sums", "row_averages")),
+              *(rec[key] for key in ("determination", "column_sums", "row_averages")),
+              *r["similarity_profiles"]["profiles"].values()]
+    assert all(b.__class__ is np.ndarray and b.dtype == np.float64 for b in blocks)
 
 
 def test_report_from_raw_data(iris_result):
@@ -135,8 +143,9 @@ def test_json_text_is_deterministic():
 
 
 def dumps_text(tree) -> str:
-    """The reference ``to_json_text`` is pinned to."""
-    return json.dumps(tree, indent=2, sort_keys=True) + "\n"
+    """The reference ``to_json_text`` is pinned to: an array is written
+    as its ``tolist()``."""
+    return json.dumps(tree, indent=2, sort_keys=True, default=np.ndarray.tolist) + "\n"
 
 
 def seeded_data(n: int, rows: int) -> np.ndarray:
@@ -225,6 +234,35 @@ JSON_TREES = st.recursive(
 @example({"R": [[0.1, 0.2], [0.3, 0.4]], "U": [[0.1, 0.3], [0.2, 0.4]]})
 @example({"batch": BATCH_ROWS, "scalar": BATCH_ROWS[0][0]})
 def test_json_text_matches_json_dumps(tree):
+    assert to_json_text(tree) == dumps_text(tree)
+
+
+ARRAY_FLOATS = st.floats() | st.sampled_from(
+    [math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -2.2250738585072e-308, 1e-310])
+# float64 blocks of one and two dimensions, zero rows and zero columns
+# among them, and arrays that are written as their tolist(): other
+# dtypes, zero and three dimensions
+FLOAT_ARRAYS = hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=5),
+                          elements=ARRAY_FLOATS)
+OTHER_ARRAYS = (
+    hnp.arrays(st.sampled_from([np.int64, np.float32, np.bool_]), hnp.array_shapes(min_dims=1, max_dims=2))
+    | hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=3).filter(lambda s: len(s) not in (1, 2)),
+                 elements=ARRAY_FLOATS)
+)
+ARRAY_TREES = st.recursive(
+    FLOAT_ARRAYS | OTHER_ARRAYS | JSON_SCALARS | JSON_MATRICES,
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.text(max_size=3), kids, max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ARRAY_TREES)
+@example({"empty": [np.empty(0), np.empty((0, 3)), np.empty((3, 0))], "row": np.array([[0.5, -0.0]])})
+@example([np.array([math.nan, math.inf, -math.inf, -0.0, 5e-324]), [math.nan, 0.1], np.array([[0.1], [-0.0]])])
+@example({"R": np.array([[0.1, 0.2], [0.3, 0.4]]), "U": np.array([[0.1, 0.3], [0.2, 0.4]]).T})
+@example({"batch": np.array(BATCH_ROWS[:_REPR_BATCH_MIN // 8]), "rows": BATCH_ROWS[:2], "nan": np.full((2, 2), math.nan)})
+def test_json_text_writes_arrays_as_json_dumps_does(tree):
     assert to_json_text(tree) == dumps_text(tree)
 
 
@@ -357,8 +395,11 @@ def test_three_decimals_matches_the_f_string(values, scale):
 
 
 def test_three_decimals_keeps_the_block_shapes():
-    blocks = [([[0.1, 0.2], [0.3]], 1.0), ([], 1.0), ([[0.5]], 100.0)]
-    assert _three_decimals(blocks) == [[["0.100", "0.200"], ["0.300"]], [], [["50.000"]]]
+    blocks = [(np.array([[0.1, 0.2], [0.3, -0.0]]), 1.0), (np.empty(0), 1.0), (np.array([0.5, 0.25]), 100.0),
+              (np.empty((0, 3)), 1.0), (np.empty((2, 0)), 1.0), ([[0.5], [1.0]], 1.0)]
+    assert _three_decimals(blocks) == [
+        [["0.100", "0.200"], ["0.300", "-0.000"]], [], ["50.000", "25.000"], [], [[], []], [["0.500"], ["1.000"]],
+    ]
     assert _three_decimals([([[]], 1.0)]) == [[[]]]
 
 
