@@ -28,7 +28,7 @@ from .corrstats import (
     significance_matrix,
     student_t_cdf,
 )
-from .eigensolve import EigenSystem, eigen_symmetric, rotation_from_eigenvectors, symmetric_eigh
+from .eigensolve import EigenSystem, eigen_symmetric, symmetric_eigh
 from .errors import ConvergenceError, DataError, PcageomError
 from .fixtures import fixture_path
 from .ingest import (
@@ -99,7 +99,6 @@ __all__ = [
     "EigenSystem",
     "symmetric_eigh",
     "eigen_symmetric",
-    "rotation_from_eigenvectors",
     "VirtualRepresentation",
     "RelationCheck",
     "transform_vector",

@@ -52,7 +52,6 @@ __all__ = [
     "offdiag_norm",
     "symmetric_eigh",
     "eigen_symmetric",
-    "rotation_from_eigenvectors",
 ]
 
 OFF_TOL_FACTOR = 1e-12
@@ -146,23 +145,6 @@ def symmetric_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             f"(off-diagonal norm {off:.3e}, target {target:.3e})"
         )
     return _apply_conventions(np.diag(d).copy(), v)
-
-
-def rotation_from_eigenvectors(u: np.ndarray) -> np.ndarray:
-    """Rotation matrix R = U^T from an orthonormal eigenvector basis.
-
-    R carries coordinates from the standard base to the eigenvector
-    base: its rows are the eigenvectors.
-    """
-    u = np.asarray(u, dtype=np.float64)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise ValueError(f"eigensolve: eigenvector matrix must be square, got {u.shape}")
-    gram_dev = float(np.max(np.abs(u.T @ u - np.eye(u.shape[0]))))
-    if gram_dev > 1e-8:
-        raise ValueError(
-            f"eigensolve: columns are not orthonormal (max Gram deviation {gram_dev:.3e})"
-        )
-    return u.T.copy()
 
 
 def eigen_symmetric(c: CorrelationMatrix) -> EigenSystem:

@@ -30,6 +30,7 @@ __all__ = [
     "explanation_table",
     "select_components",
     "scree_data",
+    "component_labels",
 ]
 
 CRITERIA = ("percentage", "scree", "eigenvalue_ge_1", "per_variable")
@@ -114,6 +115,11 @@ class SelectionResult:
     detail: dict
 
 
+def component_labels(k: int) -> list[str]:
+    """The names of the first k principal components: pc1, pc2, ..."""
+    return [f"pc{i + 1}" for i in range(k)]
+
+
 def project_scores(z: StandardizedMatrix, r: np.ndarray) -> ScoreMatrix:
     """Rotate standardized rows into the component base: p^T = R a^T.
 
@@ -128,7 +134,7 @@ def project_scores(z: StandardizedMatrix, r: np.ndarray) -> ScoreMatrix:
             f"pcacore: data has {z.n_cols} columns but rotation is {r.shape[0]}-dimensional"
         )
     scores = z.values @ r.T
-    names = [f"pc{i + 1}" for i in range(z.n_cols)]
+    names = component_labels(z.n_cols)
     summaries = summarize(DataMatrix(values=scores, column_names=names), SAMPLE)
     return ScoreMatrix(scores=scores, component_names=names, summaries=summaries)
 
@@ -180,7 +186,7 @@ def explanation_table(
     return ExplanationTable(
         loading=loading,
         determination=det,
-        pc_labels=[f"pc{i + 1}" for i in range(k)],
+        pc_labels=component_labels(k),
         variable_names=list(variable_names),
         k=k,
         row_sums=det.sum(axis=1),
@@ -231,7 +237,7 @@ def select_components(
         return SelectionResult(
             criterion=criterion,
             k=k,
-            detail={"threshold": threshold, "cumulative_fraction": cum_frac.tolist()},
+            detail={"threshold": threshold, "cumulative_fraction": cum_frac},
         )
 
     if criterion == "eigenvalue_ge_1":
@@ -245,7 +251,7 @@ def select_components(
     if criterion == "scree":
         if n < 3:
             return SelectionResult(
-                criterion=criterion, k=1, detail={"second_differences": [], "no_elbow": True}
+                criterion=criterion, k=1, detail={"second_differences": np.empty(0), "no_elbow": True}
             )
         d = _second_differences(w)
         no_elbow = bool(np.max(d) <= FLAT_TOL)
@@ -253,7 +259,7 @@ def select_components(
         return SelectionResult(
             criterion=criterion,
             k=k,
-            detail={"second_differences": d.tolist(), "no_elbow": no_elbow},
+            detail={"second_differences": d, "no_elbow": no_elbow},
         )
 
     if not expl.is_full:
@@ -267,7 +273,7 @@ def select_components(
         k=k,
         detail={
             "threshold": threshold,
-            "min_cumulative_by_k": minima.tolist(),
+            "min_cumulative_by_k": minima,
             "per_variable_cumulative_at_k": {
                 name: float(cum[k - 1, j]) for j, name in enumerate(expl.variable_names)
             },

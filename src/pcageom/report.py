@@ -47,7 +47,9 @@ from .pcacore import (
     variance_explained,
 )
 from .tensorops import VirtualRepresentation, build_virtual, verify_relations
-from .varcluster import ClusterAssignment, SimilarityProfile, cluster_kmeans, cluster_naive, similarity_profiles
+from .varcluster import (
+    UNASSIGNED, ClusterAssignment, SimilarityProfile, cluster_kmeans, cluster_naive, similarity_profiles,
+)
 
 __all__ = ["AnalysisResult", "load_input", "run_analysis", "render_markdown", "render_csv", "to_json_text"]
 
@@ -62,8 +64,10 @@ class AnalysisResult:
     float64 arrays, not as lists: ``correlation.r``, ``significance``,
     ``angles_deg``, ``determination``, ``eigen.eigenvalues``, ``eigen.U``,
     ``eigen.R``, every block of ``loadings_full``, the ``determination``,
-    ``column_sums`` and ``row_averages`` of ``reconstruction_at_k``, and
-    each row of ``similarity_profiles.profiles``.  Some are shared with
+    ``column_sums`` and ``row_averages`` of ``reconstruction_at_k``, the
+    selection details ``cumulative_fraction``, ``second_differences`` and
+    ``min_cumulative_by_k``, and each row of
+    ``similarity_profiles.profiles``.  Some are shared with
     ``eigen``; treat them as read-only.  ``json.loads(to_json_text(report))``
     is the report as plain JSON, the tree ``report.json`` holds.
     """
@@ -234,7 +238,7 @@ def run_analysis(
         },
         "variance_explained": [
             {
-                "component": f"pc{i + 1}",
+                "component": expl_full.pc_labels[i],
                 "eigenvalue": float(ve.eigenvalues[i]),
                 "cumulative_eigenvalue": float(ve.cumulative_eigenvalues[i]),
                 "percent": float(ve.percent[i]),
@@ -290,22 +294,22 @@ def to_json_text(report: dict) -> str:
     """The report as JSON text: ``json.dumps(report, indent=2,
     sort_keys=True, default=np.ndarray.tolist) + "\\n"``, byte for byte.
 
-    ``json.dumps`` runs its pure-Python encoder whenever it indents; this
-    writer walks the tree once, appending pieces to one list joined at
-    the end.  The report's matrix and vector blocks are float64 arrays
-    (``AnalysisResult`` names them): each such array of one or two
-    dimensions, like each list of floats, is left as one slot, and after
-    the walk each distinct double of all the slots is formatted once
-    (``_fill``): the report repeats many (``eigen.R`` is ``U``
-    transposed, the matrices are symmetric).  Doubles are told apart by
-    their bits, so ``0.0`` and ``-0.0`` keep their own text.  A finite
-    double's text is ``float.__repr__``'s, and ``NaN``, ``Infinity`` and
-    ``-Infinity`` are ``json.dumps``'s.  From ``_REPR_BATCH_MIN`` distinct
-    doubles on, NumPy writes the texts of those whose shortest digits
-    exact integer and double-double arithmetic proves (``_certified``);
-    the rest, and every double of a smaller report, go through
-    ``float.__repr__`` itself.  Any other array is written as its
-    ``tolist()``.  Nothing is cached between calls.
+    ``json.dumps`` runs its pure-Python encoder whenever it indents;
+    this writer walks the tree once, appending pieces to one list joined
+    at the end.  The report's matrix and vector blocks are float64
+    arrays (``AnalysisResult`` names them): each such array of one or
+    two dimensions is left as one slot, and after the walk each distinct
+    double of all the slots is formatted once (``_fill``): the report
+    repeats many (``eigen.R`` is ``U`` transposed, the matrices are
+    symmetric).  Doubles are told apart by their bits, so ``0.0`` and
+    ``-0.0`` keep their own text.  A finite double's text is
+    ``float.__repr__``'s, and ``NaN``, ``Infinity`` and ``-Infinity``
+    are ``json.dumps``'s.  From ``_REPR_BATCH_MIN`` distinct doubles on,
+    NumPy writes the texts of those whose shortest digits exact integer
+    and double-double arithmetic proves (``_certified``); the rest, and
+    every double of a smaller report, go through ``float.__repr__``
+    itself.  Any other array is written as its ``tolist()``.  Nothing is
+    cached between calls.
     """
     out: list[str] = []
     values: list = []
@@ -319,13 +323,13 @@ def to_json_text(report: dict) -> str:
 def _walk(o, indent: str, out: list, values: list, slots: list) -> None:
     """Append ``o`` as indented JSON whose first line starts at ``indent``.
 
-    A non-empty float64 array of one or two dimensions, or a list of
-    floats, appends a placeholder and records the slot ``(index in out,
-    rows, columns, separator within a row, text between rows)``; the
-    array or list goes to ``values``.  Any other array is walked as its
-    ``tolist()``.  A value of another type, or a key that is not a
-    ``str``, raises a ``TypeError`` naming its type (the key's from the
-    sort or the quote).
+    A non-empty float64 array of one or two dimensions appends a
+    placeholder and records the slot ``(index in out, rows, columns,
+    separator within a row, text between rows)``; the array goes to
+    ``values``.  Any other array is walked as its ``tolist()``.  A value
+    of another type, or a key that is not a ``str``, raises a
+    ``TypeError`` naming its type (the key's from the sort or the
+    quote).
     """
     if isinstance(o, np.ndarray):
         if o.dtype != np.float64 or not 1 <= o.ndim <= 2 or not o.size:
@@ -351,15 +355,10 @@ def _walk(o, indent: str, out: list, values: list, slots: list) -> None:
         inner = indent + "  "
         sep = ",\n" + inner
         out.append("[\n" + inner)
-        if {*map(type, o)} == {float}:
-            slots.append((len(out), 1, len(o), sep, ""))
-            out.append("")
-            values.append(o)
-        else:
-            for i, v in enumerate(o):
-                if i:
-                    out.append(sep)
-                _walk(v, inner, out, values, slots)
+        for i, v in enumerate(o):
+            if i:
+                out.append(sep)
+            _walk(v, inner, out, values, slots)
         out.append("\n" + indent + "]")
         return
     if isinstance(o, dict):
@@ -400,7 +399,7 @@ def _scalar(o) -> str:
 
 def _fill(out: list, values: list, slots: list[tuple[int, int, int, str, str]]) -> None:
     """Write each slot's text into ``out``, formatting every distinct bit
-    pattern of ``values`` once.
+    pattern of the float64 arrays in ``values`` once.
 
     From ``_REPR_BATCH_MIN`` distinct doubles on, ``_repr_batch`` formats
     them: NumPy writes the text of each double whose shortest digits
@@ -767,7 +766,8 @@ def _sections(report: dict) -> list[tuple]:
         (rec["determination"], 1.0),
         (rec["row_averages"], 100.0),
         (rec["column_sums"], 100.0),
-        (list(prof["profiles"].values()), 1.0),
+        # report.json sorts the profile names: rows follow the variables
+        ([prof["profiles"][name] for name in rec["variables"]], 1.0),
     ])
 
     sections = []
@@ -784,7 +784,7 @@ def _sections(report: dict) -> list[tuple]:
     ):
         sections.append((md_title, csv_title, ["", *names], _labelled(names, rows)))
 
-    pcs = [f"pc{i + 1}" for i in range(len(eigenvalues))]
+    pcs = full["pc_labels"]
     sections.append((
         "## Eigensystem", None, ["component", "eigenvalue"],
         [[pc, v] for pc, v in zip(pcs, eigenvalues)],
@@ -836,14 +836,16 @@ def _sections(report: dict) -> list[tuple]:
 
     sections.append((
         "## Similarity profiles", "similarity_profiles", ["variable", *prof["components"]],
-        _labelled(prof["profiles"], profiles),
+        _labelled(rec["variables"], profiles),
     ))
+    # report.json sorts the cluster ids as text: list pc1, pc2, ... (or c1,
+    # c2, ...) by number, then "unassigned"
+    clusters = sorted(report["clusters"]["clusters"].items(),
+                      key=lambda item: (item[0] == UNASSIGNED, len(item[0]), item[0]))
     sections.append((
         "## Clusters", "clusters", ["cluster", "members"],
-        [
-            (cid, (", ".join(members) if members else "(empty)", ";".join(members)))
-            for cid, members in report["clusters"]["clusters"].items()
-        ],
+        [(cid, (", ".join(members) if members else "(empty)", ";".join(members)))
+         for cid, members in clusters],
     ))
 
     scores = report["scores"]

@@ -49,7 +49,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .pcacore import ExplanationTable
+from .pcacore import ExplanationTable, component_labels
 
 __all__ = [
     "EXACT_BUDGET",
@@ -142,6 +142,16 @@ def similarity_profiles(expl: ExplanationTable) -> list[SimilarityProfile]:
     ]
 
 
+def _profile_matrix(profiles: list[SimilarityProfile]) -> np.ndarray:
+    """The profiles' values as the rows of one float64 matrix; raises
+    ``ValueError`` when there are none or their lengths differ."""
+    if not profiles:
+        raise ValueError("varcluster: no profiles to cluster")
+    if len({p.k for p in profiles}) != 1:
+        raise ValueError("varcluster: profiles have mixed lengths")
+    return np.array([p.values for p in profiles], dtype=np.float64)
+
+
 def cluster_naive(profiles: list[SimilarityProfile], threshold: float = 0.5) -> ClusterAssignment:
     """Assign each variable to the component clearing the threshold.
 
@@ -150,22 +160,18 @@ def cluster_naive(profiles: list[SimilarityProfile], threshold: float = 0.5) -> 
     most one entry can qualify, since a profile sums to at most 1.
     Variables clearing nothing go to the "unassigned" cluster.
     """
-    if not profiles:
-        raise ValueError("varcluster: no profiles to cluster")
+    values = _profile_matrix(profiles)
     if not 0.0 < threshold <= 1.0:
         raise ValueError(f"varcluster: threshold must be in (0, 1], got {threshold}")
-    k = profiles[0].k
-    if any(prof.k != k for prof in profiles):
-        raise ValueError("varcluster: profiles have mixed lengths")
-    values = np.array([prof.values for prof in profiles], dtype=np.float64)
     clears = values >= threshold
     # argmax returns the first of equal maxima: the lowest component index
     best = np.where(clears, values, -np.inf).argmax(axis=1)
+    labels = component_labels(values.shape[1])
     assignments: dict[str, str] = {}
-    clusters: dict[str, list[str]] = {f"pc{i + 1}": [] for i in range(k)}
+    clusters: dict[str, list[str]] = {label: [] for label in labels}
     clusters[UNASSIGNED] = []
     for prof, cleared, i in zip(profiles, clears.any(axis=1), best):
-        cid = f"pc{i + 1}" if cleared else UNASSIGNED
+        cid = labels[i] if cleared else UNASSIGNED
         assignments[prof.variable] = cid
         clusters[cid].append(prof.variable)
     return ClusterAssignment(
@@ -466,12 +472,8 @@ def cluster_kmeans(
     the cosine metric a zero profile has no direction, so such
     variables are flagged and parked in the "unassigned" cluster.
     """
-    if not profiles:
-        raise ValueError("varcluster: no profiles to cluster")
-    if len({p.k for p in profiles}) != 1:
-        raise ValueError("varcluster: profiles have mixed lengths")
+    matrix = _profile_matrix(profiles)
     names = [p.variable for p in profiles]
-    matrix = np.array([p.values for p in profiles], dtype=np.float64)
 
     excluded: list[str] = []
     active = np.arange(len(profiles))

@@ -17,7 +17,6 @@ from pcageom.eigensolve import (
     PSD_CLAMP,
     eigen_symmetric,
     offdiag_norm,
-    rotation_from_eigenvectors,
     symmetric_eigh,
 )
 from pcageom.errors import ConvergenceError, DataError
@@ -224,12 +223,6 @@ def test_indefinite_matrix_is_rejected():
     assert np.linalg.eigvalsh(bad).min() < PSD_CLAMP
     with pytest.raises(DataError, match="negative"):
         eigen_symmetric(corr_of(bad))
-
-
-def test_rotation_from_eigenvectors_rejects_skew():
-    u = np.array([[1.0, 0.1], [0.0, 1.0]])
-    with pytest.raises(ValueError, match="orthonormal"):
-        rotation_from_eigenvectors(u)
 
 
 def test_decomposition_is_deterministic():

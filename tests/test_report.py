@@ -73,8 +73,19 @@ def test_report_structure(corr_result):
               *(r["eigen"][key] for key in ("eigenvalues", "U", "R")),
               *(full[key] for key in ("loading", "determination", "row_sums", "column_sums", "row_averages")),
               *(rec[key] for key in ("determination", "column_sums", "row_averages")),
+              r["selection"]["percentage"]["detail"]["cumulative_fraction"],
+              r["selection"]["scree"]["detail"]["second_differences"],
+              r["selection"]["per_variable"]["detail"]["min_cumulative_by_k"],
               *r["similarity_profiles"]["profiles"].values()]
     assert all(b.__class__ is np.ndarray and b.dtype == np.float64 for b in blocks)
+
+
+def test_two_variable_report_has_no_second_differences(tmp_path):
+    path = tmp_path / "r2.json"
+    path.write_text(json.dumps({"names": ["a", "b"], "n_obs": 10, "r": [[1.0, 0.5], [0.5, 1.0]]}))
+    text = to_json_text(run_analysis(path).report)
+    assert '"second_differences": []' in text
+    assert json.loads(text)["selection"]["scree"] == {"k": 1, "detail": {"no_elbow": True, "second_differences": []}}
 
 
 def test_report_from_raw_data(iris_result):
@@ -203,20 +214,21 @@ JSON_SCALARS = (
     st.none() | st.booleans() | st.integers() | st.text()
     | JSON_FLOATS | JSON_FLOATS.map(np.float64)
 )
-# doubles at repr's format switch points, and both zeros, shared by the
-# rows of a matrix so that one text is reused across rows and blocks
+# doubles at repr's format switch points, and both zeros, repeated
+# across the rows of a matrix
 SHARED_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e16, 9.999999999999999e15, 1e-05, 0.0001])
 JSON_MATRICES = st.lists(st.lists(SHARED_FLOATS, min_size=1, max_size=6), min_size=1, max_size=6)
-# float rows with more distinct doubles than _REPR_BATCH_MIN, so the
-# batch formatter writes them: magnitudes from 1e-8 to 1e17, both signs,
-# with repeats, zeros and short decimals among them
+# rows of doubles with magnitudes from 1e-8 to 1e17, both signs, with
+# repeats, zeros and short decimals among them; as a float64 array their
+# first _REPR_BATCH_MIN // 8 rows hold more distinct doubles than
+# _REPR_BATCH_MIN, so the batch formatter writes them
 _rng = np.random.default_rng(19)
 BATCH_ROWS = (_rng.standard_normal((_REPR_BATCH_MIN // 8, 16))
               * 10.0 ** _rng.integers(-8, 18, (_REPR_BATCH_MIN // 8, 16))).tolist()
 BATCH_ROWS += [[0.0, -0.0, 0.5, 0.1, 1e-06, 1e16, -9.999999999999999e-05]] + BATCH_ROWS[:3]
 del _rng
 JSON_TREES = st.recursive(
-    JSON_SCALARS | st.lists(JSON_FLOATS) | JSON_MATRICES,  # finite float rows take a slot
+    JSON_SCALARS | st.lists(JSON_FLOATS) | JSON_MATRICES,
     lambda kids: st.lists(kids, max_size=5) | st.dictionaries(st.text(), kids, max_size=5),
     max_leaves=30,
 )
@@ -232,7 +244,7 @@ JSON_TREES = st.recursive(
 @example(["\x1f\u2028\U0001f600\ud800", "\\/\t", 10**30, -(10**30)])
 @example({"a": [[0.0, -0.0], [-0.0, 0.0]], "b": [-0.0, 0.0]})
 @example({"R": [[0.1, 0.2], [0.3, 0.4]], "U": [[0.1, 0.3], [0.2, 0.4]]})
-@example({"batch": BATCH_ROWS, "scalar": BATCH_ROWS[0][0]})
+@example({"rows": BATCH_ROWS, "scalar": BATCH_ROWS[0][0]})
 def test_json_text_matches_json_dumps(tree):
     assert to_json_text(tree) == dumps_text(tree)
 
@@ -330,18 +342,34 @@ def test_repr_batch_matches_float_repr(values):
     assert_reprs(values)
 
 
-def test_text_renderers_match_the_f_string_renderer(tmp_path):
-    # iris stays below the keyed pass's cell count; the 48-variable JSON
-    # and the 160-variable k-means report go through it
-    reports = [
+@pytest.fixture(scope="module")
+def text_reports(tmp_path_factory, corr_result):
+    """Iris as k-means and as its correlation JSON, the 48-variable JSON
+    with naive clusters pc1 to pc22, and a 160-variable k-means report
+    with clusters c1 to c12."""
+    tmp = tmp_path_factory.mktemp("text_reports")
+    return [
         run_analysis(IRIS, columns="1-4", header=True, cluster_method="kmeans").report,
-        run_analysis(seeded_corr_json(tmp_path / "r48.json", 48), cluster_method="naive").report,
-        run_analysis(seeded_csv(tmp_path / "v160.csv", 160), header=True, cluster_method="kmeans",
+        corr_result.report,
+        run_analysis(seeded_corr_json(tmp / "r48.json", 48), cluster_method="naive").report,
+        run_analysis(seeded_csv(tmp / "v160.csv", 160), header=True, cluster_method="kmeans",
                      k=12).report,
     ]
-    for report in reports:
+
+
+def test_text_renderers_match_the_f_string_renderer(text_reports):
+    for report in text_reports:
         assert render_markdown(report) == oracles.reference_render_markdown(report)
         assert render_csv(report) == oracles.reference_render_csv(report)
+
+
+def test_text_renderers_read_report_json_alike(text_reports):
+    # report.json sorts every dict's keys, so the tables may not follow
+    # the order of the profile and cluster dicts
+    for report in text_reports:
+        plain = json.loads(to_json_text(report))
+        assert render_markdown(plain) == render_markdown(report)
+        assert render_csv(plain) == render_csv(report)
 
 
 def test_markdown_peak_memory_is_bounded(tmp_path):
