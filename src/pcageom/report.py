@@ -543,26 +543,12 @@ def _certified(x: np.ndarray) -> tuple[np.ndarray, ...]:
     np.subtract(16.0, lg, out=lg)
     s = lg.astype(np.int8)
     del lg
-    # log10 can miss by one next to a power of ten, so s is checked on the
-    # exact product and moved where it missed; next to |x| = 1e-6 it
-    # leaves the table of powers
+    # log10 can miss by one next to a power of ten, leaving y outside
+    # [1e16, 1e17): those values are left to float.__repr__.  The clamp
+    # keeps s in the table of powers next to |x| = 1e-6
     np.minimum(s, 22, out=s)
     y, f = _scaled(ax, s)
-    low = y < 10**16
-    off = low | (y >= 10**17)
-    ok = np.ones(at.size, dtype=bool)
-    if off.any():
-        off = np.flatnonzero(off)
-        moved = s[off] + np.where(low[off], 1, -1).astype(np.int8)
-        ok[off] = moved <= 22
-        np.minimum(moved, 22, out=moved)
-        s[off] = moved
-        y_off, f_off = _scaled(ax[off], moved)
-        y[off] = y_off
-        f[off] = f_off
-        ok[off] &= (y_off >= 10**16) & (y_off < 10**17)
-        del moved, y_off, f_off
-    del low, off
+    ok = (y >= 10**16) & (y < 10**17)
     # the half-ulp: |x| = m * 2**(e - 53) with frexp's exponent e
     _, e = np.frexp(ax, out=(ax, np.empty(ax.size, dtype=np.int32)))
     del ax

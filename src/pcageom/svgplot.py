@@ -40,6 +40,40 @@ def _marker(shape: str, x: float, y: float, color: str, size: float = 5.0) -> st
     return f'<circle cx="{x:.2f}" cy="{y:.2f}" r="{size:.2f}" fill="{color}" />'
 
 
+def _page(width: int, height: int, title_x: float, title: str) -> list[str]:
+    """The opening ``<svg>`` tag, a white background and the title."""
+    return [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+        f'viewBox="0 0 {width} {height}">',
+        f'<rect width="{width}" height="{height}" fill="white" />',
+        _text(f"{title_x:.0f}", 24, title, 16),
+    ]
+
+
+def _text(x, y, body: str, size: int, anchor: str = "middle", extra: str = "") -> str:
+    """One ``<text>`` element; ``x`` and ``y`` are written as given and an
+    empty ``anchor`` leaves out ``text-anchor``."""
+    anchor = f' text-anchor="{anchor}"' if anchor else ""
+    return (
+        f'<text x="{x}" y="{y}"{anchor} font-family="sans-serif" '
+        f'font-size="{size}"{extra}>{body}</text>'
+    )
+
+
+def _line(x1, y1, x2, y2, stroke: str) -> str:
+    return f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" stroke="{stroke}" stroke-width="1" />'
+
+
+def _axis_titles(height: int, x_mid: float, x_title: str, y_title: str) -> list[str]:
+    """The two axis titles and the closing ``</svg>``."""
+    y_mid = f"{height / 2:.0f}"
+    return [
+        _text(f"{x_mid:.0f}", height - 12, x_title, 12),
+        _text(18, y_mid, y_title, 12, extra=f' transform="rotate(-90 18 {y_mid})"'),
+        "</svg>",
+    ]
+
+
 def render_svg_scree(series: list[tuple[int, float]]) -> str:
     """Eigenvalues against component index, largest first, as an SVG line."""
     if not series:
@@ -62,52 +96,22 @@ def render_svg_scree(series: list[tuple[int, float]]) -> str:
     def sy(v: float) -> float:
         return top + plot_h * (1.0 - v / y_max)
 
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white" />',
-        f'<text x="{width / 2:.0f}" y="24" text-anchor="middle" font-family="sans-serif" '
-        f'font-size="16">Scree plot</text>',
-    ]
+    parts = _page(width, height, width / 2, "Scree plot")
     for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
         v = y_max * frac
         y = sy(v)
-        parts.append(
-            f'<line x1="{left}" y1="{y:.2f}" x2="{width - right}" y2="{y:.2f}" '
-            f'stroke="#dddddd" stroke-width="1" />'
-        )
-        parts.append(
-            f'<text x="{left - 8}" y="{y + 4:.2f}" text-anchor="end" font-family="sans-serif" '
-            f'font-size="11">{v:.2f}</text>'
-        )
+        parts.append(_line(left, f"{y:.2f}", width - right, f"{y:.2f}", "#dddddd"))
+        parts.append(_text(left - 8, f"{y + 4:.2f}", f"{v:.2f}", 11, anchor="end"))
     pts = " ".join(f"{sx(i):.2f},{sy(v):.2f}" for i, v in series)
     if n > 1:
-        parts.append(
-            f'<polyline points="{pts}" fill="none" stroke="#1f6feb" stroke-width="2" />'
-        )
+        parts.append(f'<polyline points="{pts}" fill="none" stroke="#1f6feb" stroke-width="2" />')
     for i, v in series:
-        parts.append(f'<circle cx="{sx(i):.2f}" cy="{sy(v):.2f}" r="4" fill="#1f6feb" />')
-        parts.append(
-            f'<text x="{sx(i):.2f}" y="{height - bottom + 20}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="12">{i}</text>'
-        )
-    parts.append(
-        f'<line x1="{left}" y1="{top}" x2="{left}" y2="{height - bottom}" '
-        f'stroke="#333333" stroke-width="1" />'
-    )
-    parts.append(
-        f'<line x1="{left}" y1="{height - bottom}" x2="{width - right}" y2="{height - bottom}" '
-        f'stroke="#333333" stroke-width="1" />'
-    )
-    parts.append(
-        f'<text x="{width / 2:.0f}" y="{height - 12}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="12">component</text>'
-    )
-    parts.append(
-        f'<text x="18" y="{height / 2:.0f}" text-anchor="middle" font-family="sans-serif" '
-        f'font-size="12" transform="rotate(-90 18 {height / 2:.0f})">eigenvalue</text>'
-    )
-    parts.append("</svg>")
+        x = f"{sx(i):.2f}"
+        parts.append(f'<circle cx="{x}" cy="{sy(v):.2f}" r="4" fill="#1f6feb" />')
+        parts.append(_text(x, height - bottom + 20, i, 12))
+    parts.append(_line(left, top, left, height - bottom, "#333333"))
+    parts.append(_line(left, height - bottom, width - right, height - bottom, "#333333"))
+    parts += _axis_titles(height, width / 2, "component", "eigenvalue")
     return "\n".join(parts)
 
 
@@ -121,16 +125,17 @@ def render_svg_similarity(
     """
     if not profiles:
         raise ValueError("svgplot: no profiles to plot")
-    bad = [p.variable for p in profiles if p.k != 2]
-    if bad:
+    bad = next((p for p in profiles if p.k != 2), None)
+    if bad is not None:
         raise ValueError(
             "svgplot: the similarity map is defined for exactly 2 components; "
-            f"profile for {bad[0]!r} has {next(p.k for p in profiles if p.variable == bad[0])}"
+            f"profile for {bad.variable!r} has {bad.k}"
         )
     width, height = 560, 520
     left, right, top, bottom = 64, 150, 44, 56
     plot_w = width - left - right
     plot_h = height - top - bottom
+    x_mid = (left + width - right) / 2
 
     def sx(v: float) -> float:
         return left + plot_w * v
@@ -144,30 +149,13 @@ def render_svg_similarity(
         for i, cid in enumerate(cluster_ids)
     }
 
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white" />',
-        f'<text x="{(left + width - right) / 2:.0f}" y="24" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="16">Variable similarity map</text>',
-    ]
+    parts = _page(width, height, x_mid, "Variable similarity map")
     for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
-        parts.append(
-            f'<line x1="{sx(frac):.2f}" y1="{top}" x2="{sx(frac):.2f}" y2="{height - bottom}" '
-            f'stroke="#eeeeee" stroke-width="1" />'
-        )
-        parts.append(
-            f'<line x1="{left}" y1="{sy(frac):.2f}" x2="{width - right}" y2="{sy(frac):.2f}" '
-            f'stroke="#eeeeee" stroke-width="1" />'
-        )
-        parts.append(
-            f'<text x="{sx(frac):.2f}" y="{height - bottom + 18}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11">{frac:.2f}</text>'
-        )
-        parts.append(
-            f'<text x="{left - 8}" y="{sy(frac) + 4:.2f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11">{frac:.2f}</text>'
-        )
+        x, y = f"{sx(frac):.2f}", f"{sy(frac):.2f}"
+        parts.append(_line(x, top, x, height - bottom, "#eeeeee"))
+        parts.append(_line(left, y, width - right, y, "#eeeeee"))
+        parts.append(_text(x, height - bottom + 18, f"{frac:.2f}", 11))
+        parts.append(_text(left - 8, f"{sy(frac) + 4:.2f}", f"{frac:.2f}", 11, anchor="end"))
     parts.append(
         f'<rect x="{left}" y="{top}" width="{plot_w}" height="{plot_h}" fill="none" '
         f'stroke="#333333" stroke-width="1" />'
@@ -178,27 +166,13 @@ def render_svg_similarity(
         x = sx(float(prof.values[0]))
         y = sy(float(prof.values[1]))
         parts.append(_marker(shape, x, y, color))
-        parts.append(
-            f'<text x="{x + 9:.2f}" y="{y - 7:.2f}" font-family="sans-serif" '
-            f'font-size="11">{_esc(prof.variable)}</text>'
-        )
+        parts.append(_text(f"{x + 9:.2f}", f"{y - 7:.2f}", _esc(prof.variable), 11, anchor=""))
     legend_x = width - right + 16
     legend_y = top + 6
     for i, cid in enumerate(cluster_ids):
         shape, color = style[cid]
         y = legend_y + i * 20
         parts.append(_marker(shape, legend_x, y, color, size=4.5))
-        parts.append(
-            f'<text x="{legend_x + 12}" y="{y + 4}" font-family="sans-serif" '
-            f'font-size="12">{_esc(cid)}</text>'
-        )
-    parts.append(
-        f'<text x="{(left + width - right) / 2:.0f}" y="{height - 12}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="12">similarity to pc1</text>'
-    )
-    parts.append(
-        f'<text x="18" y="{height / 2:.0f}" text-anchor="middle" font-family="sans-serif" '
-        f'font-size="12" transform="rotate(-90 18 {height / 2:.0f})">similarity to pc2</text>'
-    )
-    parts.append("</svg>")
+        parts.append(_text(legend_x + 12, y + 4, _esc(cid), 12, anchor=""))
+    parts += _axis_titles(height, x_mid, "similarity to pc1", "similarity to pc2")
     return "\n".join(parts)

@@ -155,8 +155,11 @@ def test_missing_input_is_an_input_error(tmp_path, capsys):
     assert err.startswith("pcageom: error:")
 
 
-def test_missing_path_is_not_replaced_by_a_fixture(tmp_path, capsys):
-    for raw in (str(tmp_path / "nowhere" / "iris.csv"), "elsewhere/fixtures/iris.csv"):
+def test_missing_path_is_not_replaced_by_a_fixture(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    # the last two take the fixture fallback and find no bundled file of that name
+    for raw in (str(tmp_path / "nowhere" / "iris.csv"), "elsewhere/fixtures/iris.csv",
+                "nope.csv", "fixtures/nope.csv"):
         code, out, err = run(capsys, "analyze", raw, "--columns", "1-4", "--header",
                              "--out", str(tmp_path / "o"))
         assert code == 2 and out == ""

@@ -456,6 +456,9 @@ GOOD = {"names": ["a", "b"], "n_obs": 10, "r": [[1.0, 0.5], [0.5, 1.0]]}
         (lambda d: d.update(r=[[0.9, 0.5], [0.5, 1.0]]), "diagonal"),
         (lambda d: d.update(r=[[1.0, 1.5], [1.5, 1.0]]), r"\[-1, 1\]"),
         (lambda d: d.update(r=[[1.0, "x"], [0.5, 1.0]]), "numeric"),
+        # json.dumps writes these as the NaN and Infinity literals json.loads accepts
+        (lambda d: d.update(r=[[1.0, math.nan], [math.nan, 1.0]]), "non-finite"),
+        (lambda d: d.update(r=[[1.0, math.inf], [math.inf, 1.0]]), "non-finite"),
     ],
 )
 def test_load_correlation_json_rejects_bad_documents(tmp_path, mangle, message):

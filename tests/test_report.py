@@ -83,9 +83,14 @@ def test_report_structure(corr_result):
 def test_two_variable_report_has_no_second_differences(tmp_path):
     path = tmp_path / "r2.json"
     path.write_text(json.dumps({"names": ["a", "b"], "n_obs": 10, "r": [[1.0, 0.5], [0.5, 1.0]]}))
-    text = to_json_text(run_analysis(path).report)
+    report = run_analysis(path).report
+    text = to_json_text(report)
     assert '"second_differences": []' in text
     assert json.loads(text)["selection"]["scree"] == {"k": 1, "detail": {"no_elbow": True, "second_differences": []}}
+    # the note is markdown's alone: the CSV row carries the criterion and k only
+    assert "| scree | 1 | no elbow |" in render_markdown(report).splitlines()
+    csv_text = render_csv(report)
+    assert "scree,1" in csv_text.splitlines() and "elbow" not in csv_text
 
 
 def test_report_from_raw_data(iris_result):

@@ -1,12 +1,18 @@
 """SVG rendering: well-formed markup, no markup injection, sane geometry."""
 
+import hashlib
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
 from pcageom.svgplot import render_svg_scree, render_svg_similarity
-from pcageom.varcluster import SimilarityProfile, cluster_kmeans, similarity_profiles
+from pcageom.varcluster import (
+    ClusterAssignment,
+    SimilarityProfile,
+    cluster_kmeans,
+    similarity_profiles,
+)
 
 
 def tags(svg_text):
@@ -83,3 +89,56 @@ def test_variable_names_are_escaped():
     svg = render_svg_similarity(profiles, assignment)
     assert evil in texts(svg)  # parses back to the original name
     assert "x<&>" not in svg  # but never appears raw in the markup
+
+
+def test_similarity_map_names_the_offending_profile_length():
+    profiles = [SimilarityProfile("a", np.array([0.5, 0.5])),
+                SimilarityProfile("a", np.array([0.2, 0.3, 0.5]))]
+    assignment = ClusterAssignment("naive", {"a": "c1"}, {"c1": ["a"]})
+    with pytest.raises(ValueError, match="profile for 'a' has 3$"):
+        render_svg_similarity(profiles, assignment)
+
+
+def _pinned_map():
+    """Eight variables in six clusters plus unassigned: every marker shape
+    and the wrap back to the first shape and colour."""
+    points = [("a", 0.95, 0.02), ("b", 0.1, 0.85), ("c", 0.5, 0.5), ("d", 0.0, 1.0),
+              ("e & <f>", 1.0, 0.0), ("g", 0.333, 0.25), ("h", 0.72, 0.61), ("i", 0.4, 0.05)]
+    profiles = [SimilarityProfile(name, np.array([x, y])) for name, x, y in points]
+    clusters = {"c1": ["a"], "c2": ["b"], "c3": ["c"], "c4": ["d"], "c5": ["e & <f>"],
+                "c6": ["g"], "unassigned": ["h"]}
+    assignments = {v: cid for cid, names in clusters.items() for v in names}
+    return render_svg_similarity(profiles, ClusterAssignment("naive", assignments, clusters))
+
+
+def _pinned_unlisted_map():
+    """A variable missing from the assignment, with no unassigned cluster:
+    a grey cross that the legend leaves out."""
+    profiles = [SimilarityProfile("x", np.array([0.8, 0.1])),
+                SimilarityProfile("y", np.array([0.3, 0.6]))]
+    return render_svg_similarity(profiles, ClusterAssignment("kmeans", {"x": "c1"}, {"c1": ["x"]}))
+
+
+# sha256 of each SVG's UTF-8 text; the inputs are hand-built, so no NumPy
+# or BLAS build can move a coordinate
+PINNED_SVGS = {
+    "scree_single_point": (
+        lambda: render_svg_scree([(1, 2.0)]),
+        "ca601c479edea6299ae6cf04aa17c8872f65bd78c3ec6ffced86cf6a37892ada"),
+    "scree_all_zero": (
+        lambda: render_svg_scree([(1, 0.0), (2, 0.0), (3, 0.0)]),
+        "6d2bfd7d04deab9b38f11a7fa6d5c7e0e3a14d690687e94acc7d383389125312"),
+    "scree_four": (
+        lambda: render_svg_scree([(1, 2.849), (2, 0.961), (3, 0.158), (4, 0.033)]),
+        "76358c27cb1e350883c0332a85a0af925d0fe4a36597ebd18521b2c563fe3838"),
+    "similarity_six_clusters": (
+        _pinned_map, "9be7d2453758e34b233f3d89658609344981c8971b84b7a85437c04181d1f794"),
+    "similarity_unlisted_variable": (
+        _pinned_unlisted_map, "1b9239d5252b1ae5c850f6492cb21d31f4594a8379b3bb993faf25c2dc3b7d53"),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_SVGS)
+def test_svg_bytes_are_pinned(name):
+    render, digest = PINNED_SVGS[name]
+    assert hashlib.sha256(render().encode("utf-8")).hexdigest() == digest
