@@ -48,11 +48,10 @@ from .pcacore import (
     VarianceExplained,
     explanation_table,
     project_scores,
-    scree_data,
     select_components,
     variance_explained,
 )
-from .report import AnalysisResult, render_csv, render_markdown, run_analysis
+from .report import render_csv, render_markdown, run_analysis
 from .svgplot import render_svg_scree, render_svg_similarity
 from .tensorops import (
     RelationCheck,
@@ -114,7 +113,6 @@ __all__ = [
     "variance_explained",
     "explanation_table",
     "select_components",
-    "scree_data",
     "METRICS",
     "SimilarityProfile",
     "ClusterAssignment",
@@ -124,7 +122,6 @@ __all__ = [
     "lloyd",
     "render_svg_scree",
     "render_svg_similarity",
-    "AnalysisResult",
     "run_analysis",
     "render_markdown",
     "render_csv",

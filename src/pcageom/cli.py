@@ -92,7 +92,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         except ValueError:
             raise PcageomError(f"cli: --k must be an integer or 'auto', got {args.k!r}") from None
 
-    result = run_analysis(
+    report = run_analysis(
         input_path,
         columns=args.columns,
         label_column=args.label_column,
@@ -109,32 +109,31 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    json_text = to_json_text(result.report)
+    json_text = to_json_text(report)
     (out_dir / "report.json").write_text(json_text, encoding="utf-8")
     if args.format != "json":
         json_text = None  # released before the markdown render's peak
     # built once, for report.md and the CSV echo
-    sections = _sections(result.report)
-    md_text = render_markdown(result.report, sections)
+    sections = _sections(report)
+    md_text = render_markdown(report, sections)
     (out_dir / "report.md").write_text(md_text + "\n", encoding="utf-8")
-    (out_dir / "scree.svg").write_text(render_svg_scree(result.scree_series), encoding="utf-8")
-    if result.k == 2:
-        (out_dir / "similarity.svg").write_text(
-            render_svg_similarity(result.profiles, result.assignment), encoding="utf-8"
-        )
+    (out_dir / "scree.svg").write_text(render_svg_scree(report), encoding="utf-8")
+    k_kept = report["provenance"]["k"]
+    if k_kept == 2:
+        (out_dir / "similarity.svg").write_text(render_svg_similarity(report), encoding="utf-8")
     else:
         # a map left by an earlier k = 2 run in this directory would sit
         # beside a report it does not belong to
         (out_dir / "similarity.svg").unlink(missing_ok=True)
         print(
-            f"pcageom: similarity.svg skipped: the map is defined for k = 2, have k = {result.k}",
+            f"pcageom: similarity.svg skipped: the map is defined for k = 2, have k = {k_kept}",
             file=sys.stderr,
         )
 
     if args.format == "json":
         sys.stdout.write(json_text)
     elif args.format == "csv":
-        print(render_csv(result.report, sections))
+        print(render_csv(report, sections))
     else:
         print(md_text)
     return 0

@@ -71,8 +71,6 @@ class DerivedMatrices:
     ``determination`` the squared correlations as fractions in [0, 1].
     """
 
-    names: list[str]
-    n_obs: int
     p_values: np.ndarray
     angles_deg: np.ndarray
     determination: np.ndarray
@@ -339,8 +337,6 @@ def determination_matrix(c: CorrelationMatrix) -> np.ndarray:
 def derived_matrices(c: CorrelationMatrix) -> DerivedMatrices:
     """Compute significance, angle, and determination matrices together."""
     return DerivedMatrices(
-        names=list(c.names),
-        n_obs=c.n_obs,
         p_values=significance_matrix(c),
         angles_deg=angle_matrix(c),
         determination=determination_matrix(c),

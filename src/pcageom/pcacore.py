@@ -29,7 +29,6 @@ __all__ = [
     "variance_explained",
     "explanation_table",
     "select_components",
-    "scree_data",
     "component_labels",
 ]
 
@@ -280,10 +279,3 @@ def select_components(
         },
     )
 
-
-def scree_data(eigenvalues: np.ndarray) -> list[tuple[int, float]]:
-    """Index-value pairs (1-based) of the descending eigenvalue curve."""
-    w = np.asarray(eigenvalues, dtype=np.float64)
-    if w.ndim != 1 or w.shape[0] == 0:
-        raise ValueError("pcacore: eigenvalues must be a nonempty 1-D vector")
-    return [(i + 1, float(v)) for i, v in enumerate(w)]

@@ -3,7 +3,7 @@
 The report dict is the single source of truth: ``to_json_text`` and the
 markdown and CSV renderers read from it, so every printed cell
 round-trips from ``report.json``.  Its matrix and vector blocks are the
-pipeline's float64 arrays (see ``AnalysisResult``), which the writers
+pipeline's float64 arrays (see ``run_analysis``), which the writers
 read as blocks; the rest is plain JSON data.  Tables are printed at 3
 decimals; JSON carries full doubles.
 """
@@ -14,7 +14,6 @@ import csv
 import io
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass
 from itertools import accumulate, islice
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
@@ -29,7 +28,7 @@ from .corrstats import (
     derived_matrices,
     load_correlation_json,
 )
-from .eigensolve import EigenSystem, eigen_symmetric
+from .eigensolve import eigen_symmetric
 from .errors import DataError
 from .ingest import (
     DataMatrix,
@@ -42,43 +41,15 @@ from .pcacore import (
     CRITERIA,
     explanation_table,
     project_scores,
-    scree_data,
     select_components,
     variance_explained,
 )
-from .tensorops import VirtualRepresentation, build_virtual, verify_relations
-from .varcluster import (
-    UNASSIGNED, ClusterAssignment, SimilarityProfile, cluster_kmeans, cluster_naive, similarity_profiles,
-)
+from .tensorops import build_virtual, verify_relations
+from .varcluster import cluster_kmeans, cluster_naive, cluster_order, similarity_profiles
 
-__all__ = ["AnalysisResult", "load_input", "run_analysis", "render_markdown", "render_csv", "to_json_text"]
+__all__ = ["load_input", "run_analysis", "render_markdown", "render_csv", "to_json_text"]
 
 DEFAULT_THRESHOLDS = {"percentage": 0.95, "per_variable": 0.8}
-
-
-@dataclass(eq=False)
-class AnalysisResult:
-    """Everything one analyze run produces: the report plus plot inputs.
-
-    ``report`` holds the matrix and vector blocks as the pipeline's own
-    float64 arrays, not as lists: ``correlation.r``, ``significance``,
-    ``angles_deg``, ``determination``, ``eigen.eigenvalues``, ``eigen.U``,
-    ``eigen.R``, every block of ``loadings_full``, the ``determination``,
-    ``column_sums`` and ``row_averages`` of ``reconstruction_at_k``, the
-    selection details ``cumulative_fraction``, ``second_differences`` and
-    ``min_cumulative_by_k``, and each row of
-    ``similarity_profiles.profiles``.  Some are shared with
-    ``eigen``; treat them as read-only.  ``json.loads(to_json_text(report))``
-    is the report as plain JSON, the tree ``report.json`` holds.
-    """
-
-    report: dict
-    scree_series: list[tuple[int, float]]
-    profiles: list[SimilarityProfile]
-    assignment: ClusterAssignment
-    eigen: EigenSystem
-    virtual: VirtualRepresentation
-    k: int
 
 
 def load_input(
@@ -130,12 +101,24 @@ def run_analysis(
     seed: int = 0,
     naive_threshold: float = 0.5,
     k: int | str = "auto",
-) -> AnalysisResult:
-    """Run the full pipeline on a CSV file or a correlation-matrix JSON.
+) -> dict:
+    """Run the full pipeline on a CSV file or a correlation-matrix JSON
+    and return the report, which every output renders from.
 
     With raw data the run covers summaries, standardization, scores and
     all derived tables; with a correlation JSON the score block is
     marked unavailable and everything else proceeds identically.
+
+    The report holds the matrix and vector blocks as the pipeline's own
+    float64 arrays, not as lists: ``correlation.r``, ``significance``,
+    ``angles_deg``, ``determination``, ``eigen.eigenvalues``, ``eigen.U``,
+    ``eigen.R``, every block of ``loadings_full``, the ``determination``,
+    ``column_sums`` and ``row_averages`` of ``reconstruction_at_k``, the
+    selection details ``cumulative_fraction``, ``second_differences`` and
+    ``min_cumulative_by_k``, and each row of
+    ``similarity_profiles.profiles``.  Treat them as read-only.
+    ``json.loads(to_json_text(report))`` is the report as plain JSON, the
+    tree ``report.json`` holds.
     """
     input_path = Path(input_path)
     if criterion not in CRITERIA:
@@ -191,7 +174,7 @@ def run_analysis(
     else:
         scores_block = {"available": False, "reason": "unavailable (no raw data)"}
 
-    report = {
+    return {
         "provenance": {
             "tool": "pcageom",
             "version": __version__,
@@ -279,15 +262,6 @@ def run_analysis(
         "scores": scores_block,
         "relations": [c.to_json() for c in relations],
     }
-    return AnalysisResult(
-        report=report,
-        scree_series=scree_data(eig.eigenvalues),
-        profiles=profiles,
-        assignment=assignment,
-        eigen=eig,
-        virtual=vr,
-        k=k_selected,
-    )
 
 
 def to_json_text(report: dict) -> str:
@@ -297,7 +271,7 @@ def to_json_text(report: dict) -> str:
     ``json.dumps`` runs its pure-Python encoder whenever it indents;
     this writer walks the tree once, appending pieces to one list joined
     at the end.  The report's matrix and vector blocks are float64
-    arrays (``AnalysisResult`` names them): each such array of one or
+    arrays (``run_analysis`` names them): each such array of one or
     two dimensions is left as one slot, and after the walk each distinct
     double of all the slots is formatted once (``_fill``): the report
     repeats many (``eigen.R`` is ``U`` transposed, the matrices are
@@ -824,10 +798,8 @@ def _sections(report: dict) -> list[tuple]:
         "## Similarity profiles", "similarity_profiles", ["variable", *prof["components"]],
         _labelled(rec["variables"], profiles),
     ))
-    # report.json sorts the cluster ids as text: list pc1, pc2, ... (or c1,
-    # c2, ...) by number, then "unassigned"
-    clusters = sorted(report["clusters"]["clusters"].items(),
-                      key=lambda item: (item[0] == UNASSIGNED, len(item[0]), item[0]))
+    clusters = report["clusters"]["clusters"]
+    clusters = [(cid, clusters[cid]) for cid in cluster_order(clusters)]
     sections.append((
         "## Clusters", "clusters", ["cluster", "members"],
         [(cid, (", ".join(members) if members else "(empty)", ";".join(members)))

@@ -1,8 +1,12 @@
-"""Standalone SVG renderers for the scree curve and the similarity map."""
+"""Standalone SVG renderers for the scree curve and the similarity map.
+
+Both read the report dict alone, in memory or as ``json.loads`` of
+``report.json``, and give the same bytes from either.
+"""
 
 from __future__ import annotations
 
-from .varcluster import UNASSIGNED, ClusterAssignment, SimilarityProfile
+from .varcluster import UNASSIGNED, cluster_order
 
 __all__ = ["render_svg_scree", "render_svg_similarity"]
 
@@ -74,8 +78,10 @@ def _axis_titles(height: int, x_mid: float, x_title: str, y_title: str) -> list[
     ]
 
 
-def render_svg_scree(series: list[tuple[int, float]]) -> str:
-    """Eigenvalues against component index, largest first, as an SVG line."""
+def render_svg_scree(report: dict) -> str:
+    """The report's ``eigen.eigenvalues`` against component index, largest
+    first, as an SVG line."""
+    series = list(enumerate(map(float, report["eigen"]["eigenvalues"]), start=1))
     if not series:
         raise ValueError("svgplot: empty scree series")
     width, height = 640, 420
@@ -115,21 +121,23 @@ def render_svg_scree(series: list[tuple[int, float]]) -> str:
     return "\n".join(parts)
 
 
-def render_svg_similarity(
-    profiles: list[SimilarityProfile], assignment: ClusterAssignment
-) -> str:
+def render_svg_similarity(report: dict) -> str:
     """Variables placed at (similarity to pc1, similarity to pc2).
 
+    Reads the rows of ``similarity_profiles.profiles`` in
+    ``reconstruction_at_k.variables`` order and ``clusters.clusters``.
     Defined only for two-component profiles; marker shape encodes the
     cluster.  Both axes span [0, 1].
     """
-    if not profiles:
+    profiles = report["similarity_profiles"]["profiles"]
+    rows = [(name, profiles[name]) for name in report["reconstruction_at_k"]["variables"]]
+    if not rows:
         raise ValueError("svgplot: no profiles to plot")
-    bad = next((p for p in profiles if p.k != 2), None)
+    bad = next(((name, len(values)) for name, values in rows if len(values) != 2), None)
     if bad is not None:
         raise ValueError(
             "svgplot: the similarity map is defined for exactly 2 components; "
-            f"profile for {bad.variable!r} has {bad.k}"
+            f"profile for {bad[0]!r} has {bad[1]}"
         )
     width, height = 560, 520
     left, right, top, bottom = 64, 150, 44, 56
@@ -143,7 +151,9 @@ def render_svg_similarity(
     def sy(v: float) -> float:
         return top + plot_h * (1.0 - v)
 
-    cluster_ids = list(assignment.clusters.keys())
+    clusters = report["clusters"]["clusters"]
+    cluster_ids = cluster_order(clusters)
+    cluster_of = {name: cid for cid, members in clusters.items() for name in members}
     style = {
         cid: (_MARKERS[i % len(_MARKERS)], _COLORS[i % len(_COLORS)])
         for i, cid in enumerate(cluster_ids)
@@ -160,13 +170,12 @@ def render_svg_similarity(
         f'<rect x="{left}" y="{top}" width="{plot_w}" height="{plot_h}" fill="none" '
         f'stroke="#333333" stroke-width="1" />'
     )
-    for prof in profiles:
-        cid = assignment.assignments.get(prof.variable, UNASSIGNED)
-        shape, color = style.get(cid, ("cross", "#666666"))
-        x = sx(float(prof.values[0]))
-        y = sy(float(prof.values[1]))
+    for name, values in rows:
+        shape, color = style.get(cluster_of.get(name, UNASSIGNED), ("cross", "#666666"))
+        x = sx(float(values[0]))
+        y = sy(float(values[1]))
         parts.append(_marker(shape, x, y, color))
-        parts.append(_text(f"{x + 9:.2f}", f"{y - 7:.2f}", _esc(prof.variable), 11, anchor=""))
+        parts.append(_text(f"{x + 9:.2f}", f"{y - 7:.2f}", _esc(name), 11, anchor=""))
     legend_x = width - right + 16
     legend_y = top + 6
     for i, cid in enumerate(cluster_ids):

@@ -45,7 +45,8 @@ alone.  The exact path takes its centroids from the same pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,6 +64,7 @@ __all__ = [
     "similarity_profiles",
     "cluster_naive",
     "cluster_kmeans",
+    "cluster_order",
     "lloyd",
     "pairwise_distance",
 ]
@@ -96,16 +98,14 @@ class SimilarityProfile:
 
 @dataclass(eq=False)
 class ClusterAssignment:
-    """Variable-to-cluster mapping produced by one clustering method."""
+    """The clusters of variables one clustering method produced."""
 
     method: str
-    assignments: dict[str, str]
     clusters: dict[str, list[str]]
     metric: str | None = None
     threshold: float | None = None
     objective: float | None = None
     n_iterations: int | None = None
-    excluded: list[str] = field(default_factory=list)
     exact: bool = False
 
     def to_json(self) -> dict:
@@ -167,16 +167,17 @@ def cluster_naive(profiles: list[SimilarityProfile], threshold: float = 0.5) -> 
     # argmax returns the first of equal maxima: the lowest component index
     best = np.where(clears, values, -np.inf).argmax(axis=1)
     labels = component_labels(values.shape[1])
-    assignments: dict[str, str] = {}
     clusters: dict[str, list[str]] = {label: [] for label in labels}
     clusters[UNASSIGNED] = []
     for prof, cleared, i in zip(profiles, clears.any(axis=1), best):
-        cid = labels[i] if cleared else UNASSIGNED
-        assignments[prof.variable] = cid
-        clusters[cid].append(prof.variable)
-    return ClusterAssignment(
-        method="naive", assignments=assignments, clusters=clusters, threshold=threshold
-    )
+        clusters[labels[i] if cleared else UNASSIGNED].append(prof.variable)
+    return ClusterAssignment(method="naive", clusters=clusters, threshold=threshold)
+
+
+def cluster_order(ids: Iterable[str]) -> list[str]:
+    """Cluster ids in print order: pc1, pc2, ... (or c1, c2, ...) by
+    number, then "unassigned".  ``report.json`` sorts them as text."""
+    return sorted(ids, key=lambda cid: (cid == UNASSIGNED, len(cid), cid))
 
 
 def _check_metric(metric: str) -> None:
@@ -515,25 +516,17 @@ def cluster_kmeans(
         key=lambda lbl: int(np.nonzero(labels == lbl)[0][0]),
     )
     rename = {lbl: f"c{rank + 1}" for rank, lbl in enumerate(order)}
-    assignments: dict[str, str] = {}
     clusters: dict[str, list[str]] = {rename[lbl]: [] for lbl in order}
     for pos, orig in enumerate(active):
-        cid = rename[int(labels[pos])]
-        assignments[names[orig]] = cid
-        clusters[cid].append(names[orig])
+        clusters[rename[int(labels[pos])]].append(names[orig])
     if excluded:
-        clusters[UNASSIGNED] = list(excluded)
-        for name in excluded:
-            assignments[name] = UNASSIGNED
-    assignments = {name: assignments[name] for name in names}
+        clusters[UNASSIGNED] = excluded
 
     return ClusterAssignment(
         method="kmeans",
-        assignments=assignments,
         clusters=clusters,
         metric=metric,
         objective=objective,
         n_iterations=n_iterations,
-        excluded=excluded,
         exact=exact,
     )

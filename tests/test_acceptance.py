@@ -236,8 +236,7 @@ def test_criterion_10_quoted_vector_rotation(capsys):
 
 
 def test_criterion_11_end_to_end_iris(capsys, corr_fixture):
-    res = run_analysis(fixture_path("iris.csv"), columns="1-4", header=True)
-    r = res.report
+    r = run_analysis(fixture_path("iris.csv"), columns="1-4", header=True)
     cum2 = r["variance_explained"][1]["cumulative_percent"]
     computed_r = np.array(r["correlation"]["r"])
     signs_ok = bool(np.all(np.sign(computed_r) == np.sign(corr_fixture.r)))

@@ -109,7 +109,8 @@ def test_perfbench_hooks_resolve(tmp_path, capsys, harness):
     finally:
         tracer.remove()
     # the stale hooks name functions the package no longer has
-    assert unresolved == ["pcageom.eigensolve.jacobi_sweeps", "pcageom.report.summarize",
-                          "pcageom.varcluster.assign_labels", "pcageom.varcluster.point_distance"]
+    assert unresolved == ["pcageom.eigensolve.jacobi_sweeps", "pcageom.report.scree_data",
+                          "pcageom.report.summarize", "pcageom.varcluster.assign_labels",
+                          "pcageom.varcluster.point_distance"]
     assert corrstats.betainc_reg is real
     assert tracer.counts["corrstats.betainc_calls"] == 1

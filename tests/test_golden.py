@@ -35,7 +35,7 @@ def _normalise(text: str) -> str:
 @pytest.mark.parametrize("fmt", ["md", "csv"])
 def test_report_text_matches_golden(case, fmt):
     path, kwargs = CASES[case]
-    report = run_analysis(path, **kwargs).report
+    report = run_analysis(path, **kwargs)
     text = render_markdown(report) if fmt == "md" else render_csv(report)
     expected = (GOLDEN / f"{case}.{fmt}").read_text(encoding="utf-8")
     assert _normalise(text) == expected

@@ -11,7 +11,6 @@ from pcageom.pcacore import (
     CRITERIA,
     explanation_table,
     project_scores,
-    scree_data,
     select_components,
     variance_explained,
 )
@@ -218,11 +217,3 @@ def test_selection_is_monotone_in_threshold():
 
 def test_criteria_tuple_is_the_public_contract():
     assert CRITERIA == ("percentage", "scree", "eigenvalue_ge_1", "per_variable")
-
-
-def test_scree_data(eigen_fixture):
-    series = scree_data(eigen_fixture.eigenvalues)
-    assert series[0][0] == 1 and len(series) == 4
-    assert [v for _, v in series] == list(eigen_fixture.eigenvalues)
-    with pytest.raises(ValueError):
-        scree_data(np.array([]))

@@ -24,6 +24,7 @@ from pcageom.report import (
     run_analysis,
     to_json_text,
 )
+from pcageom.svgplot import render_svg_scree, render_svg_similarity
 
 CORR = fixture_path("iris_corr.json")
 IRIS = fixture_path("iris.csv")
@@ -48,20 +49,20 @@ TOP_KEYS = {
 
 
 @pytest.fixture(scope="module")
-def corr_result():
+def corr_report():
     return run_analysis(CORR)
 
 
 @pytest.fixture(scope="module")
-def iris_result():
+def iris_report():
     return run_analysis(IRIS, columns="1-4", header=True)
 
 
-def test_report_structure(corr_result):
-    r = corr_result.report
+def test_report_structure(corr_report):
+    r = corr_report
     assert set(r) == TOP_KEYS
     assert r["provenance"]["input_kind"] == "correlation_json"
-    assert r["provenance"]["k"] == corr_result.k == 2
+    assert r["provenance"]["k"] == r["reconstruction_at_k"]["k"] == 2
     assert r["column_summaries"] is None
     assert r["scores"] == {"available": False, "reason": "unavailable (no raw data)"}
     assert len(r["relations"]) == 22
@@ -83,7 +84,7 @@ def test_report_structure(corr_result):
 def test_two_variable_report_has_no_second_differences(tmp_path):
     path = tmp_path / "r2.json"
     path.write_text(json.dumps({"names": ["a", "b"], "n_obs": 10, "r": [[1.0, 0.5], [0.5, 1.0]]}))
-    report = run_analysis(path).report
+    report = run_analysis(path)
     text = to_json_text(report)
     assert '"second_differences": []' in text
     assert json.loads(text)["selection"]["scree"] == {"k": 1, "detail": {"no_elbow": True, "second_differences": []}}
@@ -93,8 +94,8 @@ def test_two_variable_report_has_no_second_differences(tmp_path):
     assert "scree,1" in csv_text.splitlines() and "elbow" not in csv_text
 
 
-def test_report_from_raw_data(iris_result):
-    r = iris_result.report
+def test_report_from_raw_data(iris_report):
+    r = iris_report
     assert r["provenance"]["input_kind"] == "csv"
     assert len(r["column_summaries"]) == 4
     assert r["scores"]["available"] is True
@@ -106,8 +107,8 @@ def test_report_from_raw_data(iris_result):
         assert s["variance"] == pytest.approx(w * 150.0 / 149.0, abs=1e-8)
 
 
-def test_selection_block_covers_all_criteria(corr_result):
-    sel = corr_result.report["selection"]
+def test_selection_block_covers_all_criteria(corr_report):
+    sel = corr_report["selection"]
     assert sel["percentage"]["k"] == 2
     assert sel["eigenvalue_ge_1"]["k"] == 1
     assert sel["scree"]["k"] == 1
@@ -116,31 +117,32 @@ def test_selection_block_covers_all_criteria(corr_result):
 
 
 def test_threshold_override_moves_k():
-    res = run_analysis(CORR, criterion="per_variable", threshold=0.93)
-    assert res.k == 3
-    assert res.report["reconstruction_at_k"]["k"] == 3
-    assert len(res.profiles[0].values) == 3
+    report = run_analysis(CORR, criterion="per_variable", threshold=0.93)
+    assert report["provenance"]["k"] == 3
+    assert report["reconstruction_at_k"]["k"] == 3
+    first = report["reconstruction_at_k"]["variables"][0]
+    assert len(report["similarity_profiles"]["profiles"][first]) == 3
 
 
 def test_explicit_k_wins():
-    res = run_analysis(CORR, k=4)
-    assert res.k == 4
-    assert res.report["provenance"]["k_requested"] == 4
+    report = run_analysis(CORR, k=4)
+    assert report["provenance"]["k"] == 4
+    assert report["provenance"]["k_requested"] == 4
     with pytest.raises(ValueError, match="k must be"):
         run_analysis(CORR, k=9)
 
 
 def test_kmeans_method_recorded():
-    res = run_analysis(CORR, cluster_method="kmeans", metric="l1", seed=5)
-    assert res.report["clusters"]["method"] == "kmeans"
-    assert res.report["clusters"]["metric"] == "l1"
-    assert res.report["provenance"]["metric"] == "l1"
-    assert set(res.report["clusters"]["clusters"]) == {"c1", "c2"}
+    report = run_analysis(CORR, cluster_method="kmeans", metric="l1", seed=5)
+    assert report["clusters"]["method"] == "kmeans"
+    assert report["clusters"]["metric"] == "l1"
+    assert report["provenance"]["metric"] == "l1"
+    assert set(report["clusters"]["clusters"]) == {"c1", "c2"}
 
 
-def test_naive_method_has_no_metric(corr_result):
-    assert corr_result.report["provenance"]["metric"] is None
-    assert corr_result.report["clusters"]["method"] == "naive"
+def test_naive_method_has_no_metric(corr_report):
+    assert corr_report["provenance"]["metric"] is None
+    assert corr_report["clusters"]["method"] == "naive"
 
 
 def test_bad_arguments():
@@ -151,8 +153,8 @@ def test_bad_arguments():
 
 
 def test_json_text_is_deterministic():
-    a = to_json_text(run_analysis(CORR).report)
-    b = to_json_text(run_analysis(CORR).report)
+    a = to_json_text(run_analysis(CORR))
+    b = to_json_text(run_analysis(CORR))
     assert a == b
     assert a.endswith("\n")
     assert json.loads(a)  # stays parseable
@@ -183,14 +185,14 @@ def seeded_corr_json(path, n: int, n_obs: int = 500):
     return path
 
 
-def test_json_text_matches_json_dumps_on_full_reports(tmp_path, corr_result):
+def test_json_text_matches_json_dumps_on_full_reports(tmp_path, corr_report):
     # at 48 variables the mirrored triangles and R = U transposed repeat
     # thousands of doubles across rows and blocks
     reports = [
-        corr_result.report,
-        run_analysis(IRIS, columns="1-4", header=True, cluster_method="kmeans").report,
-        run_analysis(seeded_csv(tmp_path / "v20.csv", 20), header=True).report,
-        run_analysis(seeded_corr_json(tmp_path / "r48.json", 48), cluster_method="naive").report,
+        corr_report,
+        run_analysis(IRIS, columns="1-4", header=True, cluster_method="kmeans"),
+        run_analysis(seeded_csv(tmp_path / "v20.csv", 20), header=True),
+        run_analysis(seeded_corr_json(tmp_path / "r48.json", 48), cluster_method="naive"),
     ]
     for report in reports:
         assert to_json_text(report) == dumps_text(report)
@@ -200,8 +202,8 @@ def test_json_text_peak_memory_is_bounded(tmp_path):
     # both reports hold more distinct doubles than _REPR_BATCH_MIN, so the
     # batch formatter's temporaries count in the peak
     reports = [
-        run_analysis(seeded_csv(tmp_path / "v20.csv", 20), header=True).report,
-        run_analysis(seeded_corr_json(tmp_path / "r48.json", 48), cluster_method="naive").report,
+        run_analysis(seeded_csv(tmp_path / "v20.csv", 20), header=True),
+        run_analysis(seeded_corr_json(tmp_path / "r48.json", 48), cluster_method="naive"),
     ]
     for report in reports:
         to_json_text(report)  # first-call allocations stay out of the peak
@@ -348,17 +350,17 @@ def test_repr_batch_matches_float_repr(values):
 
 
 @pytest.fixture(scope="module")
-def text_reports(tmp_path_factory, corr_result):
+def text_reports(tmp_path_factory, corr_report):
     """Iris as k-means and as its correlation JSON, the 48-variable JSON
     with naive clusters pc1 to pc22, and a 160-variable k-means report
     with clusters c1 to c12."""
     tmp = tmp_path_factory.mktemp("text_reports")
     return [
-        run_analysis(IRIS, columns="1-4", header=True, cluster_method="kmeans").report,
-        corr_result.report,
-        run_analysis(seeded_corr_json(tmp / "r48.json", 48), cluster_method="naive").report,
+        run_analysis(IRIS, columns="1-4", header=True, cluster_method="kmeans"),
+        corr_report,
+        run_analysis(seeded_corr_json(tmp / "r48.json", 48), cluster_method="naive"),
         run_analysis(seeded_csv(tmp / "v160.csv", 160), header=True, cluster_method="kmeans",
-                     k=12).report,
+                     k=12),
     ]
 
 
@@ -368,17 +370,21 @@ def test_text_renderers_match_the_f_string_renderer(text_reports):
         assert render_csv(report) == oracles.reference_render_csv(report)
 
 
-def test_text_renderers_read_report_json_alike(text_reports):
-    # report.json sorts every dict's keys, so the tables may not follow
-    # the order of the profile and cluster dicts
+def test_renderers_read_report_json_alike(text_reports):
+    # report.json sorts every dict's keys, so neither the tables nor the
+    # map may follow the order of the profile and cluster dicts
     for report in text_reports:
         plain = json.loads(to_json_text(report))
         assert render_markdown(plain) == render_markdown(report)
         assert render_csv(plain) == render_csv(report)
+        assert render_svg_scree(plain) == render_svg_scree(report)
+        if report["provenance"]["k"] == 2:
+            assert render_svg_similarity(plain) == render_svg_similarity(report)
+    assert sum(report["provenance"]["k"] == 2 for report in text_reports) == 2
 
 
 def test_markdown_peak_memory_is_bounded(tmp_path):
-    report = run_analysis(seeded_csv(tmp_path / "v20.csv", 20), header=True).report
+    report = run_analysis(seeded_csv(tmp_path / "v20.csv", 20), header=True)
     render_markdown(report)  # first-call allocations stay out of the peak
     tracemalloc.start()
     try:
@@ -436,8 +442,8 @@ def test_three_decimals_keeps_the_block_shapes():
     assert _three_decimals([([[]], 1.0)]) == [[[]]]
 
 
-def test_markdown_sections(corr_result):
-    md = render_markdown(corr_result.report)
+def test_markdown_sections(corr_report):
+    md = render_markdown(corr_report)
     for heading in (
         "# Correlation-geometry PCA report",
         "## Correlation matrix",
@@ -453,14 +459,14 @@ def test_markdown_sections(corr_result):
     assert "unavailable (no raw data)" in md
 
 
-def test_markdown_lists_every_variable(corr_result):
-    md = render_markdown(corr_result.report)
-    for name in corr_result.report["correlation"]["names"]:
+def test_markdown_lists_every_variable(corr_report):
+    md = render_markdown(corr_report)
+    for name in corr_report["correlation"]["names"]:
         assert name in md
 
 
-def test_renderers_agree_on_values(corr_result):
-    r = corr_result.report
+def test_renderers_agree_on_values(corr_report):
+    r = corr_report
     md = render_markdown(r)
     csv_text = render_csv(r)
     lam = r["eigen"]["eigenvalues"]
@@ -473,8 +479,8 @@ def test_renderers_agree_on_values(corr_result):
         assert pct in csv_text
 
 
-def test_csv_is_parseable_and_sectioned(corr_result):
-    text = render_csv(corr_result.report)
+def test_csv_is_parseable_and_sectioned(corr_report):
+    text = render_csv(corr_report)
     rows = list(csv.reader(io.StringIO(text)))
     assert any(row and row[0].startswith("#") for row in rows)
     flat = {cell for row in rows for cell in row}
@@ -487,7 +493,7 @@ def test_csv_quotes_names_per_rfc_4180(tmp_path):
     header = ",".join('"' + n.replace('"', '""') + '"' for n in names)
     rows = ["1,2,3,4,2", "2,1,4,3,5", "3,5,2,1,1", "4,3,1,2,4", "5,4,5,5,3", "6,2,2,4,1"]
     data.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
-    report = run_analysis(data, header=True).report
+    report = run_analysis(data, header=True)
     assert report["correlation"]["names"] == names
     rows = list(csv.reader(io.StringIO(render_csv(report))))
     i = rows.index(["# correlation"])
@@ -501,7 +507,7 @@ def test_markdown_escapes_pipes_in_names(tmp_path):
     data = tmp_path / "pipes.csv"
     rows = ["1,2,3,4", "2,1,4,3", "3,5,2,1", "4,3,1,2", "5,4,5,5", "6,2,2,4"]
     data.write_text("\n".join([",".join(names), *rows]) + "\n", encoding="utf-8")
-    report = run_analysis(data, header=True).report
+    report = run_analysis(data, header=True)
     md = render_markdown(report)
     assert "| a\\|b |" in md
     table = []
