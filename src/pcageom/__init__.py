@@ -64,7 +64,6 @@ from .tensorops import (
 from .varcluster import (
     METRICS,
     ClusterAssignment,
-    SimilarityProfile,
     cluster_kmeans,
     cluster_naive,
     lloyd,
@@ -114,7 +113,6 @@ __all__ = [
     "explanation_table",
     "select_components",
     "METRICS",
-    "SimilarityProfile",
     "ClusterAssignment",
     "similarity_profiles",
     "cluster_naive",

@@ -2,12 +2,14 @@
 
 The explanation table is the pivot of this module: entry (i, j) of its
 determination part is the fraction of variable j's variance carried by
-component i.  Column sums over all components are exactly 1, row sums
-are the eigenvalues, and truncating to the first k rows turns column
-sums into per-variable reconstruction levels.  That last quantity backs
-the strictest of the four selection criteria: instead of asking that k
-components explain enough variance on average, it asks that they
-explain enough of every single variable.
+component i.  Column sums over all components are exactly 1 and row
+sums are the eigenvalues.  The table is always built in full, once per
+analysis; everything at a chosen k is its first k rows.  Summed over
+those rows, a column is that variable's reconstruction level, which
+backs the strictest of the four selection criteria: instead of asking
+that k components explain enough variance on average, it asks that they
+explain enough of every single variable.  Read column by column, the
+same k rows are the similarity profiles that ``varcluster`` clusters.
 """
 
 from __future__ import annotations
@@ -81,28 +83,19 @@ class VarianceExplained:
 class ExplanationTable:
     """Loadings and determination of components (rows) vs variables (columns).
 
-    All numbers are fractions; renderers scale to percent.  ``k`` is the
-    number of component rows kept; aggregates are over those rows only,
-    so ``column_sums`` of a truncated table are per-variable
-    reconstruction levels.
+    All numbers are fractions; renderers scale to percent.  There is
+    one row per component, so ``column_sums`` are all 1 up to rounding;
+    the first k rows summed over axis 0 are the per-variable
+    reconstruction levels at k.
     """
 
     loading: np.ndarray
     determination: np.ndarray
     pc_labels: list[str]
     variable_names: list[str]
-    k: int
     row_sums: np.ndarray
     column_sums: np.ndarray
     row_averages: np.ndarray
-
-    @property
-    def n_variables(self) -> int:
-        return self.loading.shape[1]
-
-    @property
-    def is_full(self) -> bool:
-        return self.k == self.n_variables
 
 
 @dataclass(eq=False)
@@ -159,35 +152,28 @@ def variance_explained(eigenvalues: np.ndarray) -> VarianceExplained:
 
 
 def explanation_table(
-    vr: VirtualRepresentation,
-    k: int | None = None,
-    variable_names: list[str] | None = None,
+    vr: VirtualRepresentation, variable_names: list[str] | None = None
 ) -> ExplanationTable:
-    """Component-vs-variable loadings and determination with aggregates.
+    """Component-vs-variable loadings and determination with aggregates,
+    one row per component.
 
-    ``k`` keeps only the first k component rows (default: all).  Row
-    sums of the full determination table reproduce the eigenvalues and
-    its column sums are 1; truncated column sums measure how much of
-    each variable the kept components reconstruct.
+    Row sums of the determination reproduce the eigenvalues and its
+    column sums are 1; the column sums of its first k rows measure how
+    much of each variable the first k components reconstruct.
     """
     n = vr.n
-    if k is None:
-        k = n
-    if not 1 <= k <= n:
-        raise ValueError(f"pcacore: k must be in 1..{n}, got {k}")
     if variable_names is None:
         variable_names = [f"x{j + 1}" for j in range(n)]
     elif len(variable_names) != n:
         raise ValueError(f"pcacore: expected {n} variable names, got {len(variable_names)}")
 
-    loading = vr.A_prime[:k].copy()
+    loading = vr.A_prime.copy()
     det = loading * loading
     return ExplanationTable(
         loading=loading,
         determination=det,
-        pc_labels=component_labels(k),
+        pc_labels=component_labels(n),
         variable_names=list(variable_names),
-        k=k,
         row_sums=det.sum(axis=1),
         column_sums=det.sum(axis=0),
         row_averages=det.mean(axis=1),
@@ -216,7 +202,7 @@ def select_components(
     * ``per_variable``: smallest k such that the first k components
       reconstruct at least the threshold fraction of every variable's
       variance, read off the cumulative determination columns of
-      ``expl``.  The expl table must be full for this criterion.
+      ``expl``.
 
     ``threshold`` applies to the percentage and per_variable criteria
     and must lie in (0, 1]; the other two ignore it.
@@ -261,8 +247,6 @@ def select_components(
             detail={"second_differences": d, "no_elbow": no_elbow},
         )
 
-    if not expl.is_full:
-        raise ValueError("pcacore: per_variable selection needs the full explanation table")
     cum = np.cumsum(expl.determination, axis=0)
     minima = cum.min(axis=1)
     hits = np.nonzero(minima >= threshold)[0]

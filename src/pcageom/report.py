@@ -109,6 +109,12 @@ def run_analysis(
     all derived tables; with a correlation JSON the score block is
     marked unavailable and everything else proceeds identically.
 
+    The explanation table is built once, in full (``loadings_full``),
+    and everything at the chosen k is its first k rows: the
+    ``determination`` and ``row_averages`` of ``reconstruction_at_k``
+    are slices of ``loadings_full``'s, and each row of
+    ``similarity_profiles.profiles`` is a variable's column of them.
+
     The report holds the matrix and vector blocks as the pipeline's own
     float64 arrays, not as lists: ``correlation.r``, ``significance``,
     ``angles_deg``, ``determination``, ``eigen.eigenvalues``, ``eigen.U``,
@@ -116,7 +122,8 @@ def run_analysis(
     ``column_sums`` and ``row_averages`` of ``reconstruction_at_k``, the
     selection details ``cumulative_fraction``, ``second_differences`` and
     ``min_cumulative_by_k``, and each row of
-    ``similarity_profiles.profiles``.  Treat them as read-only.
+    ``similarity_profiles.profiles``.  Treat them as read-only: the
+    slices share memory with ``loadings_full``.
     ``json.loads(to_json_text(report))`` is the report as plain JSON, the
     tree ``report.json`` holds.
     """
@@ -132,27 +139,21 @@ def run_analysis(
     vr = build_virtual(eig)
     relations = verify_relations(vr, eig, corr)
     ve = variance_explained(eig.eigenvalues)
-    expl_full = explanation_table(vr, None, corr.names)
+    table = explanation_table(vr, corr.names)
 
     selections = {}
     for crit in CRITERIA:
         crit_threshold = threshold if threshold is not None else DEFAULT_THRESHOLDS.get(crit, 0.8)
-        selections[crit] = select_components(eig.eigenvalues, expl_full, crit, crit_threshold)
+        selections[crit] = select_components(eig.eigenvalues, table, crit, crit_threshold)
 
-    if k == "auto":
-        k_selected = selections[criterion].k
-    else:
-        k_selected = int(k)
-        if not 1 <= k_selected <= corr.n:
-            raise ValueError(f"report: k must be in 1..{corr.n}, got {k_selected}")
-
-    expl_k = explanation_table(vr, k_selected, corr.names)
-    profiles = similarity_profiles(expl_k)
+    k_selected = selections[criterion].k if k == "auto" else int(k)
+    # raises for a k outside 1..n
+    profiles = similarity_profiles(table, k_selected)
     if cluster_method == "naive":
-        assignment = cluster_naive(profiles, naive_threshold)
+        assignment = cluster_naive(profiles, corr.names, naive_threshold)
     elif cluster_method == "kmeans":
         # one cluster per kept component mirrors the naive rule's shape
-        assignment = cluster_kmeans(profiles, k_clusters=k_selected, metric=metric, seed=seed)
+        assignment = cluster_kmeans(profiles, corr.names, k_clusters=k_selected, metric=metric, seed=seed)
     else:
         raise ValueError(f"report: unknown cluster method {cluster_method!r}")
 
@@ -221,7 +222,7 @@ def run_analysis(
         },
         "variance_explained": [
             {
-                "component": expl_full.pc_labels[i],
+                "component": table.pc_labels[i],
                 "eigenvalue": float(ve.eigenvalues[i]),
                 "cumulative_eigenvalue": float(ve.cumulative_eigenvalues[i]),
                 "percent": float(ve.percent[i]),
@@ -230,21 +231,21 @@ def run_analysis(
             for i in range(ve.n)
         ],
         "loadings_full": {
-            "pc_labels": expl_full.pc_labels,
-            "variables": expl_full.variable_names,
-            "loading": expl_full.loading,
-            "determination": expl_full.determination,
-            "row_sums": expl_full.row_sums,
-            "column_sums": expl_full.column_sums,
-            "row_averages": expl_full.row_averages,
+            "pc_labels": table.pc_labels,
+            "variables": table.variable_names,
+            "loading": table.loading,
+            "determination": table.determination,
+            "row_sums": table.row_sums,
+            "column_sums": table.column_sums,
+            "row_averages": table.row_averages,
         },
         "reconstruction_at_k": {
             "k": k_selected,
-            "pc_labels": expl_k.pc_labels,
-            "variables": expl_k.variable_names,
-            "determination": expl_k.determination,
-            "column_sums": expl_k.column_sums,
-            "row_averages": expl_k.row_averages,
+            "pc_labels": table.pc_labels[:k_selected],
+            "variables": table.variable_names,
+            "determination": table.determination[:k_selected],
+            "column_sums": table.determination[:k_selected].sum(axis=0),
+            "row_averages": table.row_averages[:k_selected],
         },
         "selection": {
             **{
@@ -255,8 +256,8 @@ def run_analysis(
             "k": k_selected,
         },
         "similarity_profiles": {
-            "components": expl_k.pc_labels,
-            "profiles": {p.variable: p.values for p in profiles},
+            "components": table.pc_labels[:k_selected],
+            "profiles": dict(zip(corr.names, profiles)),
         },
         "clusters": assignment.to_json(),
         "scores": scores_block,
@@ -858,8 +859,9 @@ def render_markdown(report: dict, sections: list[tuple] | None = None) -> str:
         "",
     ]
     # every text cell that is not a fixed label holds a variable name, so
-    # only a name can put a "|" in a cell; the tables then write it "\|"
-    escape = any("|" in name for name in report["correlation"]["names"])
+    # only a name can put a "|" or a line break in a cell; the tables then
+    # write "\|" and "<br>", and every table row stays one line
+    escape = any(c in name for name in report["correlation"]["names"] for c in "|\r\n")
     for title, _, headers, rows in sections or _sections(report):
         lines += [title, ""]
         if headers is None:
@@ -867,8 +869,8 @@ def render_markdown(report: dict, sections: list[tuple] | None = None) -> str:
         else:
             headers = _side(headers, 0)
             if escape:
-                headers = _escape_pipes(headers)
-                rows = [_escape_pipes(_side(row, 0)) for row in rows]
+                headers = _escape_cells(headers)
+                rows = [_escape_cells(_side(row, 0)) for row in rows]
             lines.append("| " + " | ".join(headers) + " |")
             lines.append("| " + " | ".join(["---"] * len(headers)) + " |")
             lines += ["| " + " | ".join(_side(row, 0)) + " |" for row in rows]
@@ -876,8 +878,9 @@ def render_markdown(report: dict, sections: list[tuple] | None = None) -> str:
     return "\n".join(lines)
 
 
-def _escape_pipes(cells: list[str]) -> list[str]:
-    return [c.replace("|", "\\|") for c in cells]
+def _escape_cells(cells: list[str]) -> list[str]:
+    return [c.replace("|", "\\|").replace("\r\n", "<br>").replace("\r", "<br>").replace("\n", "<br>")
+            for c in cells]
 
 
 def render_csv(report: dict, sections: list[tuple] | None = None) -> str:

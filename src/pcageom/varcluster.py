@@ -1,12 +1,15 @@
 """Vertical clustering: grouping variables by similarity to components.
 
-Each variable gets a similarity profile, the k determination
-coefficients against the k selected components.  Two grouping rules
-operate on those profiles.  The naive rule assigns a variable to the
-component that explains at least a threshold share of its variance
-(default half, so at most one component can qualify); leftovers land in
-an explicit "unassigned" cluster.  The k-means rule clusters profiles
-as points under a pluggable metric, and is deterministic.
+Each variable's similarity profile is its column of the first k rows
+of the explanation table: its determination coefficients against the k
+selected components.  ``similarity_profiles`` returns the profiles as
+the rows of one ``(m, k)`` matrix, and both grouping rules take that
+matrix with one variable name per row.  The naive rule assigns a
+variable to the component that explains at least a threshold share of
+its variance (default half, so at most one component can qualify);
+leftovers land in an explicit "unassigned" cluster.  The k-means rule
+clusters the rows as points under a pluggable metric, and is
+deterministic.
 
 K-means details: centroids minimize the within-cluster cost exactly
 for the city-block (coordinatewise median), squared Euclidean (mean),
@@ -58,7 +61,6 @@ __all__ = [
     "METRICS",
     "RESTARTS",
     "UNASSIGNED",
-    "SimilarityProfile",
     "ClusterAssignment",
     "LloydResult",
     "similarity_profiles",
@@ -82,18 +84,6 @@ EXACT_BUDGET = 1000
 # heuristic path: Lloyd descents per clustering, iterations per descent
 RESTARTS = 10
 MAX_ITER = 100
-
-
-@dataclass(eq=False)
-class SimilarityProfile:
-    """One variable's determination coefficients against k components."""
-
-    variable: str
-    values: np.ndarray
-
-    @property
-    def k(self) -> int:
-        return self.values.shape[0]
 
 
 @dataclass(eq=False)
@@ -134,33 +124,40 @@ class LloydResult:
     guard_tripped: bool
 
 
-def similarity_profiles(expl: ExplanationTable) -> list[SimilarityProfile]:
-    """Per-variable profiles: columns of the truncated determination table."""
-    return [
-        SimilarityProfile(variable=name, values=expl.determination[:, j].copy())
-        for j, name in enumerate(expl.variable_names)
-    ]
+def similarity_profiles(table: ExplanationTable, k: int) -> np.ndarray:
+    """Per-variable profiles over the first k components, as the rows of
+    one C-contiguous ``(m, k)`` float64 matrix: the transpose of the
+    table's first k determination rows, in ``table.variable_names`` order."""
+    n = table.determination.shape[0]
+    if not 1 <= k <= n:
+        raise ValueError(f"varcluster: k must be in 1..{n}, got {k}")
+    return np.ascontiguousarray(table.determination[:k].T)
 
 
-def _profile_matrix(profiles: list[SimilarityProfile]) -> np.ndarray:
-    """The profiles' values as the rows of one float64 matrix; raises
-    ``ValueError`` when there are none or their lengths differ."""
-    if not profiles:
+def _profile_matrix(profiles: np.ndarray, names: list[str]) -> np.ndarray:
+    """The profiles as a float64 matrix, one row per name; raises
+    ``ValueError`` when it is not 2-D, has no rows, or the names do not
+    match its rows."""
+    matrix = np.asarray(profiles, dtype=np.float64)
+    if matrix.ndim != 2:
+        raise ValueError(f"varcluster: profiles must be an (m, k) matrix, got shape {matrix.shape}")
+    if not matrix.shape[0]:
         raise ValueError("varcluster: no profiles to cluster")
-    if len({p.k for p in profiles}) != 1:
-        raise ValueError("varcluster: profiles have mixed lengths")
-    return np.array([p.values for p in profiles], dtype=np.float64)
+    if len(names) != matrix.shape[0]:
+        raise ValueError(f"varcluster: {len(names)} names for {matrix.shape[0]} profiles")
+    return matrix
 
 
-def cluster_naive(profiles: list[SimilarityProfile], threshold: float = 0.5) -> ClusterAssignment:
+def cluster_naive(profiles: np.ndarray, names: list[str], threshold: float = 0.5) -> ClusterAssignment:
     """Assign each variable to the component clearing the threshold.
 
     Among profile entries >= threshold the largest wins, lowest
     component index on ties; with the default threshold of one half at
     most one entry can qualify, since a profile sums to at most 1.
     Variables clearing nothing go to the "unassigned" cluster.
+    ``names`` names the rows of ``profiles``.
     """
-    values = _profile_matrix(profiles)
+    values = _profile_matrix(profiles, names)
     if not 0.0 < threshold <= 1.0:
         raise ValueError(f"varcluster: threshold must be in (0, 1], got {threshold}")
     clears = values >= threshold
@@ -169,8 +166,8 @@ def cluster_naive(profiles: list[SimilarityProfile], threshold: float = 0.5) -> 
     labels = component_labels(values.shape[1])
     clusters: dict[str, list[str]] = {label: [] for label in labels}
     clusters[UNASSIGNED] = []
-    for prof, cleared, i in zip(profiles, clears.any(axis=1), best):
-        clusters[labels[i] if cleared else UNASSIGNED].append(prof.variable)
+    for name, cleared, i in zip(names, clears.any(axis=1), best):
+        clusters[labels[i] if cleared else UNASSIGNED].append(name)
     return ClusterAssignment(method="naive", clusters=clusters, threshold=threshold)
 
 
@@ -450,12 +447,14 @@ def _partition_costs(points: np.ndarray, labels: np.ndarray, metric: str) -> np.
 
 
 def cluster_kmeans(
-    profiles: list[SimilarityProfile],
+    profiles: np.ndarray,
+    names: list[str],
     k_clusters: int,
     metric: str = "l2",
     seed: int = 0,
 ) -> ClusterAssignment:
-    """Cluster similarity profiles with k-means, exactly when feasible.
+    """Cluster the rows of a profile matrix with k-means, exactly when
+    feasible; ``names`` names the rows.
 
     For the l1, l2 and cosine metrics, when the Stirling number
     S(m, k_clusters) of the m clustered variables is at most
@@ -473,11 +472,10 @@ def cluster_kmeans(
     the cosine metric a zero profile has no direction, so such
     variables are flagged and parked in the "unassigned" cluster.
     """
-    matrix = _profile_matrix(profiles)
-    names = [p.variable for p in profiles]
+    matrix = _profile_matrix(profiles, names)
 
     excluded: list[str] = []
-    active = np.arange(len(profiles))
+    active = np.arange(matrix.shape[0])
     _check_metric(metric)
     if seed < 0:
         raise ValueError(f"varcluster: seed must be non-negative, got {seed}")
@@ -511,10 +509,8 @@ def cluster_kmeans(
         labels, objective, n_iterations = best.labels, best.objective, len(best.history) - 1
 
     # canonical ids: order clusters by their lowest member variable index
-    order = sorted(
-        {int(lbl) for lbl in labels},
-        key=lambda lbl: int(np.nonzero(labels == lbl)[0][0]),
-    )
+    ids, first = np.unique(labels, return_index=True)
+    order = ids[np.argsort(first)].tolist()
     rename = {lbl: f"c{rank + 1}" for rank, lbl in enumerate(order)}
     clusters: dict[str, list[str]] = {rename[lbl]: [] for lbl in order}
     for pos, orig in enumerate(active):

@@ -180,12 +180,7 @@ def virtual_fixture(eigen_fixture):
 
 @pytest.fixture(scope="session")
 def table_full(virtual_fixture, corr_fixture):
-    return explanation_table(virtual_fixture, None, corr_fixture.names)
-
-
-@pytest.fixture(scope="session")
-def table_k2(virtual_fixture, corr_fixture):
-    return explanation_table(virtual_fixture, 2, corr_fixture.names)
+    return explanation_table(virtual_fixture, corr_fixture.names)
 
 
 @pytest.fixture(scope="session")

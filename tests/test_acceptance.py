@@ -128,8 +128,8 @@ def test_criterion_06_loadings_determination(capsys, table_full, eigen_fixture):
     assert ok
 
 
-def test_criterion_07_reconstruction_criterion(capsys, table_k2, table_full, eigen_fixture):
-    pct = 100.0 * table_k2.column_sums
+def test_criterion_07_reconstruction_criterion(capsys, table_full, eigen_fixture):
+    pct = 100.0 * table_full.determination[:2].sum(axis=0)
     dev = np.abs(pct - REF_RECONSTRUCTION_K2_2DP).max()
     k90 = select_components(eigen_fixture.eigenvalues, table_full, "per_variable", 0.90).k
     k93 = select_components(eigen_fixture.eigenvalues, table_full, "per_variable", 0.93).k
@@ -141,9 +141,9 @@ def test_criterion_07_reconstruction_criterion(capsys, table_k2, table_full, eig
     assert ok
 
 
-def test_criterion_08_clustering(capsys, table_k2):
-    profiles = similarity_profiles(table_k2)
-    points = np.array([p.values for p in profiles])
+def test_criterion_08_clustering(capsys, table_full):
+    points = similarity_profiles(table_full, 2)
+    names = table_full.variable_names
     want = set(REF_PARTITION)
 
     def partition(assignment):
@@ -153,14 +153,14 @@ def test_criterion_08_clustering(capsys, table_k2):
             if m and cid != "unassigned"
         }
 
-    naive_ok = partition(cluster_naive(profiles, 0.5)) == want
+    naive_ok = partition(cluster_naive(points, names, 0.5)) == want
     metric_ok = {}
     oracle_dev = {}
     for metric in ("l1", "l2", "linf", "cosine"):
-        a = cluster_kmeans(profiles, 2, metric=metric, seed=0)
+        a = cluster_kmeans(points, names, 2, metric=metric, seed=0)
         cost, blocks = oracles.best_partition(points, 2, metric)
         got_blocks = {
-            frozenset(i for i, p in enumerate(profiles) if p.variable in m)
+            frozenset(i for i, name in enumerate(names) if name in m)
             for m in partition(a)
         }
         metric_ok[metric] = partition(a) == want and got_blocks == blocks

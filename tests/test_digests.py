@@ -60,6 +60,7 @@ IRIS = ("iris.csv", "--columns", "1-4", "--header", "--clusters", "kmeans")
 CASES = {
     "iris_k2": (*IRIS, "--k", "2"),
     "iris_auto": (*IRIS, "--k", "auto"),
+    "iris_naive_k2": ("iris.csv", "--columns", "1-4", "--header", "--clusters", "naive", "--k", "2"),
     **{f"factor{n}_{metric}": (f"factor{n}.csv", "--header", "--clusters", "kmeans",
                                "--k", str(min(12, n - 1)), "--metric", metric)
        for n in (20, 80) for metric in METRICS},

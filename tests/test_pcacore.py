@@ -55,33 +55,30 @@ def test_variance_explained_validation():
 
 
 def test_full_table_identities(table_full, eigen_fixture):
-    assert table_full.is_full and table_full.k == 4
+    assert table_full.loading.shape == table_full.determination.shape == (4, 4)
     np.testing.assert_allclose(table_full.row_sums, eigen_fixture.eigenvalues, atol=1e-9)
     np.testing.assert_allclose(table_full.column_sums, np.ones(4), atol=1e-9)
     np.testing.assert_array_equal(table_full.determination, table_full.loading**2)
     assert table_full.pc_labels == ["pc1", "pc2", "pc3", "pc4"]
 
 
-def test_truncated_table_reconstruction_levels(table_k2):
-    assert not table_k2.is_full and table_k2.k == 2
-    np.testing.assert_allclose(table_k2.column_sums, REF_RECONSTRUCTION_K2, atol=1e-12)
+def test_truncated_table_reconstruction_levels(table_full):
+    first2 = table_full.determination[:2]
+    assert first2.shape == (2, 4)
+    np.testing.assert_allclose(first2.sum(axis=0), REF_RECONSTRUCTION_K2, atol=1e-12)
     # row averages of a determination table are variance fractions
-    np.testing.assert_allclose(table_k2.row_averages, table_k2.row_sums / 4.0, atol=1e-15)
+    np.testing.assert_allclose(table_full.row_averages[:2], table_full.row_sums[:2] / 4.0, atol=1e-15)
 
 
 def test_table_argument_validation(virtual_fixture):
-    with pytest.raises(ValueError, match="k must be"):
-        explanation_table(virtual_fixture, 0)
-    with pytest.raises(ValueError, match="k must be"):
-        explanation_table(virtual_fixture, 5)
     with pytest.raises(ValueError, match="variable names"):
-        explanation_table(virtual_fixture, 2, ["only one"])
+        explanation_table(virtual_fixture, ["only one"])
 
 
 def test_loading_is_score_variable_correlation(iris_standardized):
     corr = correlation_matrix(iris_standardized)
     eig = eigen_symmetric(corr)
-    expl = explanation_table(build_virtual(eig), None, corr.names)
+    expl = explanation_table(build_virtual(eig), corr.names)
     scores = project_scores(iris_standardized, eig.R).scores
     z = iris_standardized.values
     for i in range(4):
@@ -159,15 +156,13 @@ def test_selection_detail_keys(eigen_fixture, table_full):
     assert set(d["per_variable_cumulative_at_k"]) == set(table_full.variable_names)
 
 
-def test_selection_validation(eigen_fixture, table_full, table_k2):
+def test_selection_validation(eigen_fixture, table_full):
     w = eigen_fixture.eigenvalues
     with pytest.raises(ValueError, match="unknown criterion"):
         select_components(w, table_full, "kaiser")
     for bad in (0.0, -0.1, 1.5):
         with pytest.raises(ValueError, match="threshold"):
             select_components(w, table_full, "percentage", bad)
-    with pytest.raises(ValueError, match="full explanation table"):
-        select_components(w, table_k2, "per_variable", 0.8)
 
 
 def test_flat_spectrum_has_no_elbow(table_full):

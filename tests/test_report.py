@@ -364,6 +364,22 @@ def text_reports(tmp_path_factory, corr_report):
     ]
 
 
+def test_values_at_k_are_the_first_k_rows_of_the_full_table(iris_report, text_reports):
+    """The reconstruction block and the profiles restate no number: they
+    are the first k rows of ``loadings_full``."""
+    iris, v160 = iris_report, text_reports[3]
+    assert (iris["provenance"]["k"], v160["provenance"]["k"]) == (2, 12)
+    for report in (iris, v160):
+        k = report["provenance"]["k"]
+        full, rec = report["loadings_full"], report["reconstruction_at_k"]
+        assert np.array_equal(rec["determination"], full["determination"][:k])
+        assert np.array_equal(rec["row_averages"], full["row_averages"][:k])
+        assert rec["pc_labels"] == full["pc_labels"][:k]
+        profiles = report["similarity_profiles"]["profiles"]
+        for j, name in enumerate(full["variables"]):
+            assert np.array_equal(profiles[name], full["determination"][:k, j])
+
+
 def test_text_renderers_match_the_f_string_renderer(text_reports):
     for report in text_reports:
         assert render_markdown(report) == oracles.reference_render_markdown(report)
@@ -500,6 +516,31 @@ def test_csv_quotes_names_per_rfc_4180(tmp_path):
     assert rows[i + 1] == [""] + names
     assert [row[0] for row in rows[i + 2 : i + 2 + len(names)]] == names
     assert all(len(row) == len(names) + 1 for row in rows[i + 1 : i + 2 + len(names)])
+
+
+def test_markdown_writes_line_breaks_in_names_as_br(tmp_path):
+    """A name with a line break keeps every table row of report.md on one line."""
+    csv_in = tmp_path / "nl.csv"
+    rows = ["1,2,3,4", "2,1,4,3", "3,5,2,1", "4,3,1,2", "5,4,5,5", "6,2,2,4"]
+    csv_in.write_text("\n".join(['"a\nb",c,d,e', *rows]) + "\n", encoding="utf-8")
+    doc = json.loads(CORR.read_text(encoding="utf-8"))
+    doc["names"] = ["Sepal\nLength", "Sepal\r\nWidth", "Petal\rLength", "Petal Width"]
+    json_in = tmp_path / "nl.json"
+    json_in.write_text(json.dumps(doc), encoding="utf-8")
+    for path, header, broken, written in (
+        (csv_in, True, "a\nb", ["a<br>b"]),
+        (json_in, False, "Sepal\nLength", ["Sepal<br>Length", "Sepal<br>Width", "Petal<br>Length"]),
+    ):
+        report = run_analysis(path, header=header, k=2)
+        assert report["correlation"]["names"][0] == broken  # report.json keeps the name
+        md = render_markdown(report)
+        for name in written:
+            assert f"| {name} |" in md
+        # splitlines also splits at a stray "\r"
+        tables = [block.splitlines() for block in md.split("\n\n") if block.startswith("|")]
+        assert len(tables) >= 10
+        for line in (line for table in tables for line in table):
+            assert line.startswith("|") and line.endswith("|"), line
 
 
 def test_markdown_escapes_pipes_in_names(tmp_path):

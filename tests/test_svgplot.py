@@ -9,7 +9,7 @@ import pytest
 from pcageom.fixtures import fixture_path
 from pcageom.report import run_analysis
 from pcageom.svgplot import render_svg_scree, render_svg_similarity
-from pcageom.varcluster import SimilarityProfile, cluster_kmeans
+from pcageom.varcluster import cluster_kmeans
 
 CORR = fixture_path("iris_corr.json")
 
@@ -101,13 +101,10 @@ def test_similarity_map_requires_two_components():
 
 def test_variable_names_are_escaped():
     evil = 'x<&>"1'
-    profiles = [
-        SimilarityProfile(evil, np.array([0.9, 0.05])),
-        SimilarityProfile("y", np.array([0.1, 0.8])),
-        SimilarityProfile("z", np.array([0.2, 0.7])),
-    ]
-    clusters = cluster_kmeans(profiles, 2, metric="l2").clusters
-    svg = render_svg_similarity(map_report({p.variable: p.values for p in profiles}, clusters))
+    names = [evil, "y", "z"]
+    profiles = np.array([[0.9, 0.05], [0.1, 0.8], [0.2, 0.7]])
+    clusters = cluster_kmeans(profiles, names, 2, metric="l2").clusters
+    svg = render_svg_similarity(map_report(dict(zip(names, profiles)), clusters))
     assert evil in texts(svg)  # parses back to the original name
     assert "x<&>" not in svg  # but never appears raw in the markup
 

@@ -26,7 +26,6 @@ from pcageom.varcluster import (
     MAX_ITER,
     METRICS,
     UNASSIGNED,
-    SimilarityProfile,
     cluster_kmeans,
     cluster_naive,
     lloyd,
@@ -45,12 +44,16 @@ def corr_of(r, n_obs=10):
     return CorrelationMatrix(r=r, n_obs=n_obs, names=names)
 
 
+def names_of(m):
+    return [f"v{i + 1}" for i in range(m)]
+
+
 def profiles_of(rng, n, k_rows):
-    """A clustering instance as the pipeline would produce it."""
+    """A clustering instance as the pipeline would produce it: the
+    profile matrix of variables v1..vn."""
     corr = corr_of(oracles.random_correlation(rng, n))
     eig = eigen_symmetric(corr)
-    expl = explanation_table(build_virtual(eig), k_rows, corr.names)
-    return similarity_profiles(expl)
+    return similarity_profiles(explanation_table(build_virtual(eig), corr.names), k_rows)
 
 
 def partition_of(assignment):
@@ -63,28 +66,44 @@ def assignments_of(assignment):
 
 
 @pytest.fixture(scope="module")
-def fixture_profiles(table_k2):
-    return similarity_profiles(table_k2)
+def fixture_profiles(table_full):
+    """The bundled k = 2 profile matrix and its variable names."""
+    return similarity_profiles(table_full, 2), table_full.variable_names
 
 
 # -- profiles -------------------------------------------------------------
 
 
 def test_similarity_profiles_fixture(fixture_profiles):
-    assert [p.variable for p in fixture_profiles] == list(REF_PROFILES_K2_3DP)
-    for p in fixture_profiles:
-        assert p.k == 2
+    profiles, names = fixture_profiles
+    assert names == list(REF_PROFILES_K2_3DP)
+    assert profiles.shape == (4, 2) and profiles.dtype == np.float64
+    assert profiles.flags.c_contiguous
+    for values, name in zip(profiles, names):
         # the bundled matrix is quoted at 3 decimals, so determination
         # drifts slightly from values computed on unrounded correlations
-        np.testing.assert_allclose(p.values, REF_PROFILES_K2_3DP[p.variable], atol=0.001)
-        assert p.values.sum() <= 1.0 + 1e-12
+        np.testing.assert_allclose(values, REF_PROFILES_K2_3DP[name], atol=0.001)
+        assert values.sum() <= 1.0 + 1e-12
+
+
+def test_similarity_profiles_are_the_first_k_rows(table_full):
+    for k in range(1, 5):
+        profiles = similarity_profiles(table_full, k)
+        np.testing.assert_array_equal(profiles, table_full.determination[:k].T)
+
+
+def test_similarity_profiles_k_range(table_full):
+    with pytest.raises(ValueError, match="k must be"):
+        similarity_profiles(table_full, 0)
+    with pytest.raises(ValueError, match="k must be"):
+        similarity_profiles(table_full, 5)
 
 
 # -- naive rule -----------------------------------------------------------
 
 
 def test_naive_fixture_partition(fixture_profiles):
-    a = cluster_naive(fixture_profiles)
+    a = cluster_naive(*fixture_profiles)
     assert a.method == "naive" and a.threshold == 0.5
     assert partition_of(a) == set(REF_PARTITION)
     assert a.clusters["pc1"] == ["Sepal Length", "Petal Length", "Petal Width"]
@@ -93,34 +112,34 @@ def test_naive_fixture_partition(fixture_profiles):
 
 
 def test_naive_higher_threshold_drops_variables(fixture_profiles):
-    a = cluster_naive(fixture_profiles, threshold=0.9)
+    a = cluster_naive(*fixture_profiles, threshold=0.9)
     assert assignments_of(a)["Sepal Length"] == UNASSIGNED
     assert assignments_of(a)["Petal Length"] == "pc1"
 
 
 def test_naive_tie_prefers_lowest_component():
-    profs = [SimilarityProfile("x", np.array([0.5, 0.5]))]
-    assert assignments_of(cluster_naive(profs))["x"] == "pc1"
+    assert assignments_of(cluster_naive(np.array([[0.5, 0.5]]), ["x"]))["x"] == "pc1"
 
 
 def test_naive_permutation_equivariance(fixture_profiles):
-    base = assignments_of(cluster_naive(fixture_profiles))
+    profiles, names = fixture_profiles
+    base = assignments_of(cluster_naive(profiles, names))
     rng = np.random.default_rng(5)
     for _ in range(10):
-        perm = rng.permutation(len(fixture_profiles))
-        shuffled = [fixture_profiles[i] for i in perm]
-        assert assignments_of(cluster_naive(shuffled)) == base
+        perm = rng.permutation(len(names))
+        shuffled = cluster_naive(profiles[perm], [names[i] for i in perm])
+        assert assignments_of(shuffled) == base
 
 
-def loop_naive(profiles, threshold):
+def loop_naive(profiles, names, threshold):
     """The per-profile, per-value loop ``cluster_naive`` replaced."""
     out = {}
-    for prof in profiles:
+    for values, name in zip(profiles, names):
         best = None
-        for i, v in enumerate(prof.values):
-            if v >= threshold and (best is None or v > prof.values[best]):
+        for i, v in enumerate(values):
+            if v >= threshold and (best is None or v > values[best]):
                 best = i
-        out[prof.variable] = UNASSIGNED if best is None else f"pc{best + 1}"
+        out[name] = UNASSIGNED if best is None else f"pc{best + 1}"
     return out
 
 
@@ -130,19 +149,22 @@ def test_naive_matches_the_scalar_loop():
         m, k = int(rng.integers(1, 9)), int(rng.integers(1, 5))
         # one decimal, so ties and values equal to the threshold occur
         values = np.round(rng.uniform(0.0, 1.0, (m, k)), 1)
-        profs = [SimilarityProfile(f"v{j}", values[j]) for j in range(m)]
+        names = names_of(m)
         for threshold in (0.1, 0.3, 0.5, 1.0):
-            assert assignments_of(cluster_naive(profs, threshold)) == loop_naive(profs, threshold)
+            got = assignments_of(cluster_naive(values, names, threshold))
+            assert got == loop_naive(values, names, threshold)
 
 
 def test_naive_validation(fixture_profiles):
+    profiles, names = fixture_profiles
     with pytest.raises(ValueError, match="no profiles"):
-        cluster_naive([])
+        cluster_naive(np.zeros((0, 2)), [])
     with pytest.raises(ValueError, match="threshold"):
-        cluster_naive(fixture_profiles, threshold=0.0)
-    mixed = [SimilarityProfile("a", np.ones(2)), SimilarityProfile("b", np.ones(3))]
-    with pytest.raises(ValueError, match="mixed lengths"):
-        cluster_naive(mixed)
+        cluster_naive(profiles, names, threshold=0.0)
+    with pytest.raises(ValueError, match=r"must be an \(m, k\) matrix"):
+        cluster_naive(profiles[0], names[:1])
+    with pytest.raises(ValueError, match="3 names for 4 profiles"):
+        cluster_naive(profiles, names[:3])
 
 
 # -- distances and assignment ---------------------------------------------
@@ -253,9 +275,9 @@ def test_assign_labels_matches_bruteforce():
 
 
 def test_kmeans_fixture_matches_oracle_every_metric(fixture_profiles):
-    points = np.array([p.values for p in fixture_profiles])
+    points, names = fixture_profiles
     for metric in METRICS:
-        a = cluster_kmeans(fixture_profiles, 2, metric=metric, seed=0)
+        a = cluster_kmeans(points, names, 2, metric=metric, seed=0)
         assert partition_of(a) == set(REF_PARTITION), metric
         # S(4, 2) = 7 partitions: enumerated unless the centroid is heuristic
         assert a.exact == (metric != "linf"), metric
@@ -264,7 +286,7 @@ def test_kmeans_fixture_matches_oracle_every_metric(fixture_profiles):
         assert a.clusters["c1"][0] == "Sepal Length"  # canonical id order
         cost, blocks = oracles.best_partition(points, 2, metric)
         got_blocks = {
-            frozenset(i for i, p in enumerate(fixture_profiles) if p.variable in m)
+            frozenset(i for i, name in enumerate(names) if name in m)
             for m in partition_of(a)
         }
         assert got_blocks == blocks, metric
@@ -276,14 +298,14 @@ def test_kmeans_fixture_matches_oracle_every_metric(fixture_profiles):
 
 
 def test_kmeans_agrees_with_naive_on_fixture(fixture_profiles):
-    naive = partition_of(cluster_naive(fixture_profiles))
+    naive = partition_of(cluster_naive(*fixture_profiles))
     for metric in METRICS:
-        assert partition_of(cluster_kmeans(fixture_profiles, 2, metric=metric)) == naive
+        assert partition_of(cluster_kmeans(*fixture_profiles, 2, metric=metric)) == naive
 
 
 def test_kmeans_is_deterministic(fixture_profiles):
-    a = cluster_kmeans(fixture_profiles, 2, metric="l2", seed=3)
-    b = cluster_kmeans(fixture_profiles, 2, metric="l2", seed=3)
+    a = cluster_kmeans(*fixture_profiles, 2, metric="l2", seed=3)
+    b = cluster_kmeans(*fixture_profiles, 2, metric="l2", seed=3)
     assert assignments_of(a) == assignments_of(b)
     assert a.objective == b.objective
     assert a.n_iterations == b.n_iterations
@@ -291,13 +313,18 @@ def test_kmeans_is_deterministic(fixture_profiles):
 
 def test_kmeans_validation(fixture_profiles):
     with pytest.raises(ValueError, match="k_clusters"):
-        cluster_kmeans(fixture_profiles, 0)
+        cluster_kmeans(*fixture_profiles, 0)
     with pytest.raises(ValueError, match="k_clusters"):
-        cluster_kmeans(fixture_profiles, 5)
+        cluster_kmeans(*fixture_profiles, 5)
     with pytest.raises(ValueError, match="unknown metric"):
-        cluster_kmeans(fixture_profiles, 2, metric="mahalanobis")
+        cluster_kmeans(*fixture_profiles, 2, metric="mahalanobis")
     with pytest.raises(ValueError, match="no profiles"):
-        cluster_kmeans([], 1)
+        cluster_kmeans(np.zeros((0, 2)), [], 1)
+    profiles, names = fixture_profiles
+    with pytest.raises(ValueError, match=r"must be an \(m, k\) matrix"):
+        cluster_kmeans(profiles[None], names, 1)
+    with pytest.raises(ValueError, match="5 names for 4 profiles"):
+        cluster_kmeans(profiles, [*names, "extra"], 2)
     with pytest.raises(ValueError, match="unknown metric"):
         lloyd(np.eye(2), np.eye(2)[None], "mahalanobis")
     with pytest.raises(ValueError, match="starts must be"):
@@ -309,21 +336,21 @@ def test_kmeans_validation(fixture_profiles):
 
 def test_kmeans_rejects_negative_seed_on_both_paths(fixture_profiles):
     # S(4, 2) = 7: l2 enumerates the partitions, linf always restarts
-    assert cluster_kmeans(fixture_profiles, 2, metric="l2").exact
-    assert not cluster_kmeans(fixture_profiles, 2, metric="linf").exact
+    assert cluster_kmeans(*fixture_profiles, 2, metric="l2").exact
+    assert not cluster_kmeans(*fixture_profiles, 2, metric="linf").exact
     for metric in ("l2", "linf"):
         with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
-            cluster_kmeans(fixture_profiles, 2, metric=metric, seed=-1)
+            cluster_kmeans(*fixture_profiles, 2, metric=metric, seed=-1)
 
 
 def test_kmeans_assignment_json(fixture_profiles):
-    doc = cluster_kmeans(fixture_profiles, 2, metric="l1").to_json()
+    doc = cluster_kmeans(*fixture_profiles, 2, metric="l1").to_json()
     assert doc["method"] == "kmeans" and doc["metric"] == "l1"
     assert set(doc["clusters"]) == {"c1", "c2"}
     assert isinstance(doc["objective"], float)
     assert doc["exact"] is True
-    assert cluster_kmeans(fixture_profiles, 2, metric="linf").to_json()["exact"] is False
-    assert "exact" not in cluster_naive(fixture_profiles).to_json()
+    assert cluster_kmeans(*fixture_profiles, 2, metric="linf").to_json()["exact"] is False
+    assert "exact" not in cluster_naive(*fixture_profiles).to_json()
 
 
 # objective and cluster of v1..v12 that the restart path returned before
@@ -340,7 +367,7 @@ def test_kmeans_above_budget_keeps_restart_path():
     profs = profiles_of(np.random.default_rng(5), 12, 3)
     assert _stirling2(12, 4) == 611501 > EXACT_BUDGET
     for metric, (objective, clusters) in RESTART_PATH_RESULTS.items():
-        a = cluster_kmeans(profs, 4, metric=metric, seed=0)
+        a = cluster_kmeans(profs, names_of(12), 4, metric=metric, seed=0)
         assert not a.exact and isinstance(a.n_iterations, int), metric
         assert a.to_json()["exact"] is False
         assert a.objective == pytest.approx(objective, rel=1e-12, abs=1e-15), metric
@@ -363,9 +390,8 @@ RESTART_32_RESULTS = {
 
 def test_kmeans_32_variables_matches_scalar_implementation():
     pts = np.random.default_rng(32).random((32, 12))
-    profs = [SimilarityProfile(f"v{i + 1}", pts[i].copy()) for i in range(32)]
     for metric, (objective, n_iterations, clusters) in RESTART_32_RESULTS.items():
-        a = cluster_kmeans(profs, 12, metric=metric)
+        a = cluster_kmeans(pts, names_of(32), 12, metric=metric)
         assert not a.exact, metric
         assert a.objective == objective, metric
         assert a.n_iterations == n_iterations, metric
@@ -404,33 +430,27 @@ def test_lloyd_refills_empty_clusters_as_before():
 
 def test_duplicate_points_fill_every_cluster():
     pts = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0]])
-    profs = [SimilarityProfile(f"v{i}", pts[i].copy()) for i in range(3)]
-    a = cluster_kmeans(profs, 3, metric="l2")
+    a = cluster_kmeans(pts, names_of(3), 3, metric="l2")
     assert sorted(len(m) for m in a.clusters.values()) == [1, 1, 1]
     assert a.objective == 0.0
 
 
 def test_cosine_zero_profile_is_parked():
-    profs = [
-        SimilarityProfile("a", np.array([0.9, 0.1])),
-        SimilarityProfile("b", np.array([0.0, 0.0])),
-        SimilarityProfile("c", np.array([0.1, 0.8])),
-    ]
-    a = cluster_kmeans(profs, 2, metric="cosine")
+    profs = np.array([[0.9, 0.1], [0.0, 0.0], [0.1, 0.8]])
+    a = cluster_kmeans(profs, ["a", "b", "c"], 2, metric="cosine")
     assert assignments_of(a)["b"] == UNASSIGNED
     assert a.clusters[UNASSIGNED] == ["b"]
     # the two live profiles still split
     assert assignments_of(a)["a"] != assignments_of(a)["c"]
     with pytest.raises(ValueError, match="k_clusters"):
-        cluster_kmeans(profs, 3, metric="cosine")
+        cluster_kmeans(profs, ["a", "b", "c"], 3, metric="cosine")
 
 
 def test_lloyd_history_is_nonincreasing():
     rng = np.random.default_rng(88)
     for _ in range(40):
         n = int(rng.integers(4, 7))
-        profs = profiles_of(rng, n, int(rng.integers(2, 4)))
-        points = np.array([p.values for p in profs])
+        points = profiles_of(rng, n, int(rng.integers(2, 4)))
         kc = int(rng.integers(2, min(4, n + 1)))
         for metric in METRICS:
             init = points[rng.choice(n, size=kc, replace=False)]
@@ -442,8 +462,7 @@ def test_lloyd_history_is_nonincreasing():
 def test_guard_trips_only_for_chebyshev():
     rng = np.random.default_rng(89)
     for _ in range(60):
-        profs = profiles_of(rng, int(rng.integers(4, 7)), 2)
-        points = np.array([p.values for p in profs])
+        points = profiles_of(rng, int(rng.integers(4, 7)), 2)
         init = points[rng.choice(points.shape[0], size=2, replace=False)]
         for metric in ("l1", "l2", "cosine"):
             assert not lloyd(points, init[None], metric)[0].guard_tripped
@@ -474,13 +493,12 @@ def restart_instances(draw):
 def check_against_restart_loop(points, kc, metric, seed):
     """Assert ``cluster_kmeans`` equals the restart loop bitwise; return the
     loop's descents, or None when the instance is clustered exactly."""
-    profs = [SimilarityProfile(f"v{i + 1}", p.copy()) for i, p in enumerate(points)]
     active = np.arange(points.shape[0])
     if metric == "cosine":
         active = np.flatnonzero(np.linalg.norm(points, axis=1) > 0.0)  # zero profiles are parked
         if active.shape[0] < kc:
             return None
-    got = cluster_kmeans(profs, kc, metric=metric, seed=seed)
+    got = cluster_kmeans(points, names_of(points.shape[0]), kc, metric=metric, seed=seed)
     if got.exact:
         return None
     best, runs = oracles.restart_kmeans(points[active], kc, metric, seed)
@@ -640,13 +658,12 @@ def test_kmeans_reaches_enumeration_optimum_on_small_instances():
     misses = []
     for trial in range(120):
         n = int(rng.integers(4, 7))
-        profs = profiles_of(rng, n, int(rng.integers(2, 4)))
+        points = profiles_of(rng, n, int(rng.integers(2, 4)))
         kc = int(rng.integers(2, 4))
-        points = np.array([p.values for p in profs])
         for metric in ("l1", "l2", "cosine"):
             if metric == "cosine" and (np.linalg.norm(points, axis=1) == 0.0).any():
                 continue
-            got = cluster_kmeans(profs, kc, metric=metric, seed=0).objective
+            got = cluster_kmeans(points, names_of(n), kc, metric=metric, seed=0).objective
             want, _ = oracles.best_partition(points, kc, metric)
             if got > want + 1e-9:
                 misses.append(f"trial {trial} {metric}: kmeans {got:.9f} vs optimum {want:.9f}")
