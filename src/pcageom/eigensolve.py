@@ -65,14 +65,12 @@ class EigenSystem:
     """Eigendecomposition of a correlation matrix, C = U diag(w) U^T.
 
     ``U`` holds eigenvectors in its columns; ``R = U^T`` is the rotation
-    into the component basis; ``C_prime = R C R^T`` is the diagonal
-    eigenvalue matrix, stored densely.
+    into the component basis, in which C becomes ``diag(eigenvalues)``.
     """
 
     eigenvalues: np.ndarray
     U: np.ndarray
     R: np.ndarray
-    C_prime: np.ndarray
 
     @property
     def n(self) -> int:
@@ -162,9 +160,4 @@ def eigen_symmetric(c: CorrelationMatrix) -> EigenSystem:
             "input is not a valid correlation matrix"
         )
     w = np.where((w < 0.0) & (w >= PSD_CLAMP), 0.0, w)
-    return EigenSystem(
-        eigenvalues=w,
-        U=u,
-        R=u.T.copy(),
-        C_prime=np.diag(w),
-    )
+    return EigenSystem(eigenvalues=w, U=u, R=u.T.copy())

@@ -146,7 +146,7 @@ def verify_relations(
     pp = vr.P_prime
     r = eigen.R
     cm = c.r
-    cp = eigen.C_prime
+    cp = np.diag(eigen.eigenvalues)
 
     relations: list[tuple[str, np.ndarray, np.ndarray]] = [
         ("A' = R A", ap, r @ a),

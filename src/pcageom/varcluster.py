@@ -26,7 +26,11 @@ Above the budget, and always for the Chebyshev metric, the result is
 heuristic: ``RESTARTS`` (10) runs of farthest-point initialization
 from a seed-chosen start and at most ``MAX_ITER`` (100) Lloyd
 iterations to an assignment fixpoint, best objective kept (earliest
-restart wins ties).  The sum of Chebyshev distances has no closed-form
+restart wins ties).  Restart r starts from the point that NumPy's
+``default_rng(seed + r).integers(m)`` picks among the m points.  That
+draw is computed in-package (``_draw_index``), so report bytes do not
+depend on NumPy's Generator stream and ``numpy.random`` is never
+imported.  The sum of Chebyshev distances has no closed-form
 minimizer, so that metric reuses the mean and the iteration simply
 stops if the objective would rise, keeping the descent property.  The
 restarts run in lockstep: ``lloyd`` takes every start at once and steps
@@ -84,6 +88,12 @@ EXACT_BUDGET = 1000
 # heuristic path: Lloyd descents per clustering, iterations per descent
 RESTARTS = 10
 MAX_ITER = 100
+
+# restart starts: SeedSequence and PCG64 arithmetic on Python ints
+_MASK32 = (1 << 32) - 1
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 @dataclass(eq=False)
@@ -368,14 +378,73 @@ def lloyd(points: np.ndarray, starts: np.ndarray, metric: str = "l2") -> list[Ll
     ]
 
 
+def _draw_index(seed: int, m: int) -> int:
+    """NumPy's ``default_rng(seed).integers(m)``, computed in-package.
+
+    Domain: ``seed >= 0`` and ``1 <= m < 2**32``.  ``default_rng`` seeds
+    PCG64 through a SeedSequence, which hashes the seed's little-endian
+    32-bit words into a pool of four words and hashes the pool out into
+    the generator's 128-bit state and increment.  ``integers`` takes the
+    32-bit halves of PCG64's XSL-RR outputs, low half first, and maps
+    them into ``range(m)`` with Lemire's multiply-and-reject draw.
+    """
+
+    def hasher(const: int, mult: int):
+        def hashmix(value: int) -> int:
+            nonlocal const
+            value ^= const
+            const = const * mult & _MASK32
+            value = value * const & _MASK32
+            return value ^ value >> 16
+
+        return hashmix
+
+    def mix(x: int, y: int) -> int:
+        x = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+        return x ^ x >> 16
+
+    words = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+    hashmix = hasher(0x43B0D7E5, 0x931E8875)
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:  # seeds of 2**128 and above
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    hashmix = hasher(0x8B51F9DD, 0x58F38DED)
+    state = [hashmix(pool[i % 4]) for i in range(8)]  # four uint64, as low, high halves
+    s0, s1, s2, s3 = (state[i] | state[i + 1] << 32 for i in range(0, 8, 2))
+    inc = ((s2 << 64 | s3) << 1 | 1) & _MASK128
+
+    def next32(pcg: int):
+        while True:
+            pcg = (pcg * _PCG64_MULT + inc) & _MASK128
+            rot = pcg >> 122
+            out = (pcg >> 64 ^ pcg) & _MASK64
+            out = (out >> rot | out << (64 - rot)) & _MASK64
+            yield out & _MASK32
+            yield out >> 32
+
+    draws = next32(((inc + (s0 << 64 | s1)) * _PCG64_MULT + inc) & _MASK128)
+    threshold = (1 << 32) % m  # rejecting low words below it makes every index equally likely
+    product = next(draws) * m
+    while product & _MASK32 < threshold:
+        product = next(draws) * m
+    return product >> 32
+
+
 def _farthest_point_init(pair_dist: np.ndarray, kc: int, seeds: range) -> np.ndarray:
     """Indices of kc starting points per seed, ``(len(seeds), kc)``.
 
-    From the point-to-point distances: each restart's first point is
-    drawn with its seed; each next one is the point farthest from its
-    nearest chosen point (lowest index on ties).
+    From the point-to-point distances: restart r starts from the point
+    ``default_rng(seeds[r]).integers(m)`` picks, computed in-package by
+    ``_draw_index`` so that no NumPy Generator stream is involved; each
+    next point is the one farthest from its nearest chosen point (lowest
+    index on ties).
     """
-    first = np.array([np.random.default_rng(seed).integers(pair_dist.shape[0]) for seed in seeds])
+    first = np.array([_draw_index(seed, pair_dist.shape[0]) for seed in seeds])
     chosen = [first]
     rows = np.arange(first.shape[0])
     nearest = pair_dist[:, first].T.copy()

@@ -302,3 +302,21 @@ def test_report_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
                        env=env, check=True, capture_output=True, timeout=300)
         reports.append((out / "report.json").read_bytes())
     assert reports[0] == reports[1]
+
+
+def test_heuristic_kmeans_leaves_numpy_random_unimported(tmp_path):
+    # restart starts are drawn in-package; importing numpy.random would
+    # cost every process that clusters several megabytes and milliseconds
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = tmp_path / "o"
+    argv = ["analyze", "iris.csv", "--columns", "1-4", "--header", "--clusters", "kmeans",
+            "--metric", "linf", "--out", str(out)]
+    code = ("import json, sys\nfrom pcageom import cli\n"
+            f"code = cli.main({argv!r})\n"
+            "print(json.dumps([code, 'numpy.random' in sys.modules]))\n")
+    done = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path, check=True,
+                          capture_output=True, text=True, timeout=120)
+    assert json.loads(done.stdout.splitlines()[-1]) == [0, False]
+    clusters = json.loads((out / "report.json").read_text())["clusters"]
+    assert clusters["method"] == "kmeans" and clusters["exact"] is False

@@ -178,7 +178,8 @@ def test_eigen_fixture_structure(eigen_fixture, corr_fixture):
     assert np.abs(e.U.T @ e.U - np.eye(n)).max() < 1e-10
     assert e.eigenvalues.sum() == pytest.approx(n, abs=1e-9)
     assert np.abs(e.U @ np.diag(e.eigenvalues) @ e.U.T - corr_fixture.r).max() < 1e-8
-    off = e.C_prime - np.diag(np.diag(e.C_prime))
+    c_prime = e.R @ corr_fixture.r @ e.R.T
+    off = c_prime - np.diag(np.diag(c_prime))
     assert np.abs(off).max() < 1e-9
     assert abs(abs(np.linalg.det(e.R)) - 1.0) < 1e-9
     np.testing.assert_array_equal(e.R, e.U.T)

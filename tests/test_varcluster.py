@@ -19,6 +19,7 @@ from hypothesis.extra import numpy as hnp
 
 from pcageom.corrstats import CorrelationMatrix
 from pcageom.eigensolve import eigen_symmetric
+from pcageom.ingest import MAX_COLUMNS
 from pcageom.pcacore import explanation_table
 from pcageom.tensorops import build_virtual
 from pcageom.varcluster import (
@@ -32,7 +33,7 @@ from pcageom.varcluster import (
     pairwise_distance,
     similarity_profiles,
 )
-from pcageom.varcluster import _assign_all, _centroids, _partitions, _stirling2
+from pcageom.varcluster import _assign_all, _centroids, _draw_index, _partitions, _stirling2
 
 from conftest import REF_PARTITION, REF_PROFILES_K2_3DP
 import oracles
@@ -516,6 +517,31 @@ def test_kmeans_restarts_match_the_restart_loop_bitwise(instance):
     assert _stirling2(points.shape[0], kc) > EXACT_BUDGET
     for metric in METRICS:
         check_against_restart_loop(points, kc, metric, seed)
+
+
+# seed 0 is one zero word; 2**128 and above hash words past the pool of four
+DRAW_SEEDS = st.one_of(st.just(0), st.integers(1, 2**32 - 1), st.integers(2**32, 2**128 - 1),
+                       st.integers(2**128, 2**300))
+# rejection takes (2**32 mod m) / 2**32 of the draws: up to half just above 2**31
+DRAW_SIZES = st.one_of(st.integers(1, MAX_COLUMNS), st.integers(2**31 + 1, 2**31 + 2**20),
+                       st.integers(2**32 - 2**20, 2**32 - 1))
+
+
+@settings(max_examples=400, deadline=None)
+@given(DRAW_SEEDS, DRAW_SIZES)
+@example(0, 1)
+@example(0, 2**31 + 1)
+@example(2**128, MAX_COLUMNS)
+@example(2**32 - 1, 2**32 - 1)
+def test_start_draw_is_numpy_integers_bit_for_bit(seed, m):
+    assert _draw_index(seed, m) == int(np.random.default_rng(seed).integers(m))
+
+
+def test_start_draw_examples_reach_the_rejection_loop():
+    # the first 32-bit word of seed 0 falls below 2**32 mod m for m = 2**31 + 1
+    m = 2**31 + 1
+    low = int(np.random.PCG64(0).random_raw()) & 0xFFFFFFFF
+    assert low * m % 2**32 < 2**32 % m
 
 
 def check_lloyd_against_restart_loop(points, starts, metric):
