@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 from collections.abc import Iterable
-from itertools import accumulate, islice
+from itertools import accumulate, islice, repeat
+from operator import mul
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from types import SimpleNamespace
@@ -271,9 +271,10 @@ def to_json_text(report: dict) -> str:
 
     ``json.dumps`` runs its pure-Python encoder whenever it indents;
     this writer walks the tree once, appending pieces to one list joined
-    at the end.  The report's matrix and vector blocks are float64
-    arrays (``run_analysis`` names them): each such array of one or
-    two dimensions is left as one slot, and after the walk each distinct
+    at the end.  Every double of the report is left as a slot: each
+    float64 array of one or two dimensions (the report's matrix and
+    vector blocks, which ``run_analysis`` names) as one, and each float
+    scalar of the record lists as one.  After the walk each distinct
     double of all the slots is formatted once (``_fill``): the report
     repeats many (``eigen.R`` is ``U`` transposed, the matrices are
     symmetric).  Doubles are told apart by their bits, so ``0.0`` and
@@ -281,34 +282,48 @@ def to_json_text(report: dict) -> str:
     ``float.__repr__``'s, and ``NaN``, ``Infinity`` and ``-Infinity``
     are ``json.dumps``'s.  From ``_REPR_BATCH_MIN`` distinct doubles on,
     NumPy writes the texts of those whose shortest digits exact integer
-    and double-double arithmetic proves (``_certified``); the rest, and
-    every double of a smaller report, go through ``float.__repr__``
-    itself.  Any other array is written as its ``tolist()``.  Nothing is
-    cached between calls.
+    and double-double arithmetic proves (``_certified``: all but a few
+    of the normal doubles below 1e16); the rest, and every double of a
+    smaller report, go through ``float.__repr__`` itself.  Any other
+    array is written as its ``tolist()``.  Nothing is cached between
+    calls.
     """
     out: list[str] = []
     values: list = []
     slots: list[tuple[int, int, int, str, str]] = []
-    _walk(report, "", out, values, slots)
+    floats: list[float] = []
+    float_at: list[int] = []
+    _walk(report, "", out, values, slots, floats, float_at)
     out.append("\n")
-    _fill(out, values, slots)
+    _fill(out, values, slots, floats, float_at)
     return "".join(out)
 
 
-def _walk(o, indent: str, out: list, values: list, slots: list) -> None:
+def _walk(o, indent: str, out: list, values: list, slots: list, floats: list, float_at: list) -> None:
     """Append ``o`` as indented JSON whose first line starts at ``indent``.
 
-    A non-empty float64 array of one or two dimensions appends a
-    placeholder and records the slot ``(index in out, rows, columns,
-    separator within a row, text between rows)``; the array goes to
-    ``values``.  Any other array is walked as its ``tolist()``.  A value
-    of another type, or a key that is not a ``str``, raises a
+    A ``str`` and a ``float`` are tested first, as the most common
+    leaves.  A float (``np.float64`` included) appends a placeholder:
+    the value goes to ``floats`` and the placeholder's index in ``out``
+    to ``float_at``.  A non-empty float64 array of one or two dimensions
+    appends a placeholder and records the slot ``(index in out, rows,
+    columns, separator within a row, text between rows)``; the array
+    goes to ``values``.  Any other array is walked as its ``tolist()``.
+    A value of another type, or a key that is not a ``str``, raises a
     ``TypeError`` naming its type (the key's from the sort or the
     quote).
     """
+    if isinstance(o, str):
+        out.append(_quote(o))
+        return
+    if isinstance(o, float):
+        float_at.append(len(out))
+        out.append("")
+        floats.append(o)
+        return
     if isinstance(o, np.ndarray):
         if o.dtype != np.float64 or not 1 <= o.ndim <= 2 or not o.size:
-            _walk(o.tolist(), indent, out, values, slots)
+            _walk(o.tolist(), indent, out, values, slots, floats, float_at)
             return
         inner = indent + "  "
         if o.ndim == 1:
@@ -333,7 +348,7 @@ def _walk(o, indent: str, out: list, values: list, slots: list) -> None:
         for i, v in enumerate(o):
             if i:
                 out.append(sep)
-            _walk(v, inner, out, values, slots)
+            _walk(v, inner, out, values, slots, floats, float_at)
         out.append("\n" + indent + "]")
         return
     if isinstance(o, dict):
@@ -345,16 +360,15 @@ def _walk(o, indent: str, out: list, values: list, slots: list) -> None:
         for key in sorted(o):
             out.append(sep + _quote(key) + ": ")
             sep = ",\n" + inner
-            _walk(o[key], inner, out, values, slots)
+            _walk(o[key], inner, out, values, slots, floats, float_at)
         out.append("\n" + indent + "}")
         return
     out.append(_scalar(o))
 
 
 def _scalar(o) -> str:
-    """A value that is neither an array, a list, a tuple nor a dict, as JSON."""
-    if isinstance(o, str):
-        return _quote(o)
+    """A value that is neither a ``str``, a float, an array, a list, a
+    tuple nor a dict, as JSON: ``None``, a bool or an int."""
     if o is None:
         return "null"
     if o is True:
@@ -363,24 +377,24 @@ def _scalar(o) -> str:
         return "false"
     if isinstance(o, int):
         return int.__repr__(o)
-    if isinstance(o, float):
-        if o != o:
-            return "NaN"
-        if math.isinf(o):
-            return "Infinity" if o > 0 else "-Infinity"
-        return float.__repr__(o)
     raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
-def _fill(out: list, values: list, slots: list[tuple[int, int, int, str, str]]) -> None:
+def _fill(out: list, values: list, slots: list[tuple[int, int, int, str, str]],
+          floats: list[float], float_at: list[int]) -> None:
     """Write each slot's text into ``out``, formatting every distinct bit
-    pattern of the float64 arrays in ``values`` once.
+    pattern of the float64 arrays in ``values`` and the scalars in
+    ``floats`` once.
 
-    From ``_REPR_BATCH_MIN`` distinct doubles on, ``_repr_batch`` formats
+    The scalars join the arrays as one more block, so the distinct
+    count that picks the formatter counts them too.  From
+    ``_REPR_BATCH_MIN`` distinct doubles on, ``_repr_batch`` formats
     them: NumPy writes the text of each double whose shortest digits
     ``_certified`` proves, and ``float.__repr__`` the others.  Below that
     count ``float.__repr__`` formats them all.  ``NaN`` and the
-    infinities take ``_scalar``'s names."""
+    infinities take ``json.dumps``'s names."""
+    if floats:
+        values.append(np.array(floats, dtype=np.float64))
     if not values:
         return
     bits = np.concatenate(values, axis=None).view(np.uint64)
@@ -393,17 +407,22 @@ def _fill(out: list, values: list, slots: list[tuple[int, int, int, str, str]]) 
     texts = _repr_batch(doubles) if doubles.size >= _REPR_BATCH_MIN else _reprs(doubles)
     named = ~np.isfinite(doubles)
     if named.any():
-        texts[named] = [_scalar(v) for v in doubles[named].tolist()]
+        texts[named] = ["NaN" if v != v else "Infinity" if v > 0 else "-Infinity"
+                        for v in doubles[named].tolist()]
     pieces = iter(texts[which].tolist())
     del distinct, doubles, which, texts
     for at, rows, cols, sep, between in slots:
         out[at] = between.join([sep.join(islice(pieces, cols)) for _ in range(rows)])
+    # the scalars' texts come last, in walk order
+    for at, text in zip(float_at, pieces):
+        out[at] = text
 
 
-# the batch and float.__repr__ took equal time at about 300 distinct
-# doubles of a 48-variable report, the batch 0.7x as long at 512 and 3x
-# as long at 64: below this many its fixed NumPy calls cost more than
-# the float.__repr__ calls they save
+# the batch and float.__repr__ took equal time at 450 to 550 distinct
+# doubles of seeded 8- and 9-variable k-means reports (record floats
+# counted), the batch 1.4x as long at iris's 149 and 0.8x at 1,188:
+# below this many its fixed NumPy calls cost more than the
+# float.__repr__ calls they save
 _REPR_BATCH_MIN = 512
 # doubles per batch block, which bounds the batch's temporaries: at 4096
 # perfbench's json_wide read peak_rss_mb about 0.65 MB above float.__repr__
@@ -415,6 +434,9 @@ _SPLITTER = 134217729.0
 # the scaled value is off by less than 1e-12
 _MARGIN = 1e-9
 _FRACTION_BITS = np.uint64(2**52 - 1)
+# the smallest normal double: below it the spacing of doubles stops
+# scaling with the value, and float.__repr__ writes the few there are
+_NORMAL_MIN = 2.0**-1022
 
 
 def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -427,8 +449,24 @@ def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return hi, lo
 
 
-# 10**s for s = 0..22, each exact as a double, and its split
-_POW10 = np.array([float(10**s) for s in range(23)])
+def _pow10_table() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """10**s * 2**-t for s = 0..324 as a double-double ``(P, rest)``,
+    within 2**-106 of it relative, and 2**t.
+
+    P is the nearest double and ``rest`` the nearest double to what is
+    left; both come from Python ints, whose true division rounds
+    correctly.  Up to s = 22 10**s is a double and its rest is 0.  t is
+    0 up to s = 300 and 128 past it, where Veltkamp's split of 10**s
+    would overflow.  The top s is 16 - floor(log10(2**-1022)).
+    """
+    shifts = [0] * 301 + [128] * 24
+    tens = list(accumulate(repeat(10, len(shifts) - 1), mul, initial=1))
+    p = [ten / 2**t for ten, t in zip(tens, shifts)]
+    rest = [(ten - (int(h) << t)) / 2**t for ten, h, t in zip(tens, p, shifts)]
+    return np.array(p), np.array(rest), np.ldexp(1.0, shifts)
+
+
+_POW10, _POW10_REST, _POW10_UP = _pow10_table()
 _POW10_HI, _POW10_LO = _split(_POW10)
 
 
@@ -459,13 +497,21 @@ def _reprs(doubles: np.ndarray) -> np.ndarray:
 
 
 def _scaled(ax: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(Y, f)`` with ``ax * 10**s == Y + f`` exactly: ``Y`` an int64 and
-    ``f`` a double in [0, 1).
+    """``(Y, f)`` with ``Y + f`` within 6e-15 of ``ax * 10**s``: ``Y`` an
+    int64 and ``f`` a double in [0, 1), for a product in [2**53, 2**57).
 
-    Dekker's two-product gives the product as ``hi + lo`` exactly.  Where
-    the product is 2**53 or more ``hi`` is an integer, and ``lo`` less
-    its floor is exact because ``lo`` is a multiple of 2**-50.
+    ``ax`` holds normal doubles, and is first multiplied in place by
+    2**t where the table holds 10**s * 2**-t (past s = 300): an exact
+    scaling that leaves the product as it is.  Dekker's two-product
+    gives ``ax * _POW10[s]`` as ``hi + lo`` exactly, and ``hi`` is an
+    integer because it is 2**53 or more.  ``ax * _POW10_REST[s]`` is then
+    added to ``lo``.  Three errors remain, each at most 2**-49: the
+    table's 2**-106 relative, the rounding of that product (at most 16)
+    and the rounding of the sum (at most 24).  Together that is under
+    6e-15, about 2**-104 of a product near 1e17.  ``lo`` less its floor
+    is exact.
     """
+    ax *= _POW10_UP[s]
     hi = _POW10[s]
     hi *= ax
     a_hi, a_lo = _split(ax)
@@ -479,6 +525,9 @@ def _scaled(ax: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     a_hi *= a_lo
     lo += a_hi
     a_lo *= p_lo
+    lo += a_lo
+    np.take(_POW10_REST, s, out=a_lo)
+    a_lo *= ax
     lo += a_lo
     del a_hi, a_lo, p_lo
     whole = np.floor(lo)
@@ -495,44 +544,50 @@ def _certified(x: np.ndarray) -> tuple[np.ndarray, ...]:
 
     Returns ``(at, c, s, j)``: their indices in ``x``; their digits as a
     17-digit int64 ``c`` whose ``j`` trailing zeros repr drops; and the
-    int8 ``s`` with ``|x| * 10**s`` in [1e16, 1e17).
+    int16 ``s`` with ``|x| * 10**s`` in [1e16, 1e17), from 0 to 324.
 
-    A value qualifies when 1e-6 <= |x| < 1e16 and its significand is not
-    a power of two, so that its rounding interval is symmetric.  The
-    scaled value y = |x| * 10**s is exact as ``Y + f`` (``_scaled``) and
-    so is the half-ulp H = 2**(e - 1) * 10**s.  A decimal round-trips
+    A value qualifies when it is a normal double below 1e16 and its
+    significand is not a power of two, so that its rounding interval is
+    symmetric.  The scaled value y = |x| * 10**s is ``Y + f`` to within
+    6e-15 (``_scaled``: 10**s is a double-double, about 2**-104
+    relative), and the half-ulp H = 2**(e - 1) * 10**s is within 2e-15
+    of what the nearest double to 10**s gives.  Both errors lie far
+    inside ``_MARGIN``, so every comparison below that clears the
+    margin decides as exact arithmetic would.  A decimal round-trips
     when it lies within H of y.  A multiple of 10**(j + 1) is a multiple
     of 10**j, so the nearest multiple of 10**j to y fits for every j up
     to some J: the nearest multiple of 10**J has the fewest digits, and
     is the closest of that length, which is what repr prints.  A value
     is left out when a distance lies within ``_MARGIN`` of H, when two
-    multiples fit at the same distance, when it still fits at j = 3 (14
+    multiples fit at the same distance, when it still fits at j = 4 (13
     digits or fewer, few values) or when its digits reach 1e17.
+    Subnormals and |x| >= 1e16 are left out: the report's doubles are
+    correlations, p-values, angles, loadings and eigenvalues of at most
+    the variable count, and hardly any of them lie there.
     """
     ax = np.abs(x)
-    at = (ax >= 1e-6) & (ax < 1e16) & ((x.view(np.uint64) & _FRACTION_BITS) != 0)
+    at = (ax >= _NORMAL_MIN) & (ax < 1e16) & ((x.view(np.uint64) & _FRACTION_BITS) != 0)
     at = np.flatnonzero(at)
     ax = ax[at]
     lg = np.log10(ax)
     np.floor(lg, out=lg)
     np.subtract(16.0, lg, out=lg)
-    s = lg.astype(np.int8)
+    s = lg.astype(np.int16)
     del lg
     # log10 can miss by one next to a power of ten, leaving y outside
-    # [1e16, 1e17): those values are left to float.__repr__.  The clamp
-    # keeps s in the table of powers next to |x| = 1e-6
-    np.minimum(s, 22, out=s)
+    # [1e16, 1e17): those values are left to float.__repr__
     y, f = _scaled(ax, s)
     ok = (y >= 10**16) & (y < 10**17)
-    # the half-ulp: |x| = m * 2**(e - 53) with frexp's exponent e
+    # the half-ulp: |x| = m * 2**(e - 53) with frexp's exponent e, taken
+    # of ax as _scaled scaled it, to match the table's 10**s * 2**-t
     _, e = np.frexp(ax, out=(ax, np.empty(ax.size, dtype=np.int32)))
     del ax
     e -= 54
     half = np.ldexp(_POW10[s], e)
     del e
-    # each candidate is Y less its last three digits plus a multiple of
-    # 10**j in [0, 1000], measured from r = Y % 1000 + f
-    r = y % 1000
+    # each candidate is Y less its last four digits plus a multiple of
+    # 10**j in [0, 10000], measured from r = Y % 10000 + f
+    r = y % 10000
     y -= r
     r = r.astype(np.float64)
     r += f
@@ -546,26 +601,28 @@ def _certified(x: np.ndarray) -> tuple[np.ndarray, ...]:
     ok &= gap > _MARGIN
     del gap
     j = np.zeros(at.size, dtype=np.int8)
-    fits = np.arange(at.size)
-    for power in (1, 2, 3):
+    # the values that fit at j - 1: all of them at first, taken as a
+    # slice so that the widest step indexes nothing
+    fits = slice(None)
+    for power in (1, 2, 3, 4):
         step = 10.0**power
         rest = r[fits]
         cand = rest / step
         np.rint(cand, out=cand)
         cand *= step
-        rest -= cand
-        gap = np.abs(rest, out=rest)
+        gap = rest - cand
+        np.abs(gap, out=gap)
         if power == 1:
-            # only here can a tie fit: 100 / 2 and 1000 / 2 exceed H
-            ok[fits] &= np.abs(gap - 5.0) > _MARGIN
+            # only here can a tie fit: 100 / 2 and more exceed H
+            ok &= np.abs(gap - 5.0) > _MARGIN
         gap -= half[fits]
         ok[fits] &= np.abs(gap) > _MARGIN
         inside = gap < 0
-        fits = fits[inside]
+        fits = np.flatnonzero(inside) if power == 1 else fits[inside]
         j[fits] = power
         near[fits] = cand[inside]
         del rest, cand, gap, inside
-    ok[fits] = False  # 14 digits or fewer
+    ok[fits] = False  # 13 digits or fewer
     del r, half, fits
     y += near.astype(np.int64)
     del near
@@ -575,10 +632,19 @@ def _certified(x: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 # the rows of ``_texts``' byte matrix: a sign, 22 rows of zeros, digits
-# and point, four of exponent and a newline
-_SIGN, _BODY, _EXP, _END = 0, 1, 23, 27
+# and point, five of exponent and a newline
+_SIGN, _BODY, _EXP, _END = 0, 1, 23, 28
 _BODY_ROWS = np.arange(22, dtype=np.int8)[:, None]
 _LEAD_ROWS = np.arange(4, dtype=np.int8)[:, None]
+# column s: the exponent's five rows for a value of |x| * 10**s in
+# [1e16, 1e17), "e-" and the digits of s - 16, the hundreds only from
+# 100 on; all 0 in fixed notation, s <= 20.  Built from bytes: NumPy's
+# integer division here would page in about 0.25 MB of code that a small
+# report's analysis never runs
+_EXP_TEXT = np.frombuffer(b"".join(
+    b"\0" * 5 if s <= 20 else b"e-\0%02d" % (s - 16) if s < 116 else b"e-%d" % (s - 16)
+    for s in range(_POW10.size)
+), dtype=np.uint8).reshape(-1, 5).T.copy()
 
 
 def _texts(c: np.ndarray, s: np.ndarray, j: np.ndarray, neg: np.ndarray) -> list[str]:
@@ -587,13 +653,16 @@ def _texts(c: np.ndarray, s: np.ndarray, j: np.ndarray, neg: np.ndarray) -> list
 
     They are laid out as CPython does: fixed notation from 1e-4 up
     (``0.000ddd``, ``ddd.ddd``, and ``ddd0.0`` when the digits end left
-    of the point), ``d.ddde-05`` and ``d.ddde-06`` below.  Each text is a
-    column of a uint8 matrix, 0 where it has no character.  The matrix
-    is read out row-major once, its zeros dropped, and the texts split
-    at their newlines.
+    of the point), ``d.ddde-05`` to ``d.ddde-308`` below, with an
+    exponent of at least two digits.  Each text is a column of a uint8
+    matrix, 0 where it has no character.  The matrix is read out
+    row-major once, its zeros dropped, and the texts split at their
+    newlines.
     """
     size = c.size
-    point = 17 - s  # digits left of the decimal point
+    # digits left of the decimal point, held at -4 in scientific notation
+    # so that it stays an int8
+    point = 17 - np.minimum(s, 21).astype(np.int8)
     sci = point <= -4
     # rows 1-4: four leading zeros; rows 5-21: the 17 digits
     lead = np.zeros((23, size), dtype=np.uint8)
@@ -612,9 +681,10 @@ def _texts(c: np.ndarray, s: np.ndarray, j: np.ndarray, neg: np.ndarray) -> list
     lead[6:13] -= np.uint8(10) * lead[5:12]
     lead[5:22] += np.uint8(ord("0"))
     # repr drops the j trailing zeros, but not those left of the point nor
-    # the one right after it: only the last two digits can go
+    # the one right after it: only the last three digits can go
     kept = np.where(sci, 0, point + 1)
     np.maximum(kept, 17 - j, out=kept)
+    lead[19] *= kept > 14
     lead[20] *= kept > 15
     lead[21] *= kept > 16
     del kept
@@ -622,16 +692,14 @@ def _texts(c: np.ndarray, s: np.ndarray, j: np.ndarray, neg: np.ndarray) -> list
     # the point follows body row 3 + point, or the first digit in
     # scientific notation; the rows after it move down by one
     dot = np.where(sci, 4, 3 + point)
-    rows = np.empty((28, size), dtype=np.uint8)
+    rows = np.empty((_END + 1, size), dtype=np.uint8)
     np.multiply(neg, np.uint8(ord("-")), out=rows[_SIGN])
     body = rows[_BODY:_EXP]
     body[:] = lead[1:]
     np.copyto(body, lead[:-1], where=_BODY_ROWS > dot)
     del lead
     body[dot + 1, np.arange(size)] = ord(".")
-    for row, char in enumerate(b"e-05", _EXP):
-        np.multiply(sci, np.uint8(char), out=rows[row])
-    rows[_END - 1] += point == -5  # e-06
+    np.take(_EXP_TEXT, s, axis=1, out=rows[_EXP:_END])
     rows[_END] = ord("\n")
     # each copy is dropped once the next is made
     data = rows.T.tobytes()
@@ -650,12 +718,12 @@ def _three_decimals(blocks: list[tuple[np.ndarray, float]]) -> list[list]:
 
     The cells of all blocks are formatted in one pass.  A cell
     w = v * scale is keyed by the bits of k = rint(1000 * w), so
-    ``-0.000`` keeps its own text, and each distinct key is formatted
-    once, as k / 1000.  A cell that is not finite, has |1000 * w| of
-    2**31 or more, or lies within 1e-6 of a .5 boundary goes through
-    the f-string itself: below 2**31 the product 1000 * w is within
-    2**-22 of the exact one, so off the margin rint rounds as the
-    f-string does.  Nothing is cached between calls.
+    ``-0.000`` keeps its own text, and each distinct key is laid out
+    from its digits as k / 1000 (``_thousandths``).  A cell that is not
+    finite, has |1000 * w| of 2**31 or more, or lies within 1e-6 of a .5
+    boundary goes through the f-string itself: below 2**31 the product
+    1000 * w is within 2**-22 of the exact one, so off the margin rint
+    rounds as the f-string does.  Nothing is cached between calls.
     """
     arrays = [np.asarray(values, dtype=np.float64) for values, _ in blocks]
     bounds = [*accumulate((a.size for a in arrays), initial=0)]
@@ -676,23 +744,66 @@ def _three_decimals(blocks: list[tuple[np.ndarray, float]]) -> list[list]:
     distinct, which = np.unique(k.view(np.uint64), return_inverse=True)
     del k
     texts = np.empty(distinct.size, dtype=object)
-    texts[:] = list(map("{:.3f}".format, (distinct.view(np.float64) / 1000.0).tolist()))
+    texts[:] = _thousandths(distinct.view(np.float64))
+    del distinct
     cells = texts[which]
     del which
     cells[loose] = loose_texts
     return [cells[start:stop].reshape(a.shape).tolist() for a, (start, stop) in zip(arrays, spans)]
 
 
+# |k| // 10**p for p = 9..0: the seven digits of |k| // 1000, then the
+# three of |k| % 1000
+_KEY_POWERS = 10 ** np.arange(9, -1, -1, dtype=np.uint32)[:, None]
+
+
+def _thousandths(keys: np.ndarray) -> list[str]:
+    """``"{:.3f}".format(k / 1000)`` for each of ``keys``, integer-valued
+    doubles k with |k| <= 2**31 (``-0.0`` among them).
+
+    The text is the sign, |k| // 1000 without leading zeros, ".", and
+    |k| % 1000 zero-padded to three digits.  That is the format's text:
+    fl(k / 1000) lies within 2.4e-10 of k / 1000 (half an ulp of a value
+    below 2**22), far from the nearest 3-decimal rounding boundary, 5e-4
+    away.  Each text is a column of a uint8 matrix, 0 where it has no
+    character.  The digits come from one broadcast ``//`` against a
+    column of powers of ten, each quotient less ten times the quotient
+    by the next larger power, so the number of NumPy calls does not grow
+    with the key count.  The matrix is read out row-major once, its
+    zeros dropped, and the texts split at their newlines.
+    """
+    quotients = np.abs(keys).astype(np.uint32) // _KEY_POWERS
+    # a digit is its quotient less ten times the one above, both mod 256
+    digits = quotients.astype(np.uint8)
+    digits[1:] -= np.uint8(10) * digits[:-1]
+    digits += np.uint8(ord("0"))
+    digits[:6] *= quotients[:6] > 0  # leading zeros of |k| // 1000 are dropped
+    del quotients
+    rows = np.empty((13, keys.size), dtype=np.uint8)
+    np.multiply(np.signbit(keys), np.uint8(ord("-")), out=rows[0])
+    rows[1:8] = digits[:7]
+    rows[8] = ord(".")
+    rows[9:12] = digits[7:]
+    rows[12] = ord("\n")
+    del digits
+    data = rows.T.tobytes()
+    del rows
+    texts = data.translate(None, b"\0").decode("ascii").split("\n")
+    texts.pop()
+    return texts
+
+
 def _labelled(labels: Iterable[str], rows: list[list[str]]) -> list[list[str]]:
     return [[label, *row] for label, row in zip(labels, rows)]
 
 
-def _records(records: list[dict], label: str, keys: tuple[str, ...]) -> list[list[str]]:
-    """One row per record: its ``label`` field, then ``keys`` at 3 decimals."""
-    return [[r[label]] + [f"{r[key]:.3f}" for key in keys] for r in records]
+def _fields(records: list[dict], keys: tuple[str, ...]) -> list[list]:
+    """One row per record: its ``keys``' values, for ``_three_decimals``."""
+    return [[r[key] for key in keys] for r in records]
 
 
 _STATS = ("mean", "std", "variance")
+_SHARES = ("eigenvalue", "cumulative_eigenvalue", "percent", "cumulative_percent")
 
 
 def _sections(report: dict) -> list[tuple]:
@@ -704,16 +815,20 @@ def _sections(report: dict) -> list[tuple]:
     out of that format; a header or row that holds a pair is a tuple,
     one that holds none a list.  A CSV title of ``None`` keeps the table
     out of the CSV; headers of ``None`` make the rows markdown text
-    lines.  The matrix cells are formatted in one ``_three_decimals``
-    pass, the few record tables cell by cell.
+    lines.  Every 3-decimal cell, of the matrices and of the record
+    tables alike, is formatted in one ``_three_decimals`` pass.
     """
     names = report["correlation"]["names"]
     eig = report["eigen"]
     full = report["loadings_full"]
     rec = report["reconstruction_at_k"]
     prof = report["similarity_profiles"]
-    (r, p, angles, det_pct, eigenvalues, U, loading, det, row_sums, column_sums,
-     rec_det, rec_averages, rec_sums, profiles) = _three_decimals([
+    summaries = report["column_summaries"] or []
+    scores = report["scores"]
+    score_summaries = scores["summaries"] if scores["available"] else []
+    (r, p, angles, det_pct, eigenvalues, U, loading, det, row_sums, column_sums, rec_det,
+     rec_averages, rec_sums, profiles, summary_cells, share_cells,
+     score_cells) = _three_decimals([
         (report["correlation"]["r"], 1.0),
         (report["significance"], 1.0),
         (report["angles_deg"], 1.0),
@@ -729,13 +844,16 @@ def _sections(report: dict) -> list[tuple]:
         (rec["column_sums"], 100.0),
         # report.json sorts the profile names: rows follow the variables
         ([prof["profiles"][name] for name in rec["variables"]], 1.0),
+        (_fields(summaries, _STATS), 1.0),
+        (_fields(report["variance_explained"], _SHARES), 1.0),
+        (_fields(score_summaries, _STATS), 1.0),
     ])
 
     sections = []
-    if report["column_summaries"]:
+    if summaries:
         sections.append((
             "## Column summaries", "column summaries", ["column", *_STATS],
-            _records(report["column_summaries"], "name", _STATS),
+            _labelled([s["name"] for s in summaries], summary_cells),
         ))
     for md_title, csv_title, rows in (
         ("## Correlation matrix", "correlation", r),
@@ -755,8 +873,7 @@ def _sections(report: dict) -> list[tuple]:
         "## Variance explained", "variance explained",
         ("component", "eigenvalue", "cumulative", "percent",
          ("cumulative percent", "cumulative_percent")),
-        _records(report["variance_explained"], "component",
-                 ("eigenvalue", "cumulative_eigenvalue", "percent", "cumulative_percent")),
+        _labelled([v["component"] for v in report["variance_explained"]], share_cells),
     ))
 
     sections.append((
@@ -812,7 +929,7 @@ def _sections(report: dict) -> list[tuple]:
         sections.append((
             "## Scores", "scores",
             ("component", "mean", "std", ("variance (sample divisor)", "variance_sample")),
-            _records(scores["summaries"], "component", _STATS),
+            _labelled([s["component"] for s in score_summaries], score_cells),
         ))
     else:
         sections.append(("## Scores", None, None, [scores["reason"]]))

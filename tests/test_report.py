@@ -14,10 +14,13 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import oracles
+from pcageom.corrstats import CorrelationMatrix, significance_matrix
 from pcageom.fixtures import fixture_path
 from pcageom.report import (
     _REPR_BATCH_MIN,
+    _certified,
     _repr_batch,
+    _thousandths,
     _three_decimals,
     render_csv,
     render_markdown,
@@ -252,6 +255,14 @@ JSON_TREES = st.recursive(
 @example({"a": [[0.0, -0.0], [-0.0, 0.0]], "b": [-0.0, 0.0]})
 @example({"R": [[0.1, 0.2], [0.3, 0.4]], "U": [[0.1, 0.3], [0.2, 0.4]]})
 @example({"rows": BATCH_ROWS, "scalar": BATCH_ROWS[0][0]})
+# record scalars that share their bits with array cells, and both zeros
+# of each kind
+@example({"cells": np.array([[0.0, -0.0], [math.nan, math.inf]]), "v": np.array([0.5, -math.inf]),
+          "records": [{"x": -0.0, "y": 0.0, "z": 0.5}, {"x": math.nan, "y": math.inf, "z": -math.inf},
+                      {"x": np.float64(-0.0), "y": np.float64(math.nan), "z": np.float64(0.5)}]})
+# record scalars alone hold more distinct doubles than _REPR_BATCH_MIN
+@example({"cells": np.array([0.5, -0.0]),
+          "records": [{"v": v, "w": -v} for row in BATCH_ROWS[:_REPR_BATCH_MIN // 16 + 1] for v in row]})
 def test_json_text_matches_json_dumps(tree):
     assert to_json_text(tree) == dumps_text(tree)
 
@@ -346,6 +357,66 @@ def test_repr_batch_on_seeded_doubles():
 @example([])
 @example([1e-06, 1e16, 9.999999999999999e-05, 0.30000000000000004, 2.0**52 + 1, -5e-324])
 def test_repr_batch_matches_float_repr(values):
+    assert_reprs(values)
+
+
+def test_repr_batch_below_1e_minus_6():
+    # the neighbours of 10**-k, and doubles in every decade from the
+    # smallest normal double up to 1e-6
+    powers = np.array([float(f"1e-{k}") for k in range(6, 308)])
+    rng = np.random.default_rng(28)
+    scales = np.array([float(f"1e-{k}") for k in range(7, 310)])
+    decades = rng.uniform(1.0, 10.0, (scales.size, 40)) * scales[:, None]
+    decades = decades[decades >= 2.0**-1022]
+    assert_reprs(np.concatenate([neighbours(powers), decades, -decades]))
+
+
+def certified_share(doubles: np.ndarray) -> float:
+    return _certified(doubles)[0].size / doubles.size
+
+
+def test_certified_admits_doubles_below_1e_minus_6():
+    # the byte tests pass even if every value falls back to
+    # float.__repr__: this one checks that the fast path takes them
+    rng = np.random.default_rng(1022)
+    doubles = rng.uniform(1.0, 10.0, 100_000) * 10.0 ** rng.integers(-308, -6, 100_000)
+    doubles = doubles[doubles >= 2.0**-1022]
+    assert doubles.max() < 1e-6 and doubles.min() < 1e-300
+    assert certified_share(np.concatenate([doubles, -doubles])) >= 0.99
+
+
+@pytest.mark.parametrize(("n_obs", "spread"), [(500, 0.9), (10**6, 0.04)])
+def test_certified_admits_p_values(n_obs, spread):
+    """Almost every significance level is certified; zeros (p below the
+    smallest double) and subnormals stay with float.__repr__.  The
+    levels read only the off-diagonal entries, drawn here so that they
+    reach below 1e-100."""
+    rng = np.random.default_rng([28, n_obs])
+    r = rng.uniform(-spread, spread, (80, 80))
+    r = (r + r.T) / 2.0
+    np.fill_diagonal(r, 1.0)
+    p = significance_matrix(CorrelationMatrix(r, n_obs, [f"v{j}" for j in range(80)]))
+    p = np.unique(p[p >= 2.0**-1022])
+    tiny = p[p < 1e-6]
+    assert tiny.size >= 500 and tiny.min() < 1e-100
+    assert certified_share(p) >= 0.99
+    assert certified_share(tiny) >= 0.99
+
+
+# every bit pattern of a normal double from 2**-1022 up to 2**-19 (about
+# 1.9e-6), across 1e-6 as well: biased exponents 1 to 1003
+TINY_DOUBLES = st.builds(
+    lambda exponent, fraction, negative: float(np.uint64((negative << 63) | (exponent << 52) | fraction)
+                                               .view(np.float64)),
+    st.integers(1, 1003), st.integers(0, 2**52 - 1), st.integers(0, 1),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(TINY_DOUBLES, min_size=1, max_size=300))
+@example([2.0**-1022, -(2.0**-1022), math.nextafter(2.0**-1022, 1.0), 1e-300, 1e-100, 1e-22, 1e-07,
+          9.999999999999999e-07, math.nextafter(1e-06, 0.0)])
+def test_repr_batch_matches_float_repr_below_1e_minus_6(values):
     assert_reprs(values)
 
 
@@ -456,6 +527,19 @@ def test_three_decimals_keeps_the_block_shapes():
         [["0.100", "0.200"], ["0.300", "-0.000"]], [], ["50.000", "25.000"], [], [[], []], [["0.500"], ["1.000"]],
     ]
     assert _three_decimals([([[]], 1.0)]) == [[[]]]
+
+
+KEY = 2**31 - 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(-KEY, KEY).map(float) | st.just(-0.0), min_size=1, max_size=60))
+@example([-0.0, 0.0, 999.0, -999.0, 1000.0, -1000.0, float(KEY), -float(KEY)])
+@example([1.0, -1.0, 10.0, 100.0, 999_999.0, 1_000_000.0, 1_000_001.0, -123_456_789.0])
+def test_three_decimal_keys_are_laid_out_as_the_format(keys):
+    expected = ["{:.3f}".format(k / 1000) for k in keys]
+    assert _thousandths(np.array(keys)) == expected
+    assert keyed_texts([k / 1000 for k in keys], 1.0) == expected
 
 
 def test_markdown_sections(corr_report):
