@@ -140,7 +140,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    corr, _, _ = load_input(
+    corr, _ = load_input(
         _resolve_input(args.input), args.columns, args.label_column, args.header
     )
     eig = eigen_symmetric(corr)

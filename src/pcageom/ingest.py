@@ -67,14 +67,12 @@ def ddof_for(divisor: str) -> int:
 
 @dataclass(eq=False)
 class ColumnSummary:
-    """Mean, standard deviation, and variance of one column."""
+    """Mean, standard deviation, and variance of one column, under the caller's divisor."""
 
     name: str
     mean: float
     std: float
     variance: float
-    n: int
-    divisor: str = POPULATION
 
 
 @dataclass(eq=False)
@@ -102,7 +100,6 @@ class StandardizedMatrix:
     values: np.ndarray
     column_names: list[str]
     summaries: list[ColumnSummary] = field(repr=False)
-    divisor: str = POPULATION
 
     @property
     def n_rows(self) -> int:
@@ -364,7 +361,8 @@ def summarize(data: DataMatrix, divisor: str = POPULATION) -> list[ColumnSummary
     """Per-column mean, standard deviation, and variance.
 
     The population divisor (n) is the default throughout the package;
-    pass ``divisor="sample"`` for the n-1 convention.
+    pass ``divisor="sample"`` for the n-1 convention.  A summary holds
+    its column's name and statistics; the row count is ``data.n_rows``.
     """
     # The steps of np.mean and np.var, bit for bit: axis-1 sums over one
     # contiguous copy add each column in the order a 1-D reduction would
@@ -375,7 +373,7 @@ def summarize(data: DataMatrix, divisor: str = POPULATION) -> list[ColumnSummary
     columns -= means[:, None]
     variances = np.square(columns, out=columns).sum(axis=1) / (data.n_rows - ddof_for(divisor))
     return [
-        ColumnSummary(name=name, mean=mean, std=std, variance=var, n=data.n_rows, divisor=divisor)
+        ColumnSummary(name=name, mean=mean, std=std, variance=var)
         for name, mean, std, var in zip(
             data.column_names, means.tolist(), np.sqrt(variances).tolist(), variances.tolist()
         )
@@ -395,6 +393,4 @@ def standardize(data: DataMatrix, divisor: str = POPULATION) -> StandardizedMatr
             raise DataError(f"ingest: column {s.name!r} has zero variance")
     z = data.values - [s.mean for s in summaries]
     z /= [s.std for s in summaries]
-    return StandardizedMatrix(
-        values=z, column_names=list(data.column_names), summaries=summaries, divisor=divisor
-    )
+    return StandardizedMatrix(values=z, column_names=list(data.column_names), summaries=summaries)

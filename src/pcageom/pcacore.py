@@ -43,9 +43,10 @@ FLAT_TOL = 1e-12
 class ScoreMatrix:
     """Observations projected into the principal-component base.
 
-    Column variances are reported with the sample divisor (n - 1): for
-    population-standardized input they equal lambda * n / (n - 1), and
-    that is the convention the summaries document.
+    Column variances are computed with the sample divisor (n - 1): for
+    population-standardized input they equal lambda * n / (n - 1).  The
+    summaries do not record that divisor; the report's score block
+    states it.
     """
 
     scores: np.ndarray
@@ -100,9 +101,8 @@ class ExplanationTable:
 
 @dataclass(eq=False)
 class SelectionResult:
-    """A chosen component count plus the evidence behind it."""
+    """A component count chosen by the caller's criterion, plus the evidence behind it."""
 
-    criterion: str
     k: int
     detail: dict
 
@@ -219,40 +219,25 @@ def select_components(
         cum_frac = np.cumsum(w) / n
         hits = np.nonzero(cum_frac >= threshold)[0]
         k = int(hits[0]) + 1 if hits.size else n
-        return SelectionResult(
-            criterion=criterion,
-            k=k,
-            detail={"threshold": threshold, "cumulative_fraction": cum_frac},
-        )
+        return SelectionResult(k=k, detail={"threshold": threshold, "cumulative_fraction": cum_frac})
 
     if criterion == "eigenvalue_ge_1":
         k = max(1, int(np.sum(w >= 1.0)))
-        return SelectionResult(
-            criterion=criterion,
-            k=k,
-            detail={"eigenvalues_ge_1": int(np.sum(w >= 1.0))},
-        )
+        return SelectionResult(k=k, detail={"eigenvalues_ge_1": int(np.sum(w >= 1.0))})
 
     if criterion == "scree":
         if n < 3:
-            return SelectionResult(
-                criterion=criterion, k=1, detail={"second_differences": np.empty(0), "no_elbow": True}
-            )
+            return SelectionResult(k=1, detail={"second_differences": np.empty(0), "no_elbow": True})
         d = _second_differences(w)
         no_elbow = bool(np.max(d) <= FLAT_TOL)
         k = 1 if no_elbow else int(np.argmax(d)) + 1
-        return SelectionResult(
-            criterion=criterion,
-            k=k,
-            detail={"second_differences": d, "no_elbow": no_elbow},
-        )
+        return SelectionResult(k=k, detail={"second_differences": d, "no_elbow": no_elbow})
 
     cum = np.cumsum(expl.determination, axis=0)
     minima = cum.min(axis=1)
     hits = np.nonzero(minima >= threshold)[0]
     k = int(hits[0]) + 1 if hits.size else n
     return SelectionResult(
-        criterion=criterion,
         k=k,
         detail={
             "threshold": threshold,

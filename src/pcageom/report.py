@@ -31,7 +31,6 @@ from .corrstats import (
 from .eigensolve import eigen_symmetric
 from .errors import DataError
 from .ingest import (
-    DataMatrix,
     StandardizedMatrix,
     load_csv,
     parse_column_spec,
@@ -58,12 +57,13 @@ def load_input(
     label_column: str | None = None,
     header: bool = False,
     divisor: str = "population",
-) -> tuple[CorrelationMatrix, DataMatrix | None, StandardizedMatrix | None]:
+) -> tuple[CorrelationMatrix, StandardizedMatrix | None]:
     """Read a CSV data file or a correlation-matrix JSON.
 
-    Returns ``(corr, data, z)``: the correlation matrix, plus for CSV
-    input the loaded data and its standardized values (both ``None``
-    for JSON input).  ``columns`` and ``label_column`` use the column
+    Returns ``(corr, z)``: the correlation matrix, plus for CSV input
+    its standardized values (``None`` for JSON input).  The loaded
+    ``DataMatrix`` is dropped once it is standardized, so its values do
+    not outlive this call.  ``columns`` and ``label_column`` use the column
     spec syntax; the label spec must select exactly one column.  They
     and ``header`` apply to CSV input only; JSON input rejects them.
     """
@@ -75,7 +75,7 @@ def load_input(
         if given:
             raise DataError(f"report: {', '.join(given)} given with JSON input {input_path.name}; "
                             "--columns, --label-column and --header apply to CSV input only")
-        return load_correlation_json(input_path), None, None
+        return load_correlation_json(input_path), None
     selectors = parse_column_spec(columns) if columns is not None else None
     label_sel: int | str | None = None
     if label_column is not None:
@@ -83,9 +83,10 @@ def load_input(
         if len(parsed) != 1:
             raise DataError("report: --label-column must select a single column")
         label_sel = parsed[0]
-    data = load_csv(input_path, columns=selectors, label_column=label_sel, header=header)
-    z = standardize(data, divisor)
-    return correlation_matrix(z), data, z
+    z = standardize(
+        load_csv(input_path, columns=selectors, label_column=label_sel, header=header), divisor
+    )
+    return correlation_matrix(z), z
 
 
 def run_analysis(
@@ -104,6 +105,9 @@ def run_analysis(
 ) -> dict:
     """Run the full pipeline on a CSV file or a correlation-matrix JSON
     and return the report, which every output renders from.
+
+    It writes every block of the report's schema: stage results hold
+    only what their stage computed, and the arguments enter from here.
 
     With raw data the run covers summaries, standardization, scores and
     all derived tables; with a correlation JSON the score block is
@@ -131,8 +135,8 @@ def run_analysis(
     if criterion not in CRITERIA:
         raise ValueError(f"report: unknown criterion {criterion!r}")
 
-    corr, data, z = load_input(input_path, columns, label_column, header, divisor)
-    input_kind = "correlation_json" if data is None else "csv"
+    corr, z = load_input(input_path, columns, label_column, header, divisor)
+    input_kind = "correlation_json" if z is None else "csv"
 
     derived = derived_matrices(corr)
     eig = eigen_symmetric(corr)
@@ -151,9 +155,12 @@ def run_analysis(
     profiles = similarity_profiles(table, k_selected)
     if cluster_method == "naive":
         assignment = cluster_naive(profiles, corr.names, naive_threshold)
+        clusters_block = {"method": "naive", "threshold": naive_threshold}
     elif cluster_method == "kmeans":
         # one cluster per kept component mirrors the naive rule's shape
         assignment = cluster_kmeans(profiles, corr.names, k_clusters=k_selected, metric=metric, seed=seed)
+        clusters_block = {"method": "kmeans", "metric": metric, "objective": assignment.objective,
+                          "exact": assignment.exact}
     else:
         raise ValueError(f"report: unknown cluster method {cluster_method!r}")
 
@@ -202,8 +209,8 @@ def run_analysis(
                 "mean": s.mean,
                 "std": s.std,
                 "variance": s.variance,
-                "n": s.n,
-                "divisor": s.divisor,
+                "n": z.n_rows,
+                "divisor": divisor,
             }
             for s in z.summaries
         ],
@@ -259,9 +266,11 @@ def run_analysis(
             "components": table.pc_labels[:k_selected],
             "profiles": dict(zip(corr.names, profiles)),
         },
-        "clusters": assignment.to_json(),
+        "clusters": {**clusters_block, "clusters": assignment.clusters},
         "scores": scores_block,
-        "relations": [c.to_json() for c in relations],
+        "relations": [
+            {"relation": c.relation, "max_abs_dev": c.max_abs_dev, "pass": c.passed} for c in relations
+        ],
     }
 
 

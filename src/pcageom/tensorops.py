@@ -67,9 +67,6 @@ class RelationCheck:
     max_abs_dev: float
     passed: bool
 
-    def to_json(self) -> dict:
-        return {"relation": self.relation, "max_abs_dev": self.max_abs_dev, "pass": self.passed}
-
 
 def _check_rotation(r: np.ndarray, n: int | None = None) -> np.ndarray:
     r = np.asarray(r, dtype=np.float64)

@@ -98,28 +98,13 @@ _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 @dataclass(eq=False)
 class ClusterAssignment:
-    """The clusters of variables one clustering method produced."""
+    """The clusters of variables one clustering method produced; the other
+    fields are ``cluster_kmeans`` results, left at their defaults by ``cluster_naive``."""
 
-    method: str
     clusters: dict[str, list[str]]
-    metric: str | None = None
-    threshold: float | None = None
     objective: float | None = None
     n_iterations: int | None = None
     exact: bool = False
-
-    def to_json(self) -> dict:
-        doc: dict = {"method": self.method}
-        if self.metric is not None:
-            doc["metric"] = self.metric
-        if self.threshold is not None:
-            doc["threshold"] = self.threshold
-        if self.objective is not None:
-            doc["objective"] = self.objective
-        if self.method == "kmeans":
-            doc["exact"] = self.exact
-        doc["clusters"] = {cid: list(members) for cid, members in self.clusters.items()}
-        return doc
 
 
 @dataclass(eq=False)
@@ -178,7 +163,7 @@ def cluster_naive(profiles: np.ndarray, names: list[str], threshold: float = 0.5
     clusters[UNASSIGNED] = []
     for name, cleared, i in zip(names, clears.any(axis=1), best):
         clusters[labels[i] if cleared else UNASSIGNED].append(name)
-    return ClusterAssignment(method="naive", clusters=clusters, threshold=threshold)
+    return ClusterAssignment(clusters=clusters)
 
 
 def cluster_order(ids: Iterable[str]) -> list[str]:
@@ -534,7 +519,8 @@ def cluster_kmeans(
     (seeds seed, seed+1, ...) and keeps the best objective; ties keep the
     earliest seed, so results are deterministic.  ``seed`` (non-negative)
     matters only on this heuristic path.  Either way ``objective`` is the
-    sum of each variable's distance to its block's centroid.
+    sum of each variable's distance to its block's centroid.  The
+    assignment holds these results only; the metric is the caller's.
 
     Cluster ids are canonical: clusters are
     renamed c1, c2, ... by their lowest member variable index.  Under
@@ -588,10 +574,5 @@ def cluster_kmeans(
         clusters[UNASSIGNED] = excluded
 
     return ClusterAssignment(
-        method="kmeans",
-        clusters=clusters,
-        metric=metric,
-        objective=objective,
-        n_iterations=n_iterations,
-        exact=exact,
+        clusters=clusters, objective=objective, n_iterations=n_iterations, exact=exact
     )

@@ -121,7 +121,6 @@ def test_scores_shape_and_variance(iris_standardized):
     assert sample_var.sum() == pytest.approx(4.0 * 150.0 / 149.0, abs=1e-9)
     for s, v in zip(sm.summaries, sample_var):
         assert s.variance == pytest.approx(v, abs=1e-12)
-        assert s.divisor == "sample"
 
 
 # -- selection ------------------------------------------------------------

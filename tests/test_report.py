@@ -6,6 +6,7 @@ import json
 import math
 import re
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import oracles
+from pcageom import report as report_module
 from pcageom.corrstats import CorrelationMatrix, significance_matrix
 from pcageom.fixtures import fixture_path
 from pcageom.report import (
@@ -28,6 +30,7 @@ from pcageom.report import (
     to_json_text,
 )
 from pcageom.svgplot import render_svg_scree, render_svg_similarity
+from pcageom.varcluster import EXACT_BUDGET, _stirling2
 
 CORR = fixture_path("iris_corr.json")
 IRIS = fixture_path("iris.csv")
@@ -101,6 +104,7 @@ def test_report_from_raw_data(iris_report):
     r = iris_report
     assert r["provenance"]["input_kind"] == "csv"
     assert len(r["column_summaries"]) == 4
+    assert all(s["n"] == 150 and s["divisor"] == "population" for s in r["column_summaries"])
     assert r["scores"]["available"] is True
     assert r["scores"]["divisor"] == "sample"
     assert len(r["scores"]["summaries"]) == 4
@@ -135,17 +139,48 @@ def test_explicit_k_wins():
         run_analysis(CORR, k=9)
 
 
-def test_kmeans_method_recorded():
+def test_column_summaries_record_the_given_divisor():
+    summaries = run_analysis(IRIS, columns="1-4", header=True, divisor="sample")["column_summaries"]
+    assert [(s["n"], s["divisor"]) for s in summaries] == [(150, "sample")] * 4
+
+
+def test_kmeans_method_recorded(tmp_path):
     report = run_analysis(CORR, cluster_method="kmeans", metric="l1", seed=5)
     assert report["clusters"]["method"] == "kmeans"
     assert report["clusters"]["metric"] == "l1"
     assert report["provenance"]["metric"] == "l1"
     assert set(report["clusters"]["clusters"]) == {"c1", "c2"}
+    # above EXACT_BUDGET partitions the restart path runs and says so
+    assert _stirling2(12, 4) > EXACT_BUDGET
+    above = run_analysis(seeded_csv(tmp_path / "v12.csv", 12), header=True, cluster_method="kmeans", k=4)
+    assert above["clusters"]["exact"] is False
 
 
 def test_naive_method_has_no_metric(corr_report):
     assert corr_report["provenance"]["metric"] is None
-    assert corr_report["clusters"]["method"] == "naive"
+    block = corr_report["clusters"]
+    assert set(block) == {"method", "threshold", "clusters"}
+    assert block["method"] == "naive" and block["threshold"] == 0.5
+
+
+def test_csv_path_releases_the_loaded_data(monkeypatch):
+    # the raw matrix is dead by the eigensolve: only its standardized copy lives on
+    loaded, alive = [], []
+    load_csv, eigen_symmetric = report_module.load_csv, report_module.eigen_symmetric
+
+    def load_and_watch(*args, **kwargs):
+        data = load_csv(*args, **kwargs)
+        loaded.append(weakref.ref(data.values))
+        return data
+
+    def eigen_and_check(corr):
+        alive.extend(ref() is not None for ref in loaded)
+        return eigen_symmetric(corr)
+
+    monkeypatch.setattr(report_module, "load_csv", load_and_watch)
+    monkeypatch.setattr(report_module, "eigen_symmetric", eigen_and_check)
+    run_analysis(IRIS, columns="1-4", header=True)
+    assert alive == [False]
 
 
 def test_bad_arguments():

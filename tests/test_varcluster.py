@@ -19,8 +19,10 @@ from hypothesis.extra import numpy as hnp
 
 from pcageom.corrstats import CorrelationMatrix
 from pcageom.eigensolve import eigen_symmetric
+from pcageom.fixtures import fixture_path
 from pcageom.ingest import MAX_COLUMNS
 from pcageom.pcacore import explanation_table
+from pcageom.report import run_analysis
 from pcageom.tensorops import build_virtual
 from pcageom.varcluster import (
     EXACT_BUDGET,
@@ -105,7 +107,6 @@ def test_similarity_profiles_k_range(table_full):
 
 def test_naive_fixture_partition(fixture_profiles):
     a = cluster_naive(*fixture_profiles)
-    assert a.method == "naive" and a.threshold == 0.5
     assert partition_of(a) == set(REF_PARTITION)
     assert a.clusters["pc1"] == ["Sepal Length", "Petal Length", "Petal Width"]
     assert a.clusters["pc2"] == ["Sepal Width"]
@@ -344,14 +345,18 @@ def test_kmeans_rejects_negative_seed_on_both_paths(fixture_profiles):
             cluster_kmeans(*fixture_profiles, 2, metric=metric, seed=-1)
 
 
-def test_kmeans_assignment_json(fixture_profiles):
-    doc = cluster_kmeans(*fixture_profiles, 2, metric="l1").to_json()
+def test_kmeans_assignment_json():
+    # the report writes the clusters block from the assignment and its own arguments
+    corr = fixture_path("iris_corr.json")
+    doc = run_analysis(corr, cluster_method="kmeans", metric="l1")["clusters"]
+    assert set(doc) == {"method", "metric", "objective", "exact", "clusters"}
     assert doc["method"] == "kmeans" and doc["metric"] == "l1"
     assert set(doc["clusters"]) == {"c1", "c2"}
     assert isinstance(doc["objective"], float)
+    # S(4, 2) = 7 partitions are scored exactly; linf always restarts
     assert doc["exact"] is True
-    assert cluster_kmeans(*fixture_profiles, 2, metric="linf").to_json()["exact"] is False
-    assert "exact" not in cluster_naive(*fixture_profiles).to_json()
+    assert run_analysis(corr, cluster_method="kmeans", metric="linf")["clusters"]["exact"] is False
+    assert "exact" not in run_analysis(corr)["clusters"]
 
 
 # objective and cluster of v1..v12 that the restart path returned before
@@ -369,8 +374,7 @@ def test_kmeans_above_budget_keeps_restart_path():
     assert _stirling2(12, 4) == 611501 > EXACT_BUDGET
     for metric, (objective, clusters) in RESTART_PATH_RESULTS.items():
         a = cluster_kmeans(profs, names_of(12), 4, metric=metric, seed=0)
-        assert not a.exact and isinstance(a.n_iterations, int), metric
-        assert a.to_json()["exact"] is False
+        assert a.exact is False and isinstance(a.n_iterations, int), metric
         assert a.objective == pytest.approx(objective, rel=1e-12, abs=1e-15), metric
         assert [assignments_of(a)[f"v{i + 1}"] for i in range(12)] == [f"c{c}" for c in clusters]
 
