@@ -11,8 +11,9 @@ data cell follows NumPy's grammar: after surrounding whitespace, an
 ASCII decimal number (sign, digits, point, exponent) or ``inf``,
 ``infinity`` or ``nan`` in any case, the last three rejected as
 non-finite.  ``float`` also reads ``1_0`` and non-ASCII digits; the
-loader does not.  The csv module reads only the first row (the header,
-or the field count); NumPy's parser reads the label cells too.  When it
+loader does not.  A label column is not data: like any unselected
+column, its cells are counted but never parsed or kept.  The csv module
+reads only the first row (the header, or the field count); when NumPy
 refuses a file, the csv module reads it again only to name the row and
 column at fault.
 
@@ -77,12 +78,10 @@ class ColumnSummary:
 
 @dataclass(eq=False)
 class DataMatrix:
-    """Numeric observation matrix with column names and optional row labels."""
+    """Numeric observation matrix with its column names."""
 
     values: np.ndarray
     column_names: list[str]
-    labels: list[str] | None = None
-    label_name: str | None = None
 
     @property
     def n_rows(self) -> int:
@@ -171,8 +170,8 @@ def _names(first_row: list[str], header: bool) -> list[str]:
 
 def _select(
     names: list[str], columns: list[int | str] | None, label_column: int | str | None
-) -> tuple[int | None, list[int]]:
-    """The label column's index and the data columns' indices."""
+) -> list[int]:
+    """The data columns' indices: by default every column but the label column."""
     n_cols = len(names)
     label_idx = None if label_column is None else _resolve_column(label_column, names, n_cols)
     if columns is None:
@@ -185,7 +184,7 @@ def _select(
         raise DataError("ingest: a column was selected twice")
     if len({names[i] for i in selected}) != len(selected):
         raise DataError("ingest: duplicate column names in selection")
-    return label_idx, selected
+    return selected
 
 
 def _number(cell: str) -> float | None:
@@ -206,12 +205,9 @@ def _read(
     The csv module reads the first row; then one ``np.loadtxt`` call
     reads the values from the start of the file, by path: NumPy reads a
     path in chunks, while a handle would hand it one ``str`` per line.
-    Columns that are not data get a converter that returns 0.0, so NumPy
-    still checks that every row has the same number of fields
-    (``usecols`` would drop that check); the label column's converter
-    also keeps the cell.  NumPy opens the path in text mode, which turns
-    a ``\r\n`` or ``\r`` inside a quoted cell into ``\n``; so when a
-    label holds a line break, the csv module reads the labels as written.
+    Columns that are not data, the label column among them, get a
+    converter that returns 0.0, so NumPy still checks that every row has
+    the same number of fields (``usecols`` would drop that check).
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
@@ -221,39 +217,24 @@ def _read(
         names = _names(first, header)
         n_cols = len(names)
         skiprows = reader.line_num if header else 0
-        label_idx, selected = _select(names, columns, label_column)
+        selected = _select(names, columns, label_column)
         if len(selected) < 2:
             return None
         # loadtxt warns on a file without data rows
         if header and not any(line.strip("\r\n") for line in fh):
             return None
     converters = dict.fromkeys(set(range(n_cols)) - set(selected), lambda _cell: 0.0)
-    labels: list[str] = []
-    if label_idx is not None:  # NumPy calls it once per data row, in file order
-        converters[label_idx] = lambda cell: labels.append(cell.strip()) or 0.0
     values = np.loadtxt(
         str(path), delimiter=",", comments=None, quotechar='"', ndmin=2, skiprows=skiprows,
         converters=converters, encoding="utf-8-sig",
     )
     if len(values) < 3 or values.shape[1] != n_cols:
         return None
-    if label_idx is not None:
-        if any("\n" in label for label in labels):
-            with open(path, newline="", encoding="utf-8-sig") as fh:
-                rows = [row for row in csv.reader(fh) if row][1 if header else 0:]
-            labels = [row[label_idx].strip() for row in rows]
-        if len(labels) != len(values):
-            return None
     if selected != list(range(n_cols)):
         values = values.take(selected, axis=1)
     if not np.isfinite(values).all():
         return None
-    return DataMatrix(
-        values=values,
-        column_names=[names[i] for i in selected],
-        labels=None if label_idx is None else labels,
-        label_name=None if label_idx is None else names[label_idx],
-    )
+    return DataMatrix(values=values, column_names=[names[i] for i in selected])
 
 
 def _fault(
@@ -287,7 +268,7 @@ def _fault(
         if len(row) != len(names):
             return DataError(f"ingest: row {line} has {len(row)} fields, expected {len(names)}")
     try:
-        _, selected = _select(names, columns, label_column)
+        selected = _select(names, columns, label_column)
     except DataError as exc:
         return exc
     if len(data_rows) < 3:
@@ -321,18 +302,18 @@ def load_csv(
     The file is UTF-8, with or without a byte-order mark.  Blank lines
     are skipped, fields may be quoted with ``"``, and ``#`` is an
     ordinary character.  A data cell is a number in the grammar the
-    module docstring gives.  Cells of columns that are neither data nor
-    label are not parsed, but every row must have as many fields as the
-    first.  The csv module reads only the first row, so its
-    131,072-character field limit applies to that row only, unless a
-    label holds a line break (see ``_read``).
+    module docstring gives.  Cells of columns that are not data are not
+    parsed, but every row must have as many fields as the first.  The
+    csv module reads only the first row, so its 131,072-character field
+    limit applies to that row only.
 
     Args:
         path: file to read.
         columns: which columns become numeric data, each given as a
             1-based index or a header name.  Defaults to every column
             except the label column.
-        label_column: optional column of row labels (kept as strings).
+        label_column: optional column of row labels, left out of the
+            default selection; its cells are not read.
         header: whether the first row holds column names.
 
     Raises:

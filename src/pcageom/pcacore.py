@@ -53,14 +53,6 @@ class ScoreMatrix:
     component_names: list[str]
     summaries: list[ColumnSummary] = field(repr=False)
 
-    @property
-    def n_rows(self) -> int:
-        return self.scores.shape[0]
-
-    @property
-    def n_components(self) -> int:
-        return self.scores.shape[1]
-
 
 @dataclass(eq=False)
 class VarianceExplained:

@@ -469,10 +469,8 @@ def reference_load_csv(
             )
 
     label_idx: int | None = None
-    label_name: str | None = None
     if label_column is not None:
         label_idx = _reference_column(label_column, names, n_cols)
-        label_name = names[label_idx]
 
     if columns is None:
         selected = [i for i in range(n_cols) if i != label_idx]
@@ -515,8 +513,7 @@ def reference_load_csv(
             f"{first_data_line + r}, column {sel_names[c]!r}"
         )
 
-    labels = [row[label_idx].strip() for row in data_rows] if label_idx is not None else None
-    return DataMatrix(values=values, column_names=sel_names, labels=labels, label_name=label_name)
+    return DataMatrix(values=values, column_names=sel_names)
 
 
 def _handle_read(
@@ -531,15 +528,12 @@ def _handle_read(
         names = _names(first, header)
         n_cols = len(names)
         skiprows = reader.line_num if header else 0
-        label_idx, selected = _select(names, columns, label_column)
+        selected = _select(names, columns, label_column)
         if len(selected) < 2:
             return None
         if header and not any(line.strip("\r\n") for line in fh):
             return None
         converters = dict.fromkeys(set(range(n_cols)) - set(selected), lambda _cell: 0.0)
-        labels: list[str] = []
-        if label_idx is not None:
-            converters[label_idx] = lambda cell: labels.append(cell.strip()) or 0.0
         fh.seek(0)
         values = np.loadtxt(
             fh, delimiter=",", comments=None, quotechar='"', ndmin=2, skiprows=skiprows,
@@ -547,18 +541,11 @@ def _handle_read(
         )
     if len(values) < 3 or values.shape[1] != n_cols:
         return None
-    if label_idx is not None and len(labels) != len(values):
-        return None
     if selected != list(range(n_cols)):
         values = values.take(selected, axis=1)
     if not np.isfinite(values).all():
         return None
-    return DataMatrix(
-        values=values,
-        column_names=[names[i] for i in selected],
-        labels=None if label_idx is None else labels,
-        label_name=None if label_idx is None else names[label_idx],
-    )
+    return DataMatrix(values=values, column_names=[names[i] for i in selected])
 
 
 def handle_load_csv(

@@ -149,6 +149,34 @@ def test_analyze_is_byte_identical(tmp_path, capsys):
     assert a == b
 
 
+def test_label_column_is_the_data_columns_left_out(tmp_path, capsys):
+    # text labels of every awkward kind, between the data columns
+    labels = ['"a,b"', '""', '"say ""hi"""', '"line\nbreak"', '"crlf\r\nbreak"', '"cr\rbreak"',
+              "not a number", " 7 ", "x" * 200_000]
+    values = np.random.default_rng(5).standard_normal((24, 4)) @ np.diag([1.0, 2.0, 0.5, 3.0])
+    values[:, 1] += values[:, 0]
+    rows = ["v1,id,v2,v3,v4"]
+    for i, row in enumerate(values):
+        cells = [f"{v:.6f}" for v in row]
+        rows.append(",".join([cells[0], labels[i % len(labels)], *cells[1:]]))
+    path = tmp_path / "labelled.csv"
+    path.write_bytes(("\n".join(rows) + "\n").encode("utf-8"))
+
+    outputs = {}
+    for name, flags in (("label", ("--label-column", "id")), ("columns", ("--columns", "1,3-5"))):
+        code, out, err = run(capsys, "analyze", str(path), "--header", *flags, "--format", "csv",
+                             "--out", str(tmp_path / name))
+        assert code == 0, err
+        doc = json.loads((tmp_path / name / "report.json").read_text(encoding="utf-8"))
+        outputs[name] = out, (tmp_path / name / "report.md").read_bytes(), doc
+    (csv_l, md_l, doc_l), (csv_c, md_c, doc_c) = outputs["label"], outputs["columns"]
+    assert csv_l == csv_c and md_l == md_c
+    for doc, given in ((doc_l, ("id", None)), (doc_c, (None, "1,3-5"))):
+        assert (doc["provenance"].pop("label_column"), doc["provenance"].pop("columns")) == given
+    assert doc_l == doc_c
+    assert doc_l["correlation"]["names"] == ["v1", "v2", "v3", "v4"]
+
+
 def test_missing_input_is_an_input_error(tmp_path, capsys):
     code, _, err = run(capsys, "analyze", str(tmp_path / "nope.csv"))
     assert code == 2

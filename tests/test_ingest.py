@@ -94,7 +94,6 @@ def test_load_csv_basic(tmp_path):
     data = load_csv(write_csv(tmp_path, BASIC))
     assert data.n_rows == 4 and data.n_cols == 3
     assert data.column_names == ["col1", "col2", "col3"]
-    assert data.labels is None
     np.testing.assert_array_equal(data.values[0], [1.0, 2.0, 3.0])
 
 
@@ -108,34 +107,10 @@ def test_load_csv_header_and_name_selection(tmp_path):
 def test_load_csv_label_column(tmp_path):
     p = write_csv(tmp_path, "id,x,y\nr1,1,2\nr2,3,4\nr3,5,6\n")
     data = load_csv(p, label_column="id", header=True)
-    assert data.labels == ["r1", "r2", "r3"]
     assert data.column_names == ["x", "y"]
+    np.testing.assert_array_equal(data.values, [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
     with pytest.raises(DataError, match="both data and label"):
         load_csv(p, columns=["id", "x"], label_column="id", header=True)
-
-
-def test_load_csv_labels_are_str_under_the_numpy_1_default(tmp_path, monkeypatch):
-    # NumPy < 2.0 defaults np.loadtxt to encoding="bytes", which hands
-    # converters latin1-encoded bytes; load_csv must not depend on it
-    loadtxt = np.loadtxt
-    monkeypatch.setattr(np, "loadtxt", lambda *a, **kw: loadtxt(*a, **{"encoding": "bytes", **kw}))
-    p = write_csv(tmp_path, "id,x,y\nr1,1,2\n行二,3,4\n r3 ,5,6\n")
-    assert load_csv(p, label_column="id", header=True).labels == ["r1", "行二", "r3"]
-
-
-def test_load_csv_rejects_labels_misaligned_with_rows(tmp_path, monkeypatch):
-    # a converter called other than once per data row would shift the labels
-    loadtxt = np.loadtxt
-
-    def probing_loadtxt(*args, converters, **kwargs):
-        for convert in converters.values():
-            convert("probe")
-        return loadtxt(*args, converters=converters, **kwargs)
-
-    monkeypatch.setattr(np, "loadtxt", probing_loadtxt)
-    p = write_csv(tmp_path, "id,x,y\nr1,1,2\nr2,3,4\nr3,5,6\n")
-    with pytest.raises(DataError, match="could not be read as a numeric table"):
-        load_csv(p, label_column="id", header=True)
 
 
 def test_load_csv_errors_carry_row_and_column(tmp_path):
@@ -189,17 +164,17 @@ def test_load_csv_rejects_a_field_past_the_csv_limit(tmp_path):
 
 def test_load_csv_reads_a_finite_number_past_the_csv_limit(tmp_path):
     # NumPy's parser has no field limit; the csv module's 131,072 applies
-    # only to the first row, the one row it reads, labels or not
+    # only to the first row, the one row it reads, label cells included
     long = "0." + "0" * 200_000 + "1"
     p = write_csv(tmp_path, f"id,a,b\nr1,1,2\nr2,3,{long}\nr3,5,7\n")
     data = load_csv(p, columns=["a", "b"], header=True)
     assert data.values[1, 1] == float(long) == 0.0
     data = load_csv(p, label_column="id", header=True)
-    assert data.values[1, 1] == 0.0 and data.labels == ["r1", "r2", "r3"]
+    assert data.values[1, 1] == 0.0 and data.column_names == ["a", "b"]
     label = "r" * 200_000
     p = write_csv(tmp_path, f"id,a,b\nr1,1,2\n{label},3,4\nr3,5,7\n", name="label.csv")
     data = load_csv(p, label_column="id", header=True)
-    assert data.labels == ["r1", label, "r3"]
+    assert data.column_names == ["a", "b"]
     np.testing.assert_array_equal(data.values, [[1.0, 2.0], [3.0, 4.0], [5.0, 7.0]])
 
 
@@ -306,7 +281,7 @@ def _only_float_reads(new, ref):
 @example(b"a,b\n\n", True, None, None)
 @example(b"\xef", False, None, None)
 def test_load_csv_matches_the_float_loop(tmp_path_factory, content, header, columns, label):
-    """NumPy's parser gives the values, names, labels and errors of the
+    """NumPy's parser gives the values, names and errors of the
     cell-by-cell loop it replaced, except for the documented cases: a
     byte-order mark is not part of the first cell, and cells only
     ``float`` reads (``1_0``, non-ASCII digits) are non-numeric."""
@@ -322,8 +297,7 @@ def test_load_csv_matches_the_float_loop(tmp_path_factory, content, header, colu
     assert not isinstance(ref, str), ref
     assert new.values.dtype == ref.values.dtype and new.values.shape == ref.values.shape
     assert new.values.tobytes() == ref.values.tobytes()
-    assert (new.column_names, new.labels, new.label_name) == (
-        ref.column_names, ref.labels, ref.label_name)
+    assert new.column_names == ref.column_names
 
 
 @pytest.mark.parametrize("name", ["data.csv.gz", "data.csv.bz2", "data.xz", "data.csv.LZMA",
@@ -404,8 +378,8 @@ def loader_cases(draw):
 @example((b'\r\na,"h\r\nd",lab\r\n\r\n1,2,r1\r\n3,4,r2\r\n5,7,r3', True, None, "lab"))
 @example((BOM + b'a,b\r1,"2"\r3," 4 "\r\r5,"6\n"', True, None, None))
 def test_load_csv_matches_the_handle_loader(tmp_path_factory, case):
-    """Reading the path gives the values, names, labels and errors that
-    reading the open handle gave, line breaks inside quoted cells included."""
+    """Reading the path gives the values, names and errors that reading
+    the open handle gave, line breaks inside quoted cells included."""
     content, header, columns, label = case
     p = tmp_path_factory.getbasetemp() / "handle.csv"
     p.write_bytes(content)
@@ -416,8 +390,7 @@ def test_load_csv_matches_the_handle_loader(tmp_path_factory, case):
         return
     assert new.values.dtype == old.values.dtype and new.values.shape == old.values.shape
     assert new.values.tobytes() == old.values.tobytes()
-    assert (new.column_names, new.labels, new.label_name) == (
-        old.column_names, old.labels, old.label_name)
+    assert new.column_names == old.column_names
 
 
 def test_summarize_matches_numpy(tmp_path):

@@ -92,7 +92,7 @@ def test_loading_consistency_on_random_data():
     from pcageom.ingest import DataMatrix, standardize
 
     x = rng.standard_normal((60, 5)) @ rng.standard_normal((5, 5))
-    data = DataMatrix(values=x, column_names=[f"v{j}" for j in range(5)], labels=None, label_name=None)
+    data = DataMatrix(values=x, column_names=[f"v{j}" for j in range(5)])
     z = standardize(data, "population")
     corr = correlation_matrix(z)
     eig = eigen_symmetric(corr)
