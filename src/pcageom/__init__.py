@@ -1,13 +1,17 @@
 """Correlation-geometry PCA with explanation tables and variable clustering.
 
 The package reads a numeric data set (or a ready-made correlation
-matrix), standardizes it, and walks the full chain: correlation,
-significance, angle, and determination matrices; a deterministic, certified
-eigendecomposition; the rotation-tensor algebra of the four
-representation matrices A, A', P, P'; principal-component scores;
+matrix) and walks the full chain: correlation, the cosines between the
+centered columns, so taken from the data as loaded, with no
+standardized copy; significance, angle, and determination matrices; a
+deterministic, certified eigendecomposition; the rotation-tensor
+algebra of the four representation matrices A, A', P, P'; summaries of
+the principal-component scores, in closed form from the eigenvalues;
 variance-explained and reconstruction tables; four component-count
 selection criteria; and clustering of the variables by their similarity
 to the kept components.  The ``pcageom`` CLI wraps it end to end.
+``standardize`` and ``project_scores`` give the standardized data and
+the scores themselves for library use.
 """
 
 from __future__ import annotations

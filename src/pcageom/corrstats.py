@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-from .ingest import StandardizedMatrix
+from .ingest import DataMatrix, StandardizedMatrix
 
 __all__ = [
     "MAX_N_OBS",
@@ -101,13 +101,20 @@ def correlation(x: np.ndarray, y: np.ndarray) -> float:
     return min(1.0, max(-1.0, r))
 
 
-def correlation_matrix(z: StandardizedMatrix) -> CorrelationMatrix:
-    """Correlation matrix of a standardized data set.
+def correlation_matrix(z: DataMatrix | StandardizedMatrix) -> CorrelationMatrix:
+    """Correlation matrix of a data set, raw or standardized.
 
     The Gram matrix of the centered columns divided by the outer product
-    of their norms, clipped to [-1, 1].  Only its strict upper triangle
-    is kept; the lower triangle is mirrored from it so symmetry holds
-    exactly, and the diagonal is exactly 1.
+    of their norms, clipped to [-1, 1].  The input is centered here and
+    r is a cosine, so it depends on neither the shift nor the scale of
+    a column: raw data needs no standardized copy.  Only its strict
+    upper triangle is kept; the lower triangle is mirrored from it so
+    symmetry holds exactly, and the diagonal is exactly 1.
+
+    Raises:
+        DataError: for a column whose centered values are all zero.  A
+            constant column whose mean is not exact centers to rounding
+            noise instead; ``report.load_input`` rejects it beforehand.
     """
     zc = z.values - z.values.mean(axis=0)
     gram = zc.T @ zc

@@ -1,5 +1,9 @@
 """CSV loading, per-column summaries, and column standardization.
 
+The pipeline correlates the loaded ``DataMatrix`` itself and reads only
+its summaries here; ``standardize`` serves library callers who want the
+standardized values.
+
 The loader is deliberately strict: every selected cell must parse as a
 finite number, missing values are a hard error, and a data set needs
 at least three rows and two columns to be worth analysing.  Downstream
@@ -246,11 +250,19 @@ def _fault(
     file, the field count of each row, the column selection, the row
     and column counts, then each selected cell row by row for a
     missing or non-numeric value, and last for a non-finite one.
+
+    The csv module's field limit is raised for this one read, so a long
+    cell that is not data hides no fault.  It still applies where
+    ``_read`` is held to it, the first row, and to a faulty data cell,
+    which is named by its place rather than quoted.
     """
+    limit = csv.field_size_limit()
     try:
         # decoded in one piece: a file reader decoding utf-8-sig reads
         # a file of only b"\xef" or b"\xef\xbb" as empty, not as invalid
         text = path.read_bytes().decode("utf-8-sig")
+        # no field is longer than the text
+        csv.field_size_limit(max(limit, len(text)))
         rows = [row for row in csv.reader(io.StringIO(text, newline="")) if row]
     except OSError as exc:
         return DataError(f"ingest: cannot read {path}: {exc.strerror or exc}")
@@ -258,8 +270,13 @@ def _fault(
         return DataError(f"ingest: {path} is not valid UTF-8: {exc.reason}")
     except csv.Error as exc:
         return DataError(f"ingest: {path} is not valid CSV: {exc}")
+    finally:
+        csv.field_size_limit(limit)
     if not rows:
         return DataError(f"ingest: {path} is empty")
+    too_long = f"ingest: {path} is not valid CSV: field larger than field limit ({limit})"
+    if any(len(cell) > limit for cell in rows[0]):
+        return DataError(f"{too_long} in row 1")
 
     names = _names(rows[0], header)
     first_line = 2 if header else 1
@@ -284,6 +301,8 @@ def _fault(
             if not cell:
                 return DataError(f"ingest: missing value {where}")
             value = _number(cell)
+            if len(cell) > limit and (value is None or not math.isfinite(value)):
+                return DataError(f"{too_long} {where}")
             if value is None:
                 return DataError(f"ingest: non-numeric value {cell!r} {where}")
             if non_finite is None and not math.isfinite(value):

@@ -30,16 +30,10 @@ from .corrstats import (
 )
 from .eigensolve import eigen_symmetric
 from .errors import DataError
-from .ingest import (
-    StandardizedMatrix,
-    load_csv,
-    parse_column_spec,
-    standardize,
-)
+from .ingest import POPULATION, ColumnSummary, load_csv, parse_column_spec, summarize
 from .pcacore import (
     CRITERIA,
     explanation_table,
-    project_scores,
     select_components,
     variance_explained,
 )
@@ -57,15 +51,22 @@ def load_input(
     label_column: str | None = None,
     header: bool = False,
     divisor: str = "population",
-) -> tuple[CorrelationMatrix, StandardizedMatrix | None]:
+) -> tuple[CorrelationMatrix, list[ColumnSummary] | None]:
     """Read a CSV data file or a correlation-matrix JSON.
 
-    Returns ``(corr, z)``: the correlation matrix, plus for CSV input
-    its standardized values (``None`` for JSON input).  The loaded
-    ``DataMatrix`` is dropped once it is standardized, so its values do
-    not outlive this call.  ``columns`` and ``label_column`` use the column
-    spec syntax; the label spec must select exactly one column.  They
-    and ``header`` apply to CSV input only; JSON input rejects them.
+    Returns ``(corr, summaries)``: the correlation matrix, plus for CSV
+    input the column summaries under ``divisor`` (``None`` for JSON
+    input).  The correlation is taken from the loaded ``DataMatrix``
+    itself, since r depends on neither the shift nor the scale of a
+    column, so no standardized copy of the data is made, and the loaded
+    values do not outlive this call.  ``columns`` and ``label_column``
+    use the column spec syntax; the label spec must select exactly one
+    column.  They and ``header`` apply to CSV input only; JSON input
+    rejects them.
+
+    Raises:
+        DataError: besides the loaders' errors, for a CSV column whose
+            values are all equal or whose variance is zero.
     """
     input_path = Path(input_path)
     if input_path.suffix.lower() == ".json":
@@ -83,10 +84,14 @@ def load_input(
         if len(parsed) != 1:
             raise DataError("report: --label-column must select a single column")
         label_sel = parsed[0]
-    z = standardize(
-        load_csv(input_path, columns=selectors, label_column=label_sel, header=header), divisor
-    )
-    return correlation_matrix(z), z
+    data = load_csv(input_path, columns=selectors, label_column=label_sel, header=header)
+    summaries = summarize(data, divisor)
+    # a constant column with an inexact mean centers to rounding noise, not to zeros
+    flat = (np.ptp(data.values, axis=0) == 0.0).tolist()
+    for s, is_flat in zip(summaries, flat):
+        if is_flat or s.std == 0.0:
+            raise DataError(f"ingest: column {s.name!r} has zero variance")
+    return correlation_matrix(data), summaries
 
 
 def run_analysis(
@@ -109,9 +114,15 @@ def run_analysis(
     It writes every block of the report's schema: stage results hold
     only what their stage computed, and the arguments enter from here.
 
-    With raw data the run covers summaries, standardization, scores and
+    With raw data the run covers the column summaries, the scores and
     all derived tables; with a correlation JSON the score block is
     marked unavailable and everything else proceeds identically.
+
+    The score summaries are written in closed form, with no projection
+    of the data: a component's scores have mean 0 and sample variance
+    its (clipped) eigenvalue, times N/(N-1) when the columns were
+    standardized with the population divisor.  ``std`` is the square
+    root of that variance.
 
     The explanation table is built once, in full (``loadings_full``),
     and everything at the chosen k is its first k rows: the
@@ -135,8 +146,8 @@ def run_analysis(
     if criterion not in CRITERIA:
         raise ValueError(f"report: unknown criterion {criterion!r}")
 
-    corr, z = load_input(input_path, columns, label_column, header, divisor)
-    input_kind = "correlation_json" if z is None else "csv"
+    corr, summaries = load_input(input_path, columns, label_column, header, divisor)
+    input_kind = "correlation_json" if summaries is None else "csv"
 
     derived = derived_matrices(corr)
     eig = eigen_symmetric(corr)
@@ -164,19 +175,17 @@ def run_analysis(
     else:
         raise ValueError(f"report: unknown cluster method {cluster_method!r}")
 
-    if z is not None:
-        score_mat = project_scores(z, eig.R)
+    if summaries is not None:
+        n_obs = corr.n_obs
+        variances = ve.eigenvalues * n_obs / (n_obs - 1) if divisor == POPULATION else ve.eigenvalues
         scores_block = {
             "available": True,
             "divisor": "sample",
             "summaries": [
-                {
-                    "component": s.name,
-                    "mean": s.mean,
-                    "std": s.std,
-                    "variance": s.variance,
-                }
-                for s in score_mat.summaries
+                {"component": name, "mean": 0.0, "std": std, "variance": var}
+                for name, std, var in zip(
+                    table.pc_labels, np.sqrt(variances).tolist(), variances.tolist()
+                )
             ],
         }
     else:
@@ -202,17 +211,17 @@ def run_analysis(
             "k": k_selected,
         },
         "column_summaries": None
-        if z is None
+        if summaries is None
         else [
             {
                 "name": s.name,
                 "mean": s.mean,
                 "std": s.std,
                 "variance": s.variance,
-                "n": z.n_rows,
+                "n": corr.n_obs,
                 "divisor": divisor,
             }
-            for s in z.summaries
+            for s in summaries
         ],
         "correlation": {"names": corr.names, "n_obs": corr.n_obs, "r": corr.r},
         "significance": derived.p_values,

@@ -441,12 +441,26 @@ def _farthest_point_init(pair_dist: np.ndarray, kc: int, seeds: range) -> np.nda
     return np.stack(chosen, axis=1)
 
 
-def _stirling2(m: int, k: int) -> int:
-    """Number of partitions of m items into exactly k non-empty blocks."""
-    row = [1] + [0] * k  # S(0, j)
-    for _ in range(m):
-        row = [0] + [j * row[j] + row[j - 1] for j in range(1, k + 1)]
-    return row[k]
+def _within_budget(m: int, k: int) -> bool:
+    """Whether S(m, k), the number of partitions of m items into exactly
+    k non-empty blocks, is at most ``EXACT_BUDGET``.
+
+    Walks the Stirling table by excess, T(d, j) = S(j + d, j), which
+    obeys T(d, j) = j T(d - 1, j) + T(d, j - 1) with T(0, j) = 1 and
+    T(d, 0) = 0 for d >= 1.  Every term is non-negative, so T never
+    falls as d or j grows, and S(m, k) = T(m - k, k) is at least every
+    entry before it: the walk stops at the first entry past the budget,
+    and every entry it keeps is exact and small.
+    """
+    row = [1] * (k + 1)  # T(0, j)
+    for _ in range(m - k):
+        entry = 0  # T(d, 0)
+        for j in range(1, k + 1):
+            entry = j * row[j] + entry
+            if entry > EXACT_BUDGET:
+                return False
+            row[j] = entry
+    return True
 
 
 def _partitions(m: int, k: int) -> np.ndarray:
@@ -545,7 +559,7 @@ def cluster_kmeans(
         )
 
     points = matrix[active]
-    exact = metric != "linf" and _stirling2(points.shape[0], k_clusters) <= EXACT_BUDGET
+    exact = metric != "linf" and _within_budget(points.shape[0], k_clusters)
     if exact:
         candidates = _partitions(points.shape[0], k_clusters)
         labels = candidates[int(np.argmin(_partition_costs(points, candidates, metric)))]

@@ -22,7 +22,11 @@ labels, objectives and iteration counts can be compared bit for bit.
 The CSV loader is kept as it was when NumPy read the values through
 the open text handle, and standardization and the correlation matrix
 as the expressions they were before they worked in place, so the
-loaded values and the matrices can be compared bit for bit.
+loaded values and the matrices can be compared bit for bit.  The
+pipeline's correlation is kept as it was taken before it read the
+loaded data directly, from the standardized copy, and the partition
+count as the whole Stirling table ``varcluster`` built before it
+stopped at its budget.
 """
 
 from __future__ import annotations
@@ -36,9 +40,17 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from pcageom.corrstats import _ln_gamma_ratio
+from pcageom.corrstats import _ln_gamma_ratio, correlation_matrix
 from pcageom.errors import DataError
-from pcageom.ingest import DataMatrix, StandardizedMatrix, _fault, _names, _select, summarize
+from pcageom.ingest import (
+    DataMatrix,
+    StandardizedMatrix,
+    _fault,
+    _names,
+    _select,
+    standardize,
+    summarize,
+)
 from pcageom.pcacore import CRITERIA
 from pcageom.varcluster import MAX_ITER, RESTARTS, pairwise_distance
 
@@ -275,6 +287,16 @@ def partitions_into_k(n: int, k: int):
             yield from rec(i + 1, used + 1 if b == used else used)
 
     yield from rec(0, 0)
+
+
+def stirling2(m: int, k: int) -> int:
+    """S(m, k), the number of partitions of m items into exactly k
+    non-empty blocks, from the whole table as ``varcluster`` built it
+    before it stopped at ``EXACT_BUDGET``."""
+    row = [1] + [0] * k  # S(0, j)
+    for _ in range(m):
+        row = [0] + [j * row[j] + row[j - 1] for j in range(1, k + 1)]
+    return row[k]
 
 
 def oracle_centroid(points: np.ndarray, metric: str) -> np.ndarray:
@@ -574,6 +596,12 @@ def expression_standardize(data: DataMatrix, divisor: str = "population") -> np.
         if s.std == 0.0:
             raise DataError(f"ingest: column {s.name!r} has zero variance")
     return (data.values - [s.mean for s in summaries]) / [s.std for s in summaries]
+
+
+def standardized_correlation(data: DataMatrix, divisor: str = "population") -> np.ndarray:
+    """The correlation matrix as the pipeline took it before it correlated
+    the loaded data: from the standardized copy of the data."""
+    return correlation_matrix(standardize(data, divisor)).r
 
 
 def expression_correlation(z: StandardizedMatrix) -> np.ndarray:

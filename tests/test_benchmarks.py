@@ -108,9 +108,11 @@ def test_perfbench_hooks_resolve(tmp_path, capsys, harness):
         assert cli.main(["analyze", "fixtures/iris_corr.json", "--out", str(tmp_path)]) == 0
     finally:
         tracer.remove()
-    # the stale hooks name functions the package no longer has
-    assert unresolved == ["pcageom.eigensolve.jacobi_sweeps", "pcageom.report.scree_data",
-                          "pcageom.report.summarize", "pcageom.varcluster.assign_labels",
+    # the stale hooks name functions the package no longer has, or that
+    # the pipeline no longer calls (standardize, project_scores)
+    assert unresolved == ["pcageom.eigensolve.jacobi_sweeps", "pcageom.report.project_scores",
+                          "pcageom.report.scree_data", "pcageom.report.standardize",
+                          "pcageom.varcluster.assign_labels",
                           "pcageom.varcluster.point_distance"]
     assert corrstats.betainc_reg is real
     assert tracer.counts["corrstats.betainc_calls"] == 1

@@ -19,6 +19,10 @@ After a deliberate change to the output bytes, rewrite the manifest in
 the same change, from the repository root:
 
     PYTHONPATH=src python tests/test_digests.py
+
+The rewrite prints each case and file whose digest changed against the
+manifest it replaces, and each recorded setting that changed, so a
+re-record can be reviewed.
 """
 
 from __future__ import annotations
@@ -118,6 +122,20 @@ def test_corpus_writes_the_recorded_files(manifest, corpus):
         assert sorted(entry["digests"]) == sorted(manifest["cases"][case]["digests"]), case
 
 
+def test_changes_name_each_changed_case_and_file():
+    old = {"environment": {"numpy": "2.4", "machine": "x86_64"},
+           "cases": {"a": {"argv": ["a.csv"], "digests": {"report.json": "1", "stdout": "2"}},
+                     "b": {"argv": ["b.csv"], "digests": {"report.json": "3"}},
+                     "gone": {"argv": [], "digests": {}}}}
+    new = {"environment": {"numpy": "2.5", "machine": "x86_64"},
+           "cases": {"a": {"argv": ["a.csv"], "digests": {"report.json": "9", "stdout": "2"}},
+                     "b": {"argv": ["b.csv"], "digests": {"report.json": "3"}},
+                     "new": {"argv": [], "digests": {}}}}
+    assert changes(old, new) == ["environment numpy: '2.4' -> '2.5'", "a: report.json",
+                                 "gone: removed", "new: added"]
+    assert changes(new, new) == []
+
+
 @pytest.mark.parametrize("case", list(CASES))
 def test_outputs_match_the_recorded_digests(manifest, corpus, case):
     here = harness.environment()
@@ -129,9 +147,34 @@ def test_outputs_match_the_recorded_digests(manifest, corpus, case):
     assert corpus[case]["digests"] == manifest["cases"][case]["digests"]
 
 
+def changes(old: dict, new: dict) -> list[str]:
+    """One line per recorded setting, case or file that differs from ``old``
+    to ``new``, two manifests."""
+    lines = [f"environment {key}: {old['environment'].get(key)!r} -> {value!r}"
+             for key, value in new["environment"].items() if old["environment"].get(key) != value]
+    for case in sorted(old["cases"].keys() | new["cases"].keys()):
+        if case not in new["cases"]:
+            lines.append(f"{case}: removed")
+        elif case not in old["cases"]:
+            lines.append(f"{case}: added")
+        else:
+            was, now = old["cases"][case], new["cases"][case]
+            files = sorted(name for name in was["digests"].keys() | now["digests"].keys()
+                           if was["digests"].get(name) != now["digests"].get(name))
+            if was["argv"] != now["argv"]:
+                files.insert(0, "argv")
+            if files:
+                lines.append(f"{case}: {', '.join(files)}")
+    return lines
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         cases = corpus_digests(Path(tmp))
-    MANIFEST.write_text(json.dumps({"environment": harness.environment(), "cases": cases},
-                                   indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    new = {"environment": harness.environment(), "cases": cases}
+    if MANIFEST.exists():
+        lines = changes(json.loads(MANIFEST.read_text(encoding="utf-8")), new)
+        print("\n".join(["changed against the old manifest:", *lines] if lines else
+                        ["unchanged against the old manifest"]))
+    MANIFEST.write_text(json.dumps(new, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {MANIFEST}")

@@ -2,6 +2,7 @@
 
 import ast
 import bz2
+import csv
 import gzip
 import lzma
 import re
@@ -160,6 +161,19 @@ def test_load_csv_rejects_a_field_past_the_csv_limit(tmp_path):
     p = write_csv(tmp_path, "1,2\n3," + "4" * 200_000 + "\n5,6\n")
     with pytest.raises(DataError, match="not valid CSV"):
         load_csv(p)
+
+
+def test_a_long_cell_that_is_not_data_hides_no_fault(tmp_path):
+    limit = csv.field_size_limit()
+    label = "r" * 200_000
+    p = write_csv(tmp_path, f"id,a,b\nr1,1,2\n{label},3,4\nr3,oops,7\n")
+    with pytest.raises(DataError, match=r"non-numeric value 'oops' at row 4, column 'a'$"):
+        load_csv(p, label_column="id", header=True)
+    # the first row is read under the csv module's limit either way
+    p = write_csv(tmp_path, f"id,{label}\nr1,1\nr2,3\nr3,5\n", name="head.csv")
+    with pytest.raises(DataError, match=r"field larger than field limit \(131072\) in row 1$"):
+        load_csv(p, header=True)
+    assert csv.field_size_limit() == limit
 
 
 def test_load_csv_reads_a_finite_number_past_the_csv_limit(tmp_path):

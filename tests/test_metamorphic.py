@@ -13,8 +13,10 @@ import numpy as np
 import pytest
 
 from pcageom.pcacore import CRITERIA
-from pcageom.report import run_analysis, to_json_text
-from pcageom.varcluster import EXACT_BUDGET, _stirling2
+from pcageom.report import render_markdown, run_analysis, to_json_text
+from pcageom.varcluster import EXACT_BUDGET
+
+from oracles import stirling2
 
 ROWS = 200
 TOL = 1e-9
@@ -40,11 +42,25 @@ def analyses(path, n: int) -> dict:
     each metric where the partition count is within the budget."""
     header = path.suffix == ".csv"
     runs = {"naive": run_analysis(path, header=header)}
-    if _stirling2(n, 2) <= EXACT_BUDGET:
+    if stirling2(n, 2) <= EXACT_BUDGET:
         for metric in EXACT_METRICS:
             runs[metric] = run_analysis(path, header=header, cluster_method="kmeans",
                                         metric=metric, k=2)
     return runs
+
+
+def scores_table(report: dict) -> str:
+    """The Scores section of report.md."""
+    return render_markdown(report).split("\n## Scores\n", 1)[1].split("\n## ", 1)[0]
+
+
+def assert_same_scores(a: dict, b: dict) -> None:
+    """Equal score summaries: means exactly 0, the rest within ``TOL``."""
+    sa, sb = a["scores"]["summaries"], b["scores"]["summaries"]
+    assert [s["component"] for s in sb] == [s["component"] for s in sa]
+    assert [s["mean"] for s in sa] == [s["mean"] for s in sb] == [0.0] * len(sa)
+    for key in ("std", "variance"):
+        np.testing.assert_allclose([s[key] for s in sb], [s[key] for s in sa], rtol=0.0, atol=TOL)
 
 
 def blocks(clusters: dict) -> set[frozenset[str]]:
@@ -89,6 +105,8 @@ def test_permuted_columns_give_the_same_analysis(tmp_path, n):
     assert a.keys() == b.keys()
     for key in a:
         assert_same_analysis(a[key], b[key], perm)
+        assert_same_scores(a[key], b[key])
+        assert scores_table(b[key]) == scores_table(a[key])
 
 
 @pytest.mark.parametrize("n", range(3, 14))
@@ -113,8 +131,7 @@ def test_units_and_signs_do_not_change_the_analysis(tmp_path, n):
         np.testing.assert_allclose(b[key]["angles_deg"],
                                    np.where(flip > 0, a[key]["angles_deg"],
                                             180.0 - a[key]["angles_deg"]), atol=1e-6)
-        variances = [[s["variance"] for s in r["scores"]["summaries"]] for r in (a[key], b[key])]
-        np.testing.assert_allclose(variances[1], variances[0], atol=TOL)
+        assert_same_scores(a[key], b[key])
 
 
 @pytest.mark.parametrize("n", range(3, 14))

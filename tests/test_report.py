@@ -17,20 +17,24 @@ from hypothesis.extra import numpy as hnp
 import oracles
 from pcageom import report as report_module
 from pcageom.corrstats import CorrelationMatrix, significance_matrix
+from pcageom.errors import DataError
 from pcageom.fixtures import fixture_path
+from pcageom.ingest import load_csv, parse_column_spec, standardize
+from pcageom.pcacore import project_scores
 from pcageom.report import (
     _REPR_BATCH_MIN,
     _certified,
     _repr_batch,
     _thousandths,
     _three_decimals,
+    load_input,
     render_csv,
     render_markdown,
     run_analysis,
     to_json_text,
 )
 from pcageom.svgplot import render_svg_scree, render_svg_similarity
-from pcageom.varcluster import EXACT_BUDGET, _stirling2
+from pcageom.varcluster import EXACT_BUDGET
 
 CORR = fixture_path("iris_corr.json")
 IRIS = fixture_path("iris.csv")
@@ -151,7 +155,7 @@ def test_kmeans_method_recorded(tmp_path):
     assert report["provenance"]["metric"] == "l1"
     assert set(report["clusters"]["clusters"]) == {"c1", "c2"}
     # above EXACT_BUDGET partitions the restart path runs and says so
-    assert _stirling2(12, 4) > EXACT_BUDGET
+    assert oracles.stirling2(12, 4) > EXACT_BUDGET
     above = run_analysis(seeded_csv(tmp_path / "v12.csv", 12), header=True, cluster_method="kmeans", k=4)
     assert above["clusters"]["exact"] is False
 
@@ -164,7 +168,7 @@ def test_naive_method_has_no_metric(corr_report):
 
 
 def test_csv_path_releases_the_loaded_data(monkeypatch):
-    # the raw matrix is dead by the eigensolve: only its standardized copy lives on
+    # the loaded matrix is dead by the eigensolve, and no copy of it lives on
     loaded, alive = [], []
     load_csv, eigen_symmetric = report_module.load_csv, report_module.eigen_symmetric
 
@@ -181,6 +185,63 @@ def test_csv_path_releases_the_loaded_data(monkeypatch):
     monkeypatch.setattr(report_module, "eigen_symmetric", eigen_and_check)
     run_analysis(IRIS, columns="1-4", header=True)
     assert alive == [False]
+
+
+def loaded(path, columns: str | None):
+    """The ``DataMatrix`` the pipeline reads from ``path``, with a header row."""
+    return load_csv(path, columns=None if columns is None else parse_column_spec(columns),
+                    header=True)
+
+
+@pytest.mark.parametrize("divisor", ["population", "sample"])
+def test_score_summaries_match_the_projected_scores(tmp_path, divisor):
+    # the closed form against the projection of the standardized data it replaced
+    for path, columns in ((IRIS, "1-4"), (seeded_csv(tmp_path / "v20.csv", 20), None)):
+        report = run_analysis(path, columns=columns, header=True, divisor=divisor)
+        data = loaded(path, columns)
+        projected = project_scores(standardize(data, divisor), report["eigen"]["R"]).summaries
+        summaries = report["scores"]["summaries"]
+        assert [s["component"] for s in summaries] == [s.name for s in projected]
+        assert [s["mean"] for s in summaries] == [0.0] * len(summaries)
+        np.testing.assert_allclose([s.mean for s in projected], 0.0, rtol=0.0, atol=1e-12)
+        for key in ("std", "variance"):
+            np.testing.assert_allclose([s[key] for s in summaries],
+                                       [getattr(s, key) for s in projected], rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("divisor", ["population", "sample"])
+def test_correlation_of_the_loaded_data_matches_the_standardized_path(tmp_path, divisor):
+    cases = ((IRIS, "1-4"), (seeded_csv(tmp_path / "v20.csv", 20), None),
+             (seeded_csv(tmp_path / "tall.csv", 24, rows=10_000), None))
+    for path, columns in cases:
+        corr, _ = load_input(path, columns=columns, header=True, divisor=divisor)
+        expected = oracles.standardized_correlation(loaded(path, columns), divisor)
+        np.testing.assert_allclose(corr.r, expected, rtol=0.0, atol=1e-14)
+
+
+def test_csv_analysis_peak_memory_is_bounded(tmp_path):
+    # no standardized or projected copy of the data: the loaded matrix and
+    # one centered copy of it set the peak
+    rows, n = 10_000, 24
+    path = seeded_csv(tmp_path / "tall.csv", n, rows=rows)
+    run_analysis(path, header=True)  # first-call allocations stay out of the peak
+    tracemalloc.start()
+    try:
+        run_analysis(path, header=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    loaded = rows * n * 8
+    assert peak < 2.5 * loaded, f"peak {peak} B is {peak / loaded:.2f}x the loaded matrix"
+
+
+@pytest.mark.parametrize("value", ["5", "0.1"])
+def test_a_constant_column_is_rejected_by_name(tmp_path, value):
+    # 0.1 three times has an inexact mean, so it centers to noise, not zeros
+    path = tmp_path / "flat.csv"
+    path.write_text(f"a,c,b\n1,{value},3\n2,{value},1\n4,{value},2\n", encoding="utf-8")
+    with pytest.raises(DataError, match=r"^ingest: column 'c' has zero variance$"):
+        run_analysis(path, header=True)
 
 
 def test_bad_arguments():

@@ -35,7 +35,7 @@ from pcageom.varcluster import (
     pairwise_distance,
     similarity_profiles,
 )
-from pcageom.varcluster import _assign_all, _centroids, _draw_index, _partitions, _stirling2
+from pcageom.varcluster import _assign_all, _centroids, _draw_index, _partitions, _within_budget
 
 from conftest import REF_PARTITION, REF_PROFILES_K2_3DP
 import oracles
@@ -371,7 +371,7 @@ RESTART_PATH_RESULTS = {
 
 def test_kmeans_above_budget_keeps_restart_path():
     profs = profiles_of(np.random.default_rng(5), 12, 3)
-    assert _stirling2(12, 4) == 611501 > EXACT_BUDGET
+    assert oracles.stirling2(12, 4) == 611501 > EXACT_BUDGET
     for metric, (objective, clusters) in RESTART_PATH_RESULTS.items():
         a = cluster_kmeans(profs, names_of(12), 4, metric=metric, seed=0)
         assert a.exact is False and isinstance(a.n_iterations, int), metric
@@ -518,7 +518,7 @@ def check_against_restart_loop(points, kc, metric, seed):
 @given(restart_instances())
 def test_kmeans_restarts_match_the_restart_loop_bitwise(instance):
     points, kc, seed = instance
-    assert _stirling2(points.shape[0], kc) > EXACT_BUDGET
+    assert oracles.stirling2(points.shape[0], kc) > EXACT_BUDGET
     for metric in METRICS:
         check_against_restart_loop(points, kc, metric, seed)
 
@@ -674,7 +674,14 @@ def test_partition_listing_matches_oracle():
                         labels[i] = b
                 want.append(labels)
             assert _partitions(m, k).tolist() == want, (m, k)
-            assert _stirling2(m, k) == len(want), (m, k)
+            assert oracles.stirling2(m, k) == len(want), (m, k)
+
+
+def test_exact_path_decision_matches_the_full_stirling_table():
+    # _within_budget stops at the first entry of the table past the budget
+    for m in range(1, 61):
+        for k in range(1, m + 1):
+            assert _within_budget(m, k) == (oracles.stirling2(m, k) <= EXACT_BUDGET), (m, k)
 
 
 def test_kmeans_reaches_enumeration_optimum_on_small_instances():
