@@ -49,6 +49,7 @@ __all__ = [
     "parse_column_spec",
     "load_csv",
     "summarize",
+    "reject_constant_columns",
     "standardize",
 ]
 
@@ -380,6 +381,20 @@ def summarize(data: DataMatrix, divisor: str = POPULATION) -> list[ColumnSummary
     ]
 
 
+def reject_constant_columns(data: DataMatrix, summaries: list[ColumnSummary]) -> None:
+    """Raise a ``DataError`` naming the first column of ``data`` whose
+    values are all equal or whose variance in ``summaries`` is zero.
+
+    A constant column with an inexact mean, such as three cells of 0.1,
+    has a std of rounding noise (1.4e-17), not 0, so the values are
+    compared as well.
+    """
+    flat = (np.ptp(data.values, axis=0) == 0.0).tolist()
+    for s, is_flat in zip(summaries, flat):
+        if is_flat or s.std == 0.0:
+            raise DataError(f"ingest: column {s.name!r} has zero variance")
+
+
 def standardize(data: DataMatrix, divisor: str = POPULATION) -> StandardizedMatrix:
     """Center each column and scale it to unit standard deviation.
 
@@ -388,9 +403,7 @@ def standardize(data: DataMatrix, divisor: str = POPULATION) -> StandardizedMatr
             and carries no correlation information.
     """
     summaries = summarize(data, divisor)
-    for s in summaries:
-        if s.std == 0.0:
-            raise DataError(f"ingest: column {s.name!r} has zero variance")
+    reject_constant_columns(data, summaries)
     z = data.values - [s.mean for s in summaries]
     z /= [s.std for s in summaries]
     return StandardizedMatrix(values=z, column_names=list(data.column_names), summaries=summaries)

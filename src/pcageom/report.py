@@ -30,7 +30,14 @@ from .corrstats import (
 )
 from .eigensolve import eigen_symmetric
 from .errors import DataError
-from .ingest import POPULATION, ColumnSummary, load_csv, parse_column_spec, summarize
+from .ingest import (
+    POPULATION,
+    ColumnSummary,
+    load_csv,
+    parse_column_spec,
+    reject_constant_columns,
+    summarize,
+)
 from .pcacore import (
     CRITERIA,
     explanation_table,
@@ -86,11 +93,7 @@ def load_input(
         label_sel = parsed[0]
     data = load_csv(input_path, columns=selectors, label_column=label_sel, header=header)
     summaries = summarize(data, divisor)
-    # a constant column with an inexact mean centers to rounding noise, not to zeros
-    flat = (np.ptp(data.values, axis=0) == 0.0).tolist()
-    for s, is_flat in zip(summaries, flat):
-        if is_flat or s.std == 0.0:
-            raise DataError(f"ingest: column {s.name!r} has zero variance")
+    reject_constant_columns(data, summaries)
     return correlation_matrix(data), summaries
 
 

@@ -100,7 +100,9 @@ def t_cdf(t: float, df: float) -> float:
     return 0.5 + area if t > 0 else 0.5 - area
 
 
-def _reference_betacf(a, b, x):
+def reference_betacf_steps(a, b, x):
+    """The scalar modified Lentz fraction and the steps it took: 301
+    when none of its 300 steps met the tolerance."""
     tiny = 1e-300
     qab = a + b
     qap = a + 1.0
@@ -133,8 +135,12 @@ def _reference_betacf(a, b, x):
         delta = d * c
         h *= delta
         if abs(delta - 1.0) < 1e-12:
-            return h
-    return h
+            return h, m
+    return h, 301
+
+
+def _reference_betacf(a, b, x):
+    return reference_betacf_steps(a, b, x)[0]
 
 
 def reference_betainc_reg(a: float, b: float, x: float) -> float:
@@ -590,10 +596,11 @@ def handle_load_csv(
 
 def expression_standardize(data: DataMatrix, divisor: str = "population") -> np.ndarray:
     """``ingest.standardize``'s values as the one expression it was before
-    it divided in place; raises its zero-variance error the same way."""
+    it divided in place; raises its zero-variance error, for a column of
+    equal values or of zero variance, the same way."""
     summaries = summarize(data, divisor)
-    for s in summaries:
-        if s.std == 0.0:
+    for j, s in enumerate(summaries):
+        if s.std == 0.0 or (data.values[:, j] == data.values[0, j]).all():
             raise DataError(f"ingest: column {s.name!r} has zero variance")
     return (data.values - [s.mean for s in summaries]) / [s.std for s in summaries]
 

@@ -19,7 +19,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from pcageom import corrstats
 from pcageom.corrstats import (
+    _FEW,
     _SERIES_FROM,
     MAX_N_OBS,
     CorrelationMatrix,
@@ -369,6 +371,83 @@ def test_betainc_reg_array_is_the_scalar_per_entry():
         assert got.tobytes() == np.array(want).tobytes()
         assert all(type(betainc_reg(a, b, float(v))) is float for v in x)
     assert betainc_reg(2.0, 0.5, np.array([])).shape == (0,)
+
+
+def reference_betainc(a, b, x):
+    return np.array([oracles.reference_betainc_reg(a, b, float(v)) for v in x])
+
+
+@st.composite
+def handoff_cases(draw):
+    """An a of the significance test (b = 1/2) and an x array of 0 to
+    3 * _FEW entries, so that the batch hands its last entries over at
+    many steps: x anywhere around the branch point (a+1)/(a+b+2), right
+    next to it, where the fraction takes the most steps, and at both
+    ends."""
+    a = draw(st.sampled_from([0.5, 1.0, 74.0, 249.0, 4999.0, 5e5]))
+    branch = (a + 1.0) / (a + 2.5)
+    width = min(branch, 1.0 - branch)
+    around = st.builds(lambda t: branch + t * width, st.floats(-1.0, 1.0))
+    next_to = st.builds(lambda t: branch + t * width, st.floats(-1e-6, 1e-6))
+    ends = st.one_of(st.floats(0.0, 1e-6), st.builds(lambda t: 1.0 - t, st.floats(0.0, 1e-6)))
+    n = draw(st.integers(0, 3 * _FEW))
+    x = draw(st.lists(st.one_of(around, next_to, ends), min_size=n, max_size=n))
+    return a, np.array(x, dtype=np.float64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(handoff_cases())
+def test_betainc_reg_batch_and_handoff_are_the_scalar_fraction(case):
+    a, x = case
+    assert betainc_reg(a, 0.5, x).tobytes() == reference_betainc(a, 0.5, x).tobytes()
+
+
+@pytest.fixture
+def handoff_steps(monkeypatch):
+    """The step at which each entry's per-entry fraction starts."""
+    starts = []
+    one = corrstats._lentz_one
+
+    def spy(a, b, x, c, d, h, m):
+        starts.append(m)
+        return one(a, b, x, c, d, h, m)
+
+    monkeypatch.setattr(corrstats, "_lentz_one", spy)
+    return starts
+
+
+@pytest.mark.parametrize("n", [_FEW, _FEW + 1])
+def test_lentz_at_the_handoff_size(n, handoff_steps):
+    # 24 to 27 steps each, all on the low branch
+    x = np.linspace(0.975, 0.98, n)
+    assert betainc_reg(74.0, 0.5, x).tobytes() == reference_betainc(74.0, 0.5, x).tobytes()
+    if n == _FEW:
+        assert handoff_steps == [1] * n
+    else:
+        assert 0 < len(handoff_steps) <= _FEW and len(set(handoff_steps)) == 1
+        assert handoff_steps[0] > 1
+
+
+def test_lentz_batch_compacts_to_exactly_few_entries(handoff_steps):
+    # x = 0.01 leaves after step 2; the other _FEW entries take 26 or 27
+    x = np.concatenate([[0.01], np.linspace(0.979, 0.98, _FEW)])
+    assert oracles.reference_betacf_steps(74.0, 0.5, 0.01)[1] == 2
+    assert betainc_reg(74.0, 0.5, x).tobytes() == reference_betainc(74.0, 0.5, x).tobytes()
+    assert handoff_steps == [3] * _FEW
+
+
+@pytest.mark.parametrize("early", [True, False])
+def test_lentz_entries_reach_the_step_cap_after_the_handoff(early, handoff_steps):
+    """At a = b = 5e5 next to the branch point 1/2 the fraction stops at
+    its 300-step cap.  With one early entry (9 steps) the others are
+    handed over at step 10 and run to the cap one at a time; without it
+    the batch itself reaches the cap and hands over at step 301."""
+    a = b = 5e5
+    capped = np.linspace(0.5 - 1e-6, 0.5 - 1e-9, _FEW if early else 3 * _FEW)
+    assert {oracles.reference_betacf_steps(a, b, float(v))[1] for v in capped} == {301}
+    x = np.concatenate([[0.495], capped]) if early else capped
+    assert betainc_reg(a, b, x).tobytes() == reference_betainc(a, b, x).tobytes()
+    assert handoff_steps == ([10] * _FEW if early else [301] * capped.size)
 
 
 @pytest.mark.parametrize("args, message", [

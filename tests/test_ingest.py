@@ -460,6 +460,10 @@ def test_standardize_rejects_constant_column(tmp_path):
     p = write_csv(tmp_path, "a,b,c,d\n1,5,7,9\n2,5,7,8\n3,5,7,7\n", "two.csv")
     with pytest.raises(DataError, match="column 'b' has zero variance"):
         standardize(load_csv(p, header=True))
+    # three cells of 0.1 have an inexact mean and a std of 1.4e-17, not 0
+    p = write_csv(tmp_path, "a,b\n1,0.1\n2,0.1\n3,0.1\n", "tenths.csv")
+    with pytest.raises(DataError, match="column 'b' has zero variance"):
+        standardize(load_csv(p, header=True))
 
 
 def test_loading_is_deterministic(tmp_path):
