@@ -114,22 +114,33 @@ def correlation_matrix(z: DataMatrix | StandardizedMatrix) -> CorrelationMatrix:
     upper triangle is kept; the lower triangle is mirrored from it so
     symmetry holds exactly, and the diagonal is exactly 1.
 
+    ``z`` is left unchanged: its values are centered in a copy.
+    ``report.load_input``, which owns the matrix it loads, centers that
+    matrix in place instead and passes it to ``_centered_correlation``,
+    bitwise the same result.
+
     Raises:
         DataError: for a column whose centered values are all zero.  A
             constant column whose mean is not exact centers to rounding
             noise instead; ``report.load_input`` rejects it beforehand.
     """
-    zc = z.values - z.values.mean(axis=0)
+    return _centered_correlation(z.values - z.values.mean(axis=0), z.column_names)
+
+
+def _centered_correlation(zc: np.ndarray, names: list[str]) -> CorrelationMatrix:
+    """``correlation_matrix`` of the columns ``zc``, already centered on
+    their means, named ``names``.  ``zc`` is overwritten: its entries
+    are squared in place for the norms."""
     gram = zc.T @ zc
     # squared in place: the Gram product is the last reader of zc
     norms = np.sqrt(np.square(zc, out=zc).sum(axis=0))
     if np.any(norms == 0.0):
         j = int(np.argmin(norms))
-        raise DataError(f"corrstats: column {z.column_names[j]!r} has zero variance")
+        raise DataError(f"corrstats: column {names[j]!r} has zero variance")
     r = np.triu(np.clip(gram / np.outer(norms, norms), -1.0, 1.0), 1)
     r += r.T
     np.fill_diagonal(r, 1.0)
-    return CorrelationMatrix(r=r, n_obs=z.n_rows, names=list(z.column_names))
+    return CorrelationMatrix(r=r, n_obs=zc.shape[0], names=list(names))
 
 
 # The most active entries that finish one at a time rather than in the
@@ -283,8 +294,11 @@ def betainc_reg(a, b, x):
         front = _each(math.exp, ln_front)
         low = xi < (a + 1.0) / (a + b + 2.0)
         high = ~low
-        out[inner[low]] = front[low] * _lentz(a, b, xi[low]) / a
-        out[inner[high]] = 1.0 - front[high] * _lentz(b, a, 1.0 - xi[high]) / b
+        # a branch without entries skips _lentz's batched set-up
+        if low.any():
+            out[inner[low]] = front[low] * _lentz(a, b, xi[low]) / a
+        if high.any():
+            out[inner[high]] = 1.0 - front[high] * _lentz(b, a, 1.0 - xi[high]) / b
     return float(out[0]) if xs.ndim == 0 else out
 
 

@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .corrstats import (
     CorrelationMatrix,
-    correlation_matrix,
+    _centered_correlation,
     derived_matrices,
     load_correlation_json,
 )
@@ -65,11 +65,12 @@ def load_input(
     input the column summaries under ``divisor`` (``None`` for JSON
     input).  The correlation is taken from the loaded ``DataMatrix``
     itself, since r depends on neither the shift nor the scale of a
-    column, so no standardized copy of the data is made, and the loaded
-    values do not outlive this call.  ``columns`` and ``label_column``
-    use the column spec syntax; the label spec must select exactly one
-    column.  They and ``header`` apply to CSV input only; JSON input
-    rejects them.
+    column: this call owns that matrix, so it centers it in place and
+    correlates it there, and the loaded matrix is the only full-size
+    array of the analysis.  Nothing of it outlives the call.
+    ``columns`` and ``label_column`` use the column spec syntax; the
+    label spec must select exactly one column.  They and ``header``
+    apply to CSV input only; JSON input rejects them.
 
     Raises:
         DataError: besides the loaders' errors, for a CSV column whose
@@ -94,7 +95,9 @@ def load_input(
     data = load_csv(input_path, columns=selectors, label_column=label_sel, header=header)
     summaries = summarize(data, divisor)
     reject_constant_columns(data, summaries)
-    return correlation_matrix(data), summaries
+    # centered in place, the bits of correlation_matrix's centered copy
+    data.values -= data.values.mean(axis=0)
+    return _centered_correlation(data.values, data.column_names), summaries
 
 
 def run_analysis(

@@ -20,9 +20,11 @@ as the loop they were before they ran in lockstep, one Lloyd descent
 per start with one ``oracle_centroid`` call per cluster per step, so
 labels, objectives and iteration counts can be compared bit for bit.
 The CSV loader is kept as it was when NumPy read the values through
-the open text handle, and standardization and the correlation matrix
-as the expressions they were before they worked in place, so the
-loaded values and the matrices can be compared bit for bit.  The
+the open text handle, the column summaries as they were taken from one
+transposed copy of the whole matrix, before they read it in blocks,
+and standardization and the correlation matrix as the expressions they
+were before they worked in place, so the loaded values, the summaries
+and the matrices can be compared bit for bit.  The
 pipeline's correlation is kept as it was taken before it read the
 loaded data directly, from the standardized copy, and the partition
 count as the whole Stirling table ``varcluster`` built before it
@@ -43,11 +45,13 @@ import numpy as np
 from pcageom.corrstats import _ln_gamma_ratio, correlation_matrix
 from pcageom.errors import DataError
 from pcageom.ingest import (
+    ColumnSummary,
     DataMatrix,
     StandardizedMatrix,
     _fault,
     _names,
     _select,
+    ddof_for,
     standardize,
     summarize,
 )
@@ -592,6 +596,21 @@ def handle_load_csv(
     if data is None:
         raise _fault(path, columns, label_column, header)
     return data
+
+
+def one_copy_summarize(data: DataMatrix, divisor: str = "population") -> list[ColumnSummary]:
+    """``ingest.summarize`` as it was before it read the columns in
+    blocks: one transposed copy of the whole matrix."""
+    columns = np.array(data.values.T, dtype=np.float64, order="C")
+    means = columns.mean(axis=1)
+    columns -= means[:, None]
+    variances = np.square(columns, out=columns).sum(axis=1) / (data.n_rows - ddof_for(divisor))
+    return [
+        ColumnSummary(name=name, mean=mean, std=std, variance=var)
+        for name, mean, std, var in zip(
+            data.column_names, means.tolist(), np.sqrt(variances).tolist(), variances.tolist()
+        )
+    ]
 
 
 def expression_standardize(data: DataMatrix, divisor: str = "population") -> np.ndarray:

@@ -6,7 +6,8 @@ writes the ``BENCH_*.json`` files, runs only on a temporary file.  The
 benchmark loads ``perfbench/spans.py`` by file path, so ``perfbench/``
 stays off ``sys.path`` for the other tests.  The tracer's hooks are
 checked against the package, so a renamed layer function fails here
-instead of silently losing its span.
+instead of silently losing its span, and so does one that ``report``
+stops calling on CSV input.
 """
 
 import importlib
@@ -106,13 +107,21 @@ def test_perfbench_hooks_resolve(tmp_path, capsys, harness):
     try:
         unresolved = sorted(tracer.missing)
         assert cli.main(["analyze", "fixtures/iris_corr.json", "--out", str(tmp_path)]) == 0
+        json_spans = set(tracer.inclusive)
+        assert cli.main(["analyze", "fixtures/iris.csv", "--columns", "1-4", "--header",
+                         "--out", str(tmp_path / "csv")]) == 0
+        csv_spans = set(tracer.inclusive) - json_spans
     finally:
         tracer.remove()
     # the stale hooks name functions the package no longer has, or that
-    # the pipeline no longer calls (standardize, project_scores)
-    assert unresolved == ["pcageom.eigensolve.jacobi_sweeps", "pcageom.report.project_scores",
-                          "pcageom.report.scree_data", "pcageom.report.standardize",
-                          "pcageom.varcluster.assign_labels",
+    # the pipeline no longer calls (standardize, project_scores, and
+    # correlation_matrix: load_input correlates the matrix it loaded in place)
+    assert unresolved == ["pcageom.eigensolve.jacobi_sweeps", "pcageom.report.correlation_matrix",
+                          "pcageom.report.project_scores", "pcageom.report.scree_data",
+                          "pcageom.report.standardize", "pcageom.varcluster.assign_labels",
                           "pcageom.varcluster.point_distance"]
     assert corrstats.betainc_reg is real
-    assert tracer.counts["corrstats.betainc_calls"] == 1
+    assert tracer.counts["corrstats.betainc_calls"] == 2
+    # a name that report stops calling reads like a deleted one
+    assert "corrstats.load_correlation_json" in json_spans
+    assert csv_spans == {"ingest.parse_column_spec", "ingest.load_csv", "ingest.summarize"}

@@ -148,14 +148,18 @@ def test_correlation_matrix_matches_the_expression_bitwise(values, standardized)
             return
     else:
         z = StandardizedMatrix(values=values, column_names=names, summaries=[])
+    before = z.values.tobytes()
     try:
         expected = oracles.expression_correlation(z)
     except DataError as exc:
         with pytest.raises(DataError, match=re.escape(str(exc))):
             correlation_matrix(z)
+        assert z.values.tobytes() == before
         return
     r = correlation_matrix(z).r
     assert r.tobytes() == expected.tobytes()
+    # the argument is centered in a copy
+    assert z.values.tobytes() == before
 
 
 def test_angle_matrix_matches_angle_deg():
@@ -371,6 +375,26 @@ def test_betainc_reg_array_is_the_scalar_per_entry():
         assert got.tobytes() == np.array(want).tobytes()
         assert all(type(betainc_reg(a, b, float(v))) is float for v in x)
     assert betainc_reg(2.0, 0.5, np.array([])).shape == (0,)
+
+
+@pytest.mark.parametrize("x, branches", [
+    ([0.2, 0.5], [(74.0, 2)]),  # both below the branch point
+    ([0.999, 0.9999], [(0.5, 2)]),  # both above it
+    ([0.2, 0.999], [(74.0, 1), (0.5, 1)]),
+    ([0.0, 1.0], []),  # no entry reaches the fraction
+])
+def test_betainc_reg_runs_the_fraction_only_for_branches_with_entries(monkeypatch, x, branches):
+    calls = []
+    lentz = corrstats._lentz
+
+    def spy(a, b, xs):
+        calls.append((a, xs.size))
+        return lentz(a, b, xs)
+
+    monkeypatch.setattr(corrstats, "_lentz", spy)
+    x = np.array(x)
+    assert betainc_reg(74.0, 0.5, x).tobytes() == reference_betainc(74.0, 0.5, x).tobytes()
+    assert calls == branches
 
 
 def reference_betainc(a, b, x):

@@ -6,12 +6,15 @@ import csv
 import gzip
 import lzma
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
+from pcageom import ingest
 from pcageom.errors import DataError
 from pcageom.ingest import (
     MAX_COLUMNS,
@@ -422,6 +425,42 @@ def test_summarize_matches_numpy(tmp_path):
                 var = float(np.var(col, ddof=ddof))
                 assert (s.mean, s.variance, s.std) == (float(np.mean(col)), var, float(np.sqrt(var)))
                 assert z[:, j].tobytes() == ((col - s.mean) / s.std).tobytes()
+
+
+def summary_fields(summaries):
+    return [s.name for s in summaries], np.array(
+        [[s.mean, s.std, s.variance] for s in summaries]).tobytes()
+
+
+@pytest.mark.parametrize("divisor", ["population", "sample"])
+@pytest.mark.parametrize("rows, n_cols", [
+    (1000, ingest._BLOCK // 1000 - 1), (1000, ingest._BLOCK // 1000),
+    (1000, ingest._BLOCK // 1000 + 1), (1000, 3 * (ingest._BLOCK // 1000) + 1),
+    (ingest._BLOCK + 1, 3),  # a column longer than a block is a block of its own
+])
+def test_blocked_summaries_are_the_one_copy_summaries(rows, n_cols, divisor):
+    # columns far from zero, so that any change in summation order moves bits
+    rng = np.random.default_rng(rows + n_cols)
+    values = (rng.standard_normal((rows, n_cols)) * rng.uniform(0.1, 100.0, n_cols)
+              + rng.uniform(-1e6, 1e6, n_cols))
+    data = DataMatrix(values=values, column_names=[f"v{j}" for j in range(n_cols)])
+    got = summarize(data, divisor)
+    assert summary_fields(got) == summary_fields(oracles.one_copy_summarize(data, divisor))
+
+
+def test_summarize_copies_one_block_of_columns_at_a_time():
+    values = np.random.default_rng(2).standard_normal((10_000, 24))
+    data = DataMatrix(values=values, column_names=[f"v{j}" for j in range(24)])
+    summarize(data)  # first-call allocations stay out of the peak
+    tracemalloc.start()
+    try:
+        summarize(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a block is alive until the next one is copied
+    block = (ingest._BLOCK // 10_000) * 10_000 * 8
+    assert block <= values.nbytes / 8 and peak < 2.5 * block, f"peak {peak} B for blocks of {block} B"
 
 
 @settings(max_examples=300, deadline=None)
