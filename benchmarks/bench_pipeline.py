@@ -10,6 +10,9 @@ writing its report files into a temporary directory:
 * for each n in ``harness.SIZES``, the seeded synthetic data of
   ``harness.py`` clustered by k-means into min(12, n - 1) clusters,
   once per metric;
+* the same data at 10 variables with ``--k 2``, once per metric with an
+  exact path (l1, l2, cosine): the largest instance a 2-component
+  analysis clusters exactly, scoring all 511 partitions;
 * the csv_tall shape, 24 variables x 10000 rows with naive clusters,
   once without and once with ``--label-column v1``;
 * the json_wide shape, the correlation JSON of the same model at 48
@@ -51,6 +54,8 @@ from pcageom.varcluster import METRICS
 ROOT = Path(__file__).resolve().parent.parent
 OUT = ROOT / "BENCH_pipeline.json"
 MAX_CLUSTERS = 12
+EXACT_SHAPE = (10, 2)  # variables, clusters: S(10, 2) = 511 partitions
+EXACT_METRICS = ("l1", "l2", "cosine")
 TALL_SHAPE = (24, 10_000)  # variables, rows
 TALL_FLAGS = ("--header", "--clusters", "naive", "--format", "csv")
 JSON_SHAPE = (48, 500)  # variables, n_obs
@@ -77,6 +82,8 @@ DESCRIPTION = (
     f"directory: a seeded 3-factor model plus noise (seed {harness.SEED}, "
     f"{harness.ROWS} rows, %.6f cells) at n = {', '.join(map(str, harness.SIZES))} "
     f"with --clusters kmeans --k min({MAX_CLUSTERS}, n - 1) under each metric; the "
+    f"same model at n = {EXACT_SHAPE[0]} with --k {EXACT_SHAPE[1]} under "
+    f"{', '.join(EXACT_METRICS)} (exact k-means); the "
     f"same model at {TALL_SHAPE[0]} variables x {TALL_SHAPE[1]} rows with "
     f"{' '.join(TALL_FLAGS)}, without and with --label-column v1; the correlation "
     f"JSON (np.corrcoef) of the same model at {JSON_SHAPE[0]} variables and n_obs "
@@ -156,9 +163,9 @@ def measure(input_path: Path, flags: tuple[str, ...], **case) -> dict:
     return row
 
 
-def kmeans_flags(n: int, metric: str) -> tuple[str, ...]:
-    return ("--header", "--clusters", "kmeans", "--k", str(min(MAX_CLUSTERS, n - 1)),
-            "--metric", metric)
+def kmeans_flags(n: int, metric: str, k: int | None = None) -> tuple[str, ...]:
+    k = min(MAX_CLUSTERS, n - 1) if k is None else k
+    return ("--header", "--clusters", "kmeans", "--k", str(k), "--metric", metric)
 
 
 def show(row: dict) -> dict:
@@ -178,6 +185,11 @@ def one_pass():
             for metric in METRICS:
                 yield show(measure(data, kmeans_flags(n, metric), case=f"n={n} {metric}",
                                    n=n, rows=harness.ROWS, metric=metric))
+        n, k = EXACT_SHAPE
+        harness.write_factor_csv(data, n)
+        for metric in EXACT_METRICS:
+            yield show(measure(data, kmeans_flags(n, metric, k), case=f"n={n} k={k} {metric}",
+                               n=n, rows=harness.ROWS, metric=metric))
         n, rows = TALL_SHAPE
         harness.write_factor_csv(data, n, rows)
         for label in (None, "v1"):

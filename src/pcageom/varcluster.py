@@ -17,10 +17,11 @@ and cosine (normalized mean direction) metrics, so for those three the
 best clustering is the cheapest partition of the variables.  When the
 number of partitions into k non-empty blocks, the Stirling number
 S(m, k) of the m clustered variables, is at most ``EXACT_BUDGET``
-(1000), every partition is scored in one batch and the cheapest is
-returned: the result is provably optimal and marked ``exact``.  The
-budget keeps that batch to a few milliseconds; it covers every k for up
-to 7 variables, k = 2 up to 10 variables, and k = m - 1 up to 45.
+(1000), every partition is scored with Lloyd's own centroid and
+distance code, and the one of least objective is returned (the first in
+restricted-growth order among bitwise-equal objectives): the result is
+provably optimal and marked ``exact``.  The budget covers every k for
+up to 7 variables, k = 2 up to 10 variables, and k = m - 1 up to 45.
 
 Above the budget, and always for the Chebyshev metric, the result is
 heuristic: ``RESTARTS`` (10) runs of farthest-point initialization
@@ -38,16 +39,17 @@ all restarts still descending together, and each restart leaves that
 set at its own fixpoint, guard trip or iteration cap, so it returns
 what a loop over the starts would.
 
-Distances are array code: ``pairwise_distance`` gives each Lloyd step
-one matrix from every point to the centroids of every live restart,
-from which each restart's labels and cost are read, and one
-point-to-point matrix serves the initialization of every restart.  It
-adds coordinates in the order a loop over one pair of vectors would,
-so results are bitwise those of such a loop.  The centroids of one
-step come from one pass over all (restart, cluster) groups; groups of
-equal size are reduced together, so each centroid is bitwise what
-``np.median``, ``mean`` or the normalized sum gives for its group
-alone.  The exact path takes its centroids from the same pass.
+Distances are array code with one kernel, ``_distance``, which adds
+coordinates in the order a loop over one pair of vectors would, so
+results are bitwise those of such a loop.  It gives each Lloyd step one
+matrix from every point to the centroids of every live restart, the
+initialization one point-to-point matrix, and the exact path each
+point's distance to its own centroid in every partition.  The
+centroids of one step come from one pass over all (restart, cluster)
+groups; groups of equal size are reduced together, so each centroid is
+bitwise what ``np.median``, ``mean`` or the normalized sum gives for
+its group alone.  The exact path takes its centroids from the same
+pass, one row per partition.
 """
 
 from __future__ import annotations
@@ -84,6 +86,9 @@ _GUARD_TOL = 1e-12
 
 # most partitions cluster_kmeans scores exhaustively; see the module docstring
 EXACT_BUDGET = 1000
+
+# exact path: values per scoring block (partitions x points x coordinates)
+_SCORE_BLOCK = 1 << 16
 
 # heuristic path: Lloyd descents per clustering, iterations per descent
 RESTARTS = 10
@@ -177,30 +182,23 @@ def _check_metric(metric: str) -> None:
         raise ValueError(f"varcluster: unknown metric {metric!r}, expected one of {sorted(METRICS)}")
 
 
-def pairwise_distance(points: np.ndarray, centers: np.ndarray, metric: str) -> np.ndarray:
-    """Distance from every point to every center, as an (m, kc) matrix.
-
-    Under the named metric: l1 sums absolute coordinate differences, l2
-    sums squared ones (the squared Euclidean distance), linf keeps the
-    largest, and cosine is 1 - dot / (|x| |c|) clamped at 0, or 1 when
-    either vector is zero.  Coordinates are accumulated one axis at a
-    time in index order, so each entry is bitwise what a scalar loop
-    over that pair of vectors returns.
-    """
-    _check_metric(metric)
-    out = np.zeros((points.shape[0], centers.shape[0]))
+def _distance(x: np.ndarray, c: np.ndarray, metric: str) -> np.ndarray:
+    """``pairwise_distance``'s metric between the vectors along the last
+    axes of ``x`` and ``c``, broadcast over their other axes; the one
+    distance kernel of k-means."""
+    out = np.zeros(np.broadcast_shapes(x.shape[:-1], c.shape[:-1]))
     if metric == "cosine":
-        nx = np.zeros((points.shape[0], 1))
-        nc = np.zeros((1, centers.shape[0]))
-    for j in range(points.shape[1]):
-        x = points[:, j, None]
-        c = centers[None, :, j]
+        nx = np.zeros(x.shape[:-1])
+        nc = np.zeros(c.shape[:-1])
+    for j in range(x.shape[-1]):
+        xj = x[..., j]
+        cj = c[..., j]
         if metric == "cosine":
-            out += x * c
-            nx += x * x
-            nc += c * c
+            out += xj * cj
+            nx += xj * xj
+            nc += cj * cj
             continue
-        diff = x - c
+        diff = xj - cj
         if metric == "l2":
             out += diff * diff
         elif metric == "l1":
@@ -215,6 +213,20 @@ def pairwise_distance(points: np.ndarray, centers: np.ndarray, metric: str) -> n
     out = np.maximum(1.0 - out, 0.0)
     out[zero] = 1.0
     return out
+
+
+def pairwise_distance(points: np.ndarray, centers: np.ndarray, metric: str) -> np.ndarray:
+    """Distance from every point to every center, as an (m, kc) matrix.
+
+    Under the named metric: l1 sums absolute coordinate differences, l2
+    sums squared ones (the squared Euclidean distance), linf keeps the
+    largest, and cosine is 1 - dot / (|x| |c|) clamped at 0, or 1 when
+    either vector is zero.  Coordinates are accumulated one axis at a
+    time in index order, so each entry is bitwise what a scalar loop
+    over that pair of vectors returns.
+    """
+    _check_metric(metric)
+    return _distance(points[:, None, :], centers[None, :, :], metric)
 
 
 def _point_order_sum(own: np.ndarray) -> np.ndarray:
@@ -244,7 +256,7 @@ def _fix_empty(points: np.ndarray, centroids: np.ndarray, labels: np.ndarray,
         counts[cid] = 1
         labels[i] = cid
         centroids[cid] = points[i]
-        own[i] = pairwise_distance(points[i, None], points[i, None], metric)[0, 0]
+        own[i] = _distance(points[i, None], points[i, None], metric)[0]
 
 
 def _assign_all(points: np.ndarray, centroids: np.ndarray, metric: str) -> tuple[np.ndarray, np.ndarray]:
@@ -484,34 +496,24 @@ def _partitions(m: int, k: int) -> np.ndarray:
     return labels
 
 
-def _partition_costs(points: np.ndarray, labels: np.ndarray, metric: str) -> np.ndarray:
-    """Cost of every partition row, each block costed at its exact centroid.
-
-    Closed forms of the block cost at the exact centroid: squared
-    Euclidean, sum of squares minus squared sum over the count; cosine,
-    count minus the length of the summed unit vectors; city block, upper
-    half minus lower half of each coordinate's sorted member values.
-    """
-    total = np.zeros(labels.shape[0])
-    sq = np.einsum("ij,ij->i", points, points)
-    unit = points / np.linalg.norm(points, axis=1, keepdims=True) if metric == "cosine" else None
-    for block in range(int(labels.max()) + 1):
-        member = labels == block
-        count = member.sum(axis=1)
-        if metric == "l2":
-            sums = member @ points
-            total += member @ sq - np.einsum("ij,ij->i", sums, sums) / count
-        elif metric == "cosine":
-            total += count - np.linalg.norm(member @ unit, axis=1)
-        else:
-            values = np.where(member[:, :, None], points[None, :, :], np.inf)
-            values.sort(axis=1)
-            values[np.isinf(values)] = 0.0  # so ranks past the count add nothing
-            rank = np.arange(labels.shape[1])[None, :]
-            half = count[:, None] // 2
-            sign = (rank >= count[:, None] - half) - (rank < half).astype(np.float64)
-            total += np.einsum("pi,pij->p", sign, values)
-    return total
+def _best_partition(points: np.ndarray, k: int, metric: str) -> tuple[np.ndarray, float]:
+    """The first partition in ``_partitions`` order of least objective,
+    and that objective, scored with ``lloyd``'s centroid, distance and
+    sum code in blocks of about ``_SCORE_BLOCK`` values."""
+    m, dim = points.shape
+    candidates = _partitions(m, k)
+    rows = max(1, _SCORE_BLOCK // (m * max(dim, 1)))
+    best, least = 0, np.inf
+    for start in range(0, candidates.shape[0], rows):
+        labels = candidates[start:start + rows]
+        # every block has members, so no placeholder centroid survives
+        centroids = _centroids(points, labels, np.zeros((labels.shape[0], k, dim)), metric)
+        own = _distance(points[None], centroids[np.arange(labels.shape[0])[:, None], labels], metric)
+        costs = _point_order_sum(own)
+        i = int(np.argmin(costs))  # the first of equal costs
+        if costs[i] < least:
+            best, least = start + i, float(costs[i])
+    return candidates[best], least
 
 
 def cluster_kmeans(
@@ -526,9 +528,11 @@ def cluster_kmeans(
 
     For the l1, l2 and cosine metrics, when the Stirling number
     S(m, k_clusters) of the m clustered variables is at most
-    ``EXACT_BUDGET``, every partition is scored and the cheapest is
-    returned with ``exact=True`` and ``n_iterations=None``; ties keep the
-    lexicographically first labelling.  Otherwise, and always for linf,
+    ``EXACT_BUDGET``, every partition is scored with Lloyd's centroid and
+    distance code, and the one of least objective is returned with
+    ``exact=True`` and ``n_iterations=None``; among bitwise-equal
+    objectives the first in restricted-growth order (the lexicographically
+    first labelling) wins.  Otherwise, and always for linf,
     runs ``RESTARTS`` Lloyd descents of at most ``MAX_ITER`` iterations
     (seeds seed, seed+1, ...) and keeps the best objective; ties keep the
     earliest seed, so results are deterministic.  ``seed`` (non-negative)
@@ -561,13 +565,7 @@ def cluster_kmeans(
     points = matrix[active]
     exact = metric != "linf" and _within_budget(points.shape[0], k_clusters)
     if exact:
-        candidates = _partitions(points.shape[0], k_clusters)
-        labels = candidates[int(np.argmin(_partition_costs(points, candidates, metric)))]
-        # every block has members, so no placeholder centroid survives
-        placeholder = np.zeros((1, k_clusters, points.shape[1]))
-        centroids = _centroids(points, labels[None], placeholder, metric)[0]
-        own = pairwise_distance(points, centroids, metric)[np.arange(points.shape[0]), labels]
-        objective = float(_point_order_sum(own))
+        labels, objective = _best_partition(points, k_clusters, metric)
         n_iterations = None
     else:
         # one point-to-point matrix serves every restart's initialization

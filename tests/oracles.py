@@ -408,19 +408,31 @@ def restart_kmeans(points: np.ndarray, kc: int, metric: str, seed: int = 0):
     return best, runs
 
 
-def oracle_distance(x: np.ndarray, c: np.ndarray, metric: str) -> float:
-    d = x - c
-    if metric == "l1":
-        return float(np.abs(d).sum())
-    if metric == "l2":
-        return float(d @ d)
-    if metric == "linf":
-        return float(np.abs(d).max())
-    nx = float(np.linalg.norm(x))
-    nc = float(np.linalg.norm(c))
-    if nx == 0.0 or nc == 0.0:
+def oracle_distance(x, c, metric: str) -> float:
+    """One pair of vectors, one coordinate at a time in index order, in
+    Python floats: every product and sum rounded on its own, with no
+    fused multiply-add or pairwise summation."""
+    x, c = np.asarray(x, dtype=np.float64).tolist(), np.asarray(c, dtype=np.float64).tolist()
+    if metric != "cosine":
+        acc = 0.0
+        for xi, ci in zip(x, c):
+            d = xi - ci
+            if metric == "l1":
+                acc += abs(d)
+            elif metric == "l2":
+                acc += d * d
+            elif abs(d) > acc:
+                acc = abs(d)
+        return acc
+    dot = nx = nc = 0.0
+    for xi, ci in zip(x, c):
+        dot += xi * ci
+        nx += xi * xi
+        nc += ci * ci
+    denom = math.sqrt(nx) * math.sqrt(nc)
+    if denom == 0.0:
         return 1.0
-    return max(0.0, 1.0 - float(x @ c) / (nx * nc))
+    return max(1.0 - dot / denom, 0.0)
 
 
 def partition_cost(points: np.ndarray, blocks, metric: str) -> float:

@@ -9,8 +9,6 @@ The distance matrix is checked bitwise against a scalar loop over each
 pair of vectors.
 """
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -35,7 +33,14 @@ from pcageom.varcluster import (
     pairwise_distance,
     similarity_profiles,
 )
-from pcageom.varcluster import _assign_all, _centroids, _draw_index, _partitions, _within_budget
+from pcageom.varcluster import (
+    _assign_all,
+    _centroids,
+    _distance,
+    _draw_index,
+    _partitions,
+    _within_budget,
+)
 
 from conftest import REF_PARTITION, REF_PROFILES_K2_3DP
 import oracles
@@ -172,30 +177,6 @@ def test_naive_validation(fixture_profiles):
 # -- distances and assignment ---------------------------------------------
 
 
-def scalar_distance(x, c, metric):
-    """One pair of vectors, one coordinate at a time, in Python floats."""
-    if metric != "cosine":
-        acc = 0.0
-        for xi, ci in zip(x, c):
-            d = xi - ci
-            if metric == "l1":
-                acc += abs(d)
-            elif metric == "l2":
-                acc += d * d
-            elif abs(d) > acc:
-                acc = abs(d)
-        return acc
-    dot = nx = nc = 0.0
-    for xi, ci in zip(x, c):
-        dot += xi * ci
-        nx += xi * xi
-        nc += ci * ci
-    denom = math.sqrt(nx) * math.sqrt(nc)
-    if denom == 0.0:
-        return 1.0
-    return max(1.0 - dot / denom, 0.0)
-
-
 def point_distance(x, c, metric):
     return float(pairwise_distance(x[None, :], c[None, :], metric)[0, 0])
 
@@ -244,10 +225,13 @@ def point_sets(draw):
 def test_pairwise_distance_matches_scalar_loop_bitwise(sets, metric):
     points, centers = sets
     got = pairwise_distance(points, centers, metric)
-    want = np.array([[scalar_distance(p.tolist(), c.tolist(), metric) for c in centers]
+    want = np.array([[oracles.oracle_distance(p, c, metric) for c in centers]
                      for p in points])
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+    # the exact path's form: every point against its own center, one row per center
+    own = np.broadcast_to(centers[:, None, :], (centers.shape[0], *points.shape))
+    assert _distance(points[None], own, metric).tobytes() == want.T.tobytes()
 
 
 def test_assign_labels_tie_goes_to_lowest_index():
@@ -264,7 +248,7 @@ def test_assign_labels_matches_bruteforce():
     centroids = rng.standard_normal((4, 3))
     for metric in METRICS:
         labels, total = _assign_all(points, centroids[None], metric)
-        dist = [[scalar_distance(p.tolist(), c.tolist(), metric) for c in centroids] for p in points]
+        dist = [[oracles.oracle_distance(p, c, metric) for c in centroids] for p in points]
         want = [int(np.argmin(row)) for row in dist]
         assert labels.tolist() == [want]
         cost = 0.0
@@ -682,6 +666,49 @@ def test_exact_path_decision_matches_the_full_stirling_table():
     for m in range(1, 61):
         for k in range(1, m + 1):
             assert _within_budget(m, k) == (oracles.stirling2(m, k) <= EXACT_BUDGET), (m, k)
+
+
+@st.composite
+def tied_instances(draw):
+    """Small grid-valued profiles, so that distinct partitions often tie,
+    with a cluster count whose partitions the exact path enumerates."""
+    m = draw(st.integers(1, 7))
+    dim = draw(st.integers(1, 3))
+    grid = st.sampled_from([0.0, 0.2, 0.4, 0.6, 0.8, 1.0])
+    points = draw(hnp.arrays(np.float64, (m, dim), elements=grid))
+    return points, draw(st.integers(1, m)), draw(st.sampled_from(["l1", "l2", "cosine"]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(tied_instances())
+@example((np.array([[0.2], [0.2], [0.2], [0.2], [0.0]]), 3, "l2"))
+def test_exact_path_returns_the_first_partition_of_least_objective(instance):
+    """Every partition scored as a scalar loop would: each point's oracle
+    distance to its block's oracle centroid, added in point order."""
+    points, kc, metric = instance
+    names = names_of(points.shape[0])
+    if metric == "cosine":  # zero profiles are parked, not clustered
+        active = np.linalg.norm(points, axis=1) > 0.0
+        points, names = points[active], [n for n, keep in zip(names, active) if keep]
+    m = points.shape[0]
+    if not 1 <= kc <= m:
+        return
+    assert oracles.stirling2(m, kc) <= EXACT_BUDGET
+    best = None
+    for blocks in oracles.partitions_into_k(m, kc):
+        centroid = {}
+        for block in blocks:
+            c = oracles.oracle_centroid(points[list(block)], metric)
+            centroid.update((i, c) for i in block)
+        cost = 0.0
+        for i in range(m):
+            cost += oracles.oracle_distance(points[i], centroid[i], metric)
+        if best is None or cost < best[0]:
+            best = cost, blocks
+    got = cluster_kmeans(points, names, kc, metric=metric)
+    assert got.exact
+    assert got.objective.hex() == best[0].hex()
+    assert list(got.clusters.values()) == [[names[i] for i in block] for block in best[1]]
 
 
 def test_kmeans_reaches_enumeration_optimum_on_small_instances():
