@@ -25,12 +25,13 @@ the best-of end-to-end time of untraced calls; the minimum over traced
 calls of every span of ``perfbench/spans.py``'s ``Tracer``
 (it wraps each stage ``report`` and ``cli`` call) and of the time
 outside the outermost spans (argument parsing and file writes); the
+``tracemalloc`` peak of one untraced call; the
 hooks the tracer could not find; for k-means rows, ``exact`` and
 ``objective`` from the written ``report.json``; and SHA-256 digests of
 that report and of ``report.md``, each with its input path cut to the
 file name, so two ``--label`` runs show whether their outputs match.
-Each time is the minimum over both passes, and the script raises if a
-row's digests differ between them.  Rows are merged into
+Each time is the minimum over both passes and the peak the maximum,
+and the script raises if a row's digests differ between them.  Rows are merged into
 ``BENCH_pipeline.json`` under ``--label``.
 """
 
@@ -43,6 +44,7 @@ import json
 import sys
 import tempfile
 import time
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -95,7 +97,9 @@ DESCRIPTION = (
     "call (the same rule, warm-up included) of each perfbench/spans.py span, "
     "inclusive of nested spans, "
     f"and of {OUTSIDE}, the call's time outside its outermost spans (argument "
-    "parsing and file writes); missing lists the hooks the tracer could not find; "
+    "parsing and file writes); peak_mb is the largest over the passes of the "
+    "tracemalloc peak of one untraced call after the timed ones, in MiB (2**20 B); "
+    "missing lists the hooks the tracer could not find; "
     "report_sha256 and markdown_sha256 digest report.json and report.md with their "
     "input path cut to the file name"
 )
@@ -135,11 +139,23 @@ def stage_times(argv: list[str]) -> tuple[dict[str, float], int, list[str]]:
     return dict(sorted(best.items())), calls, missing
 
 
+def peak_mb(argv: list[str]) -> float:
+    """The ``tracemalloc`` peak of one untraced analysis, in MiB."""
+    tracemalloc.start()
+    try:
+        analyze(argv)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
 def measure(input_path: Path, flags: tuple[str, ...], **case) -> dict:
-    """One row: ``analyze input_path *flags`` timed untraced and traced."""
+    """One row: ``analyze input_path *flags`` timed untraced and traced,
+    and its peak memory."""
     with tempfile.TemporaryDirectory() as out:
         argv = ["analyze", str(input_path), *flags, "--out", out]
         analysis_s, timed_calls, _ = harness.best_of(analyze, argv)
+        peak = peak_mb(argv)
         stages_s, traced_calls, missing = stage_times(argv)
         report = json.loads(Path(out, "report.json").read_text(encoding="utf-8"))
         markdown = Path(out, "report.md").read_text(encoding="utf-8")
@@ -150,6 +166,7 @@ def measure(input_path: Path, flags: tuple[str, ...], **case) -> dict:
         "timed_calls": timed_calls,
         "stages_s": stages_s,
         "traced_calls": traced_calls,
+        "peak_mb": peak,
         "missing": missing,
     }
     clusters = report["clusters"]
@@ -204,13 +221,15 @@ def one_pass():
 
 
 def merged(row: dict, again: dict) -> dict:
-    """``row`` with each time the minimum of its two passes and the calls
-    of both counted; raises if the passes wrote different outputs."""
+    """``row`` with each time the minimum of its two passes, the peak the
+    maximum and the calls of both counted; raises if the passes wrote
+    different outputs."""
     for key in ("report_sha256", "markdown_sha256"):
         if row[key] != again[key]:
             raise RuntimeError(f"{row['case']}: {key} differs between passes")
     row["analysis_s"] = min(row["analysis_s"], again["analysis_s"])
     row["stages_s"] = {name: min(s, again["stages_s"].get(name, s)) for name, s in row["stages_s"].items()}
+    row["peak_mb"] = max(row["peak_mb"], again["peak_mb"])
     for key in ("timed_calls", "traced_calls"):
         row[key] += again[key]
     return row

@@ -241,8 +241,9 @@ def _read(
     )
     if len(values) < 3 or values.shape[1] != n_cols:
         return None
-    if selected != list(range(n_cols)):
-        values = values.take(selected, axis=1)
+    lo, hi = selected[0], selected[-1] + 1
+    # one run of columns is a view, so the file's values are held once
+    values = values[:, lo:hi] if selected == list(range(lo, hi)) else values.take(selected, axis=1)
     if not np.isfinite(values).all():
         return None
     return DataMatrix(values=values, column_names=[names[i] for i in selected])
@@ -341,6 +342,11 @@ def load_csv(
         label_column: optional column of row labels, left out of the
             default selection; its cells are not read.
         header: whether the first row holds column names.
+
+    Returns:
+        The selected columns: a view of the array read from the file
+        when they are one run of its columns in order (all but a first
+        or last label column, say), else a copy.
 
     Raises:
         DataError: a compressed-file suffix (``.gz``, ``.bz2``, ``.xz``,

@@ -660,6 +660,8 @@ def _certified(x: np.ndarray) -> tuple[np.ndarray, ...]:
 _SIGN, _BODY, _EXP, _END = 0, 1, 23, 28
 _BODY_ROWS = np.arange(22, dtype=np.int8)[:, None]
 _LEAD_ROWS = np.arange(4, dtype=np.int8)[:, None]
+# 10**8 to 10**0: a nine-digit half's quotients by these give its digits
+_DIGIT_POWERS = 10 ** np.arange(8, -1, -1, dtype=np.uint32)[:, None]
 # column s: the exponent's five rows for a value of |x| * 10**s in
 # [1e16, 1e17), "e-" and the digits of s - 16, the hundreds only from
 # 100 on; all 0 in fixed notation, s <= 20.  Built from bytes: NumPy's
@@ -672,16 +674,19 @@ _EXP_TEXT = np.frombuffer(b"".join(
 
 
 def _texts(c: np.ndarray, s: np.ndarray, j: np.ndarray, neg: np.ndarray) -> list[str]:
-    """The repr texts of ``_certified``'s values: the digits of ``c``
-    without its ``j`` trailing zeros, times 10**-s, negative where ``neg``.
+    """The texts of ``c * 10**-s``, negative where ``neg``: the 17 digits
+    of the int64 ``c`` < 1e17, leading zeros included, less the last
+    ``j`` but for those left of the point and the one right after it.
 
-    They are laid out as CPython does: fixed notation from 1e-4 up
-    (``0.000ddd``, ``ddd.ddd``, and ``ddd0.0`` when the digits end left
-    of the point), ``d.ddde-05`` to ``d.ddde-308`` below, with an
-    exponent of at least two digits.  Each text is a column of a uint8
-    matrix, 0 where it has no character.  The matrix is read out
-    row-major once, its zeros dropped, and the texts split at their
-    newlines.
+    ``_certified``'s values have no leading zero, and ``_thousandths``'
+    keys below 1000 have one, left of the point.  The layout is CPython
+    repr's: fixed notation from 1e-4 up (``0.000ddd``, ``ddd.ddd``, and
+    ``ddd0.0`` when the digits end left of the point), ``d.ddde-05`` to
+    ``d.ddde-308`` below.  Each text is a column of a uint8 matrix, 0
+    where it has no character; the digits come from two broadcast ``//``
+    of c's nine-digit halves against a column of powers of ten.  The
+    matrix is read out row-major once, its zeros dropped, and the texts
+    split at their newlines.
     """
     size = c.size
     # digits left of the decimal point, held at -4 in scientific notation
@@ -690,28 +695,21 @@ def _texts(c: np.ndarray, s: np.ndarray, j: np.ndarray, neg: np.ndarray) -> list
     sci = point <= -4
     # rows 1-4: four leading zeros; rows 5-21: the 17 digits
     lead = np.zeros((23, size), dtype=np.uint8)
-    high = c // 1_000_000_000
-    low = high * -1_000_000_000
-    low += c
-    for num, first, last in ((high.astype(np.uint32), 5, 12), (low.astype(np.uint32), 13, 21)):
-        # each row holds the number's quotient by a power of ten, mod 256;
-        # a digit is that less ten times the row above's, mod 256 as well
-        lead[last] = num
-        for row in range(last - 1, first - 1, -1):
-            num //= np.uint32(10)
-            lead[row] = num
-    del high, low, num
-    lead[14:22] -= np.uint8(10) * lead[13:21]
-    lead[6:13] -= np.uint8(10) * lead[5:12]
+    # rows 4-12 and 13-21 hold the quotients of c's two nine-digit halves
+    # by the powers of ten, mod 256 (row 4 is always 0); a digit is its
+    # quotient less ten times the row above's, mod 256 as well
+    half = c // 1_000_000_000
+    lead[4:13] = half.astype(np.uint32) // _DIGIT_POWERS
+    half *= -1_000_000_000
+    half += c
+    lead[13:22] = half.astype(np.uint32) // _DIGIT_POWERS
+    del half
+    digits = lead[4:22].reshape(2, 9, size)
+    digits[:, 1:] -= np.uint8(10) * digits[:, :-1]
     lead[5:22] += np.uint8(ord("0"))
-    # repr drops the j trailing zeros, but not those left of the point nor
-    # the one right after it: only the last three digits can go
-    kept = np.where(sci, 0, point + 1)
-    np.maximum(kept, 17 - j, out=kept)
-    lead[19] *= kept > 14
-    lead[20] *= kept > 15
-    lead[21] *= kept > 16
-    del kept
+    # the first 17 - j digits stay, and so do those left of the point and
+    # the one right after it (point + 1 is -3 in scientific notation)
+    lead[5:22] *= _BODY_ROWS[:17] < np.maximum(point + 1, 17 - j)
     np.multiply((_LEAD_ROWS >= 3 + point) & ~sci, np.uint8(ord("0")), out=lead[1:5])
     # the point follows body row 3 + point, or the first digit in
     # scientific notation; the rows after it move down by one
@@ -725,7 +723,8 @@ def _texts(c: np.ndarray, s: np.ndarray, j: np.ndarray, neg: np.ndarray) -> list
     body[dot + 1, np.arange(size)] = ord(".")
     np.take(_EXP_TEXT, s, axis=1, out=rows[_EXP:_END])
     rows[_END] = ord("\n")
-    # each copy is dropped once the next is made
+    # unused rows go; each copy is dropped once the next is made
+    rows = rows[rows.any(axis=1)]
     data = rows.T.tobytes()
     del rows, body
     data = data.translate(None, b"\0").decode("ascii")
@@ -776,9 +775,8 @@ def _three_decimals(blocks: list[tuple[np.ndarray, float]]) -> list[list]:
     return [cells[start:stop].reshape(a.shape).tolist() for a, (start, stop) in zip(arrays, spans)]
 
 
-# |k| // 10**p for p = 9..0: the seven digits of |k| // 1000, then the
-# three of |k| % 1000
-_KEY_POWERS = 10 ** np.arange(9, -1, -1, dtype=np.uint32)[:, None]
+# 10**4 to 10**9: a key's digit count, at least 4, is 4 plus how many it reaches
+_KEY_DIGITS = 10.0 ** np.arange(4, 10)[:, None]
 
 
 def _thousandths(keys: np.ndarray) -> list[str]:
@@ -789,32 +787,18 @@ def _thousandths(keys: np.ndarray) -> list[str]:
     |k| % 1000 zero-padded to three digits.  That is the format's text:
     fl(k / 1000) lies within 2.4e-10 of k / 1000 (half an ulp of a value
     below 2**22), far from the nearest 3-decimal rounding boundary, 5e-4
-    away.  Each text is a column of a uint8 matrix, 0 where it has no
-    character.  The digits come from one broadcast ``//`` against a
-    column of powers of ten, each quotient less ten times the quotient
-    by the next larger power, so the number of NumPy calls does not grow
-    with the key count.  The matrix is read out row-major once, its
-    zeros dropped, and the texts split at their newlines.
+    away.  ``_texts`` lays it out as the nd digits of |k|, nd its digit
+    count but at least four, shifted to the top of 17 and times 10**-3:
+    c = |k| * 10**(17 - nd), s = 20 - nd, which puts the point three
+    digits from the end in fixed notation, and j = 17 - nd digits cut.
     """
-    quotients = np.abs(keys).astype(np.uint32) // _KEY_POWERS
-    # a digit is its quotient less ten times the one above, both mod 256
-    digits = quotients.astype(np.uint8)
-    digits[1:] -= np.uint8(10) * digits[:-1]
-    digits += np.uint8(ord("0"))
-    digits[:6] *= quotients[:6] > 0  # leading zeros of |k| // 1000 are dropped
-    del quotients
-    rows = np.empty((13, keys.size), dtype=np.uint8)
-    np.multiply(np.signbit(keys), np.uint8(ord("-")), out=rows[0])
-    rows[1:8] = digits[:7]
-    rows[8] = ord(".")
-    rows[9:12] = digits[7:]
-    rows[12] = ord("\n")
-    del digits
-    data = rows.T.tobytes()
-    del rows
-    texts = data.translate(None, b"\0").decode("ascii").split("\n")
-    texts.pop()
-    return texts
+    magnitude = np.abs(keys)
+    j = 13 - (magnitude >= _KEY_DIGITS).sum(axis=0, dtype=np.int8)
+    # exact: |k| * 5**j stays below 2**53
+    magnitude *= _POW10[j]
+    c = magnitude.astype(np.int64)
+    del magnitude
+    return _texts(c, j + 3, j, np.signbit(keys))
 
 
 def _labelled(labels: Iterable[str], rows: list[list[str]]) -> list[list[str]]:

@@ -54,6 +54,7 @@ pass, one row per partition.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -475,6 +476,7 @@ def _within_budget(m: int, k: int) -> bool:
     return True
 
 
+@functools.cache
 def _partitions(m: int, k: int) -> np.ndarray:
     """Every partition of range(m) into exactly k non-empty blocks.
 
@@ -482,6 +484,7 @@ def _partitions(m: int, k: int) -> np.ndarray:
     (block ids first appear in the order 0, 1, ...) in lexicographic
     order.  A prefix is kept only while enough items remain to open the
     blocks it has not used yet, so no level holds more than S(m, k) rows.
+    Built once per (m, k) and read-only, since every call shares it.
     """
     labels = np.zeros((1, 1), dtype=np.int64)
     used = np.ones(1, dtype=np.int64)
@@ -493,6 +496,7 @@ def _partitions(m: int, k: int) -> np.ndarray:
         rows, cols = np.nonzero(ok)
         labels = np.concatenate([labels[rows], cols[:, None]], axis=1)
         used = new_used[rows, cols]
+    labels.flags.writeable = False
     return labels
 
 

@@ -43,6 +43,7 @@ def test_bench_pipeline_row(monkeypatch, tmp_path, harness):
     assert row["exact"] is True and row["objective"] >= 0.0
     assert isinstance(row["missing"], list) and len(row["report_sha256"]) == 64
     assert len(row["markdown_sha256"]) == 64
+    assert row["peak_mb"] > 0.0
     assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv"]
     assert "perfbench" not in {Path(p).name for p in sys.path}
 
@@ -70,14 +71,15 @@ def test_bench_pipeline_correlation_json_row(tmp_path, harness):
 def test_bench_pipeline_keeps_the_fastest_pass(monkeypatch, harness):
     bench = importlib.import_module("bench_pipeline")
 
-    def row(analysis_s, stages_s, digest="d"):
+    def row(analysis_s, stages_s, digest="d", peak_mb=1.0):
         return {"case": "c", "analysis_s": analysis_s, "timed_calls": 5, "stages_s": stages_s,
-                "traced_calls": 6, "report_sha256": digest, "markdown_sha256": "m"}
+                "traced_calls": 6, "peak_mb": peak_mb, "report_sha256": digest, "markdown_sha256": "m"}
 
-    passes = iter([[row(2.0, {"a": 1.0, "b": 3.0})], [row(1.5, {"a": 2.0, "b": 1.0})]])
+    passes = iter([[row(2.0, {"a": 1.0, "b": 3.0}, peak_mb=2.5)], [row(1.5, {"a": 2.0, "b": 1.0})]])
     monkeypatch.setattr(bench, "one_pass", lambda: next(passes))
     [got] = list(bench.measure_all())
     assert got["analysis_s"] == 1.5 and got["stages_s"] == {"a": 1.0, "b": 1.0}
+    assert got["peak_mb"] == 2.5  # the largest peak, not the fastest pass's
     assert (got["timed_calls"], got["traced_calls"]) == (10, 12)
     with pytest.raises(RuntimeError, match="report_sha256 differs between passes"):
         bench.merged(row(1.0, {}), row(1.0, {}, digest="e"))

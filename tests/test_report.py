@@ -224,18 +224,22 @@ def test_correlation_of_the_loaded_data_matches_the_standardized_path(tmp_path, 
 def test_csv_analysis_peak_memory_is_bounded(tmp_path):
     # the loaded matrix is the only full-size array: the summaries copy a
     # block of columns at a time and the correlation centers it in place,
-    # so loading sets the peak
+    # so loading sets the peak.  A label column first is left out of a
+    # view of that matrix, not copied out of it.
     rows, n = 10_000, 24
     path = seeded_csv(tmp_path / "tall.csv", n, rows=rows)
-    run_analysis(path, header=True)  # first-call allocations stay out of the peak
-    tracemalloc.start()
-    try:
-        run_analysis(path, header=True)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    loaded = rows * n * 8
-    assert peak < 1.5 * loaded, f"peak {peak} B is {peak / loaded:.2f}x the loaded matrix"
+    for label_column, data_columns in ((None, n), ("v1", n - 1)):
+        # first-call allocations stay out of the peak
+        run_analysis(path, header=True, label_column=label_column)
+        tracemalloc.start()
+        try:
+            run_analysis(path, header=True, label_column=label_column)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        loaded = rows * data_columns * 8
+        assert peak < 1.5 * loaded, (
+            f"label {label_column}: peak {peak} B is {peak / loaded:.2f}x the data columns")
 
 
 @pytest.mark.parametrize("value", ["5", "0.1"])
@@ -635,6 +639,8 @@ KEY = 2**31 - 1
 @given(st.lists(st.integers(-KEY, KEY).map(float) | st.just(-0.0), min_size=1, max_size=60))
 @example([-0.0, 0.0, 999.0, -999.0, 1000.0, -1000.0, float(KEY), -float(KEY)])
 @example([1.0, -1.0, 10.0, 100.0, 999_999.0, 1_000_000.0, 1_000_001.0, -123_456_789.0])
+# each digit count's last and first key, on both sides of zero
+@example([float(sign * k) for sign in (1, -1) for p in (4, 5, 7, 8, 9) for k in (10**p - 1, 10**p)])
 def test_three_decimal_keys_are_laid_out_as_the_format(keys):
     expected = ["{:.3f}".format(k / 1000) for k in keys]
     assert _thousandths(np.array(keys)) == expected

@@ -659,6 +659,9 @@ def test_partition_listing_matches_oracle():
                 want.append(labels)
             assert _partitions(m, k).tolist() == want, (m, k)
             assert oracles.stirling2(m, k) == len(want), (m, k)
+            # built once per (m, k) and shared, so no caller may write it
+            assert _partitions(m, k) is _partitions(m, k)
+            assert not _partitions(m, k).flags.writeable
 
 
 def test_exact_path_decision_matches_the_full_stirling_table():
